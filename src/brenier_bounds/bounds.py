@@ -13,19 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import aggregates, structural
-from .errors import (BracketFailure, DomainError, InvalidOrder, MFrakOverflow,
-                     NoConvergence, VoidBound)
+from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
+                     VoidBound)
 from .extparam import ExtParam, _as_extparam
 from .extreal import EXT_INF, EXT_ZERO, ExtReal, bound_from_terms, ext_min
-from .potentials import (PotentialSpec, _radial_weight, log_reference_integral,
-                         normalization_cached, tail_quadrature,
-                         theta_value_array, unit_ball_volume)
-
-_FATHI_BRACKET_CAP = 1e10
-_FATHI_ABS_TOL = 1e-9
+from .potentials import (PotentialSpec, log_reference_integral, mass_table,
+                         normalization, unit_ball_volume)
 
 
 def _param_float(p) -> float:
@@ -52,30 +47,8 @@ def tail_mass(W: PotentialSpec, D: ExtParam, r: float) -> float:
     """Mass of the target density outside the ball of radius r."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 1.0  # complement of the empty ball, exactly
-    z = normalization_cached(W, D).z
-    n = W.dimension
-    start = math.sqrt(D.value) if D.is_finite else 1.0
-    split = 10.0 * max(1.0, start)
-    if W.is_radial:
-        f = _radial_weight(W, D, n)
-        num = _tail_quad(f, r, split) * n * unit_ball_volume(n)
-    else:
-        pos = lambda x: np.exp(-theta_value_array(D, W.value(np.atleast_1d(x))))
-        neg = lambda x: np.exp(-theta_value_array(D, W.value(-np.atleast_1d(x))))
-        num = _tail_quad(pos, r, split) + _tail_quad(neg, r, split)
-    return num / z
-
-
-def _tail_quad(f, r: float, split: float) -> float:
-    if r >= split:
-        val, _ = tail_quadrature(f, r)
-        return val
-    fs = lambda s: float(f(np.array([s]))[0])
-    head, _ = quad(fs, r, split, epsabs=0.0, epsrel=1e-11, limit=400)
-    tail, _ = tail_quadrature(f, split)
-    return head + tail
+    table = mass_table(W, D)
+    return table.tail(r) / table.total
 
 
 @dataclass(frozen=True)
@@ -104,7 +77,7 @@ def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
         raise InvalidOrder(f"requires d <= D, got d={d}, D={D.value}")
     s = max(R, math.sqrt(d))
     c0_big = structural(V, ExtParam.finite(d), 10.0 * s).C0
-    z = normalization_cached(V, ExtParam.finite(d)).z
+    z = normalization(V, ExtParam.finite(d)).z
     log_m = (math.log(unit_ball_volume(n)) + n * math.log(3.0 * s)
              - math.log(z) - d * math.log(c0_big)
              - d * math.log1p(100.0 * s * s / d))
@@ -116,29 +89,10 @@ def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
             MFrakOverflow)
         fathi = 0.0
     else:
-        fathi = 3.0 * _invert_tail_mass(W, D, m_frak)
+        table = mass_table(W, D)
+        fathi = 3.0 * table.invert(m_frak * table.total)
     g = 1.0 + fathi * fathi / D.value if D.is_finite else 1.0
     return GrowthData(s=s, m_frak=m_frak, fathi_radius=fathi, growth_factor=g)
-
-
-def _invert_tail_mass(W: PotentialSpec, D: ExtParam, target: float) -> float:
-    """inf{r >= 0 : tail_mass(r) <= target} by doubling bracket + bisection."""
-    if target >= 1.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while tail_mass(W, D, hi) > target:
-        lo = hi
-        hi *= 2.0
-        if hi > _FATHI_BRACKET_CAP:
-            raise BracketFailure(
-                f"tail-mass inversion bracket exceeded {_FATHI_BRACKET_CAP:g}")
-    while hi - lo > _FATHI_ABS_TOL:
-        mid = 0.5 * (lo + hi)
-        if tail_mass(W, D, mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 @dataclass(frozen=True)

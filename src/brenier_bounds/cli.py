@@ -9,10 +9,8 @@ level so sweep definitions cannot silently misconfigure tolerances.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,15 +48,14 @@ def _parse_extended(token, ctx: str) -> ExtParam:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-def _parse_radius(token, ctx: str) -> float:
-    if isinstance(token, str):
-        if token.strip().lower() == "inf":
-            return math.inf
-        try:
-            return float(token)
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
-    return float(token)
+def _scalar(block: dict, key: str, default, kind, ctx: str):
+    """block[key] converted by ``kind`` (int or float; float accepts "inf")."""
+    if key not in block:
+        return default
+    try:
+        return kind(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}.{key}: {exc}") from exc
 
 
 def _parse_potential(block: dict, n: int, ctx: str) -> PotentialSpec:
@@ -67,7 +64,7 @@ def _parse_potential(block: dict, n: int, ctx: str) -> PotentialSpec:
     family = block.get("family")
     if family == "quadratic":
         _reject_unknown(block, {"family", "coefficient", "hess_upper", "hess_lower"}, ctx)
-        a = float(block.get("coefficient", 1.0))
+        a = _scalar(block, "coefficient", 1.0, float, ctx)
         spec = PotentialSpec.quadratic(a, n)
         if "hess_upper" in block or "hess_lower" in block:
             spec = PotentialSpec(n, spec.profile,
@@ -86,8 +83,8 @@ def _parse_potential(block: dict, n: int, ctx: str) -> PotentialSpec:
                                 "hess_upper", "hess_lower"}, ctx)
         if n != 1:
             raise ConfigError(f"{ctx}: onedim potentials require n = 1")
-        a = float(block.get("coefficient", 1.0))
-        s = float(block.get("shift", 0.0))
+        a = _scalar(block, "coefficient", 1.0, float, ctx)
+        s = _scalar(block, "shift", 0.0, float, ctx)
         return PotentialSpec.one_dim(
             lambda x, a=a, s=s: a * (x - s) ** 2,
             lambda x, a=a, s=s: 2.0 * a * (x - s),
@@ -132,17 +129,17 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> ParsedConfig:
     output = doc.get("output", {})
     _reject_unknown(output, _OUTPUT_KEYS, "output")
 
-    n = int(scen.get("n", 1))
+    n = _scalar(scen, "n", 1, int, "scenario")
     d = _parse_extended(scen.get("d", n), "scenario.d")
     D = _parse_extended(scen.get("D", "inf"), "scenario.D")
-    R = _parse_radius(scen.get("R", "inf"), "scenario.R")
+    R = _scalar(scen, "R", math.inf, float, "scenario")
     V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "potentials.V")
     W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "potentials.W")
     scenario = Scenario(
         name=str(scen.get("name", "scenario")),
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=scen.get("expected"),
-        grid_points=int(solver.get("grid_points", 400)),
+        grid_points=_scalar(solver, "grid_points", 400, int, "solver"),
         grid_min=solver.get("grid_min"),
         grid_max=solver.get("grid_max"))
     canonical = {
@@ -167,9 +164,25 @@ def load_config(path) -> ParsedConfig:
     return parse_config(doc, p.parent)
 
 
+def _strict(obj):
+    """obj with non-finite floats spelled as strings ("inf", as ExtParam.label)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _json_text(payload: dict) -> str:
+    """Strict JSON: no bare Infinity or NaN tokens."""
+    return json.dumps(_strict(payload), indent=2, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, allow_nan=True) + "\n")
+    path.write_text(_json_text(payload) + "\n")
 
 
 def _bounds_csv(path: Path, reports: List[dict]):
@@ -209,7 +222,7 @@ def cmd_bounds(args) -> int:
             print(f"error: {s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_VOID
         doc = {"scenario": s.name, "bounds": reports}
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         if out_dir:
             if args.format in ("json", "both"):
                 _write_json(out_dir / f"{s.name}_bounds.json", doc)
@@ -239,7 +252,7 @@ def cmd_transport(args) -> int:
                    "max_residual": float(max(abs(x) for x in m.residuals)),
                    "map_csv": str(csv_path)}
         _write_json(out_dir / f"{s.name}_lipschitz.json", payload)
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     return EXIT_OK
 
 
@@ -257,12 +270,7 @@ def cmd_verify(args) -> int:
     if not scenarios:
         print("error: no scenarios found", file=sys.stderr)
         return EXIT_INPUT
-    jobs = args.jobs or int(os.environ.get("BRENIER_BOUNDS_JOBS", "1"))
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(run_scenario, scenarios))
-    else:
-        reports = [run_scenario(s) for s in scenarios]
+    reports = [run_scenario(s) for s in scenarios]
     out_dir = Path(args.out) if args.out else None
     all_pass = True
     print(f"{'scenario':<32} {'pass':<6} {'empirical':<14} {'margins':<24} reason")
@@ -308,12 +316,12 @@ def cmd_sweep(args) -> int:
 
         if kind == "uniformity":
             n_list = block.get("n_list", [1, 2, 3])
-            d_max = int(block.get("d_max", 50))
-            D_max = int(block.get("D_max", d_max))
+            d_max = _scalar(block, "d_max", 50, int, "sweep")
+            D_max = _scalar(block, "D_max", d_max, int, "sweep")
             rep = mglob_uniformity_check(n_list, range(1, d_max + 1),
                                          range(1, D_max + 1),
-                                         qV=float(block.get("qV", 1.0)),
-                                         qW=float(block.get("qW", 1.0)))
+                                         qV=_scalar(block, "qV", 1.0, float, "sweep"),
+                                         qW=_scalar(block, "qW", 1.0, float, "sweep"))
             with open(out_dir / "uniformity.csv", "w", newline="") as fh:
                 fh.write("n,d,D,one_plus_M,pass\n")
                 for row in rep.rows:
@@ -326,16 +334,16 @@ def cmd_sweep(args) -> int:
                        "max_one_plus_M": rep.max_one_plus_m,
                        "triples": len(rep.rows)}
         elif kind == "d_limit":
-            n = int(block.get("n", 1))
+            n = _scalar(block, "n", 1, int, "sweep")
             V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V")
             W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W")
-            rep = limit_sweep_D(V, W, n, float(block.get("d", 1.0)),
-                                float(block.get("R", 1.0)),
+            rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, float, "sweep"),
+                                _scalar(block, "R", 1.0, float, "sweep"),
                                 block.get("D_list", [2, 10, 100, 1000]))
             _rows_csv(out_dir / "d_limit.csv", rep.rows)
             payload = rep.to_dict() | {"kind": kind}
         elif kind == "caffarelli_limit":
-            n = int(block.get("n", 1))
+            n = _scalar(block, "n", 1, int, "sweep")
             V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V")
             W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W")
             rep = limit_sweep_caffarelli(V, W, n,
@@ -352,7 +360,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VOID
     _write_json(out_dir / "sweep_report.json", payload)
-    print(json.dumps({k: v for k, v in payload.items() if k != "rows"}, indent=2))
+    print(_json_text({k: v for k, v in payload.items() if k != "rows"}))
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
 
 
@@ -379,11 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True,
                         help="config file (or directory of configs, verify only)")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="parallel scenario workers (env BRENIER_BOUNDS_JOBS)")
-        sp.add_argument("--strict", action="store_true", default=True,
-                        help="reject unknown config keys (always on)")
+        if name == "bounds":
+            sp.add_argument("--format", choices=("json", "csv", "both"), default="json")
         sp.set_defaults(fn=fn)
     return parser
 

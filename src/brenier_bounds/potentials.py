@@ -12,22 +12,29 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from .errors import DivergentIntegral, DomainError
+from .errors import BracketFailure, DivergentIntegral, DomainError
 from .extparam import ExtParam, theta_value_array
 
 # Truncation-search policy: an integrand counts as decayed once it falls
 # below _DECAY_FLOOR times its peak; no decay by _RADIUS_CAP is divergence.
 _DECAY_FLOOR = 1e-16
 _RADIUS_CAP = 1e10
+
+# Tail-table layout: log-spaced Gauss-Legendre panels from _TABLE_R_LO_FACTOR
+# times the parameter scale; extension toward heavy tails stops at _EXTEND_CAP.
+_TABLE_POINTS_PER_DECADE = 160
+_TABLE_R_LO_FACTOR = 1e-9
+_EXTEND_CAP = 1e30
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
 
 
 # --------------------------------------------------------------------------
@@ -142,13 +149,16 @@ class PotentialSpec:
     """A potential with its dimension and declared Hessian eigenvalue bounds.
 
     ``hess_upper`` / ``hess_lower`` are None when unbounded/undeclared.
-    Immutable after construction; all evaluation is reentrant.
+    Immutable after construction; all evaluation is reentrant. ``_tables``
+    holds the spec's tail tables (see :func:`tail_table`), keyed by
+    (weight kind, p.raw, n), so they live exactly as long as the spec.
     """
 
     dimension: int
     profile: object
     hess_upper: Optional[float] = None
     hess_lower: Optional[float] = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -247,10 +257,9 @@ def _is_number(tok: str) -> bool:
 
 @dataclass(frozen=True)
 class NormConstant:
-    """Normalization constant with its quadrature error estimate."""
+    """Normalization constant: the total mass of exp(-theta_p(U)) over R^n."""
 
     z: float
-    abs_error: float
 
     def __post_init__(self):
         if not (self.z > 0.0 and math.isfinite(self.z)):
@@ -286,12 +295,23 @@ def reference_integral(n: int, p) -> float:
 
 def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
     """Vectorized integrand r^(n-1) exp(-theta_p(U(r))) on [0, inf)."""
+    value = U.profile.value  # not U.value: tables cached on U must not hold U
     def f(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
-        expo = theta_value_array(p, U.value(r))
+        expo = theta_value_array(p, value(r))
         if n == 1:
             return np.exp(-expo)
         return np.where(r > 0.0, r ** (n - 1) * np.exp(-expo), 0.0)
+    return f
+
+
+def _folded_weight(U: PotentialSpec, p: ExtParam):
+    """Vectorized exp(-theta_p(U(x))) + exp(-theta_p(U(-x))) on [0, inf)."""
+    value = U.profile.value
+    def f(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return (np.exp(-theta_value_array(p, value(x)))
+                + np.exp(-theta_value_array(p, value(-x))))
     return f
 
 
@@ -322,45 +342,109 @@ def tail_quadrature(f, r: float):
     return val, err
 
 
-def _quad_halfline(f, split: float):
-    """Adaptive quadrature of f over [0, inf), split at a moderate radius."""
-    fs = lambda r: float(f(np.array([r]))[0])
-    head, e1 = quad(fs, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=400)
-    tail, e2 = tail_quadrature(f, split)
-    return head + tail, e1 + e2
+class TailTable:
+    """Cumulative tail table of one decaying weight f on [0, inf).
+
+    ``tail(r)`` returns the exact panel quadrature of integral_r^inf f(s) ds
+    and ``total`` the integral over the whole half-line. The table extends
+    itself on demand when an inversion target lies beyond the current range.
+    ``p`` sets the scale of the panel grid.
+    """
+
+    def __init__(self, f, p: ExtParam):
+        self.f = f
+        start = math.sqrt(p.value) if p.is_finite else 1.0
+        self.r_lo = _TABLE_R_LO_FACTOR * max(1.0, start)
+        self.r_max = truncation_radius(self.f, start)
+        self._build()
+
+    def _build(self):
+        decades = math.log10(self.r_max) - math.log10(self.r_lo)
+        count = max(64, int(decades * _TABLE_POINTS_PER_DECADE))
+        nodes = np.concatenate((
+            [0.0],
+            np.logspace(math.log10(self.r_lo), math.log10(self.r_max), count + 1)))
+        a, b = nodes[:-1], nodes[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        vals = self.f(pts.ravel()).reshape(pts.shape)
+        panels = half * (vals @ _GL_WEIGHTS)
+        tail_inf, _ = tail_quadrature(self.f, self.r_max)
+        cum = np.empty(nodes.size)
+        cum[-1] = tail_inf
+        cum[:-1] = tail_inf + np.cumsum(panels[::-1])[::-1]
+        self.nodes = nodes
+        self.cum = cum
+        self.tail_inf = tail_inf
+
+    @property
+    def total(self) -> float:
+        return float(self.cum[0])
+
+    def tail(self, r: float) -> float:
+        if r <= 0.0:
+            return self.total
+        if r >= self.nodes[-1]:
+            val, _ = tail_quadrature(self.f, r)
+            return val
+        i = int(np.searchsorted(self.nodes, r, side="right")) - 1
+        a, b = r, self.nodes[i + 1]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        pts = mid + half * _GL_NODES
+        partial = half * float(self.f(pts) @ _GL_WEIGHTS)
+        return partial + float(self.cum[i + 1])
+
+    def invert(self, target: float) -> float:
+        """Radius where tail(r) = target; extends the table toward heavy tails."""
+        if target >= self.total:
+            return 0.0
+        while target < self.tail_inf:
+            if self.r_max >= _EXTEND_CAP:
+                raise BracketFailure(
+                    f"tail inversion target {target:g} below resolvable mass "
+                    f"at the radius cap {_EXTEND_CAP:g}")
+            self.r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
+                             _EXTEND_CAP)
+            self._build()
+        # bracketing panel: cum is strictly decreasing
+        i = int(np.searchsorted(-self.cum, -target, side="right")) - 1
+        i = min(max(i, 0), self.nodes.size - 2)
+        lo, hi = self.nodes[i], self.nodes[i + 1]
+        flo, fhi = self.cum[i] - target, self.cum[i + 1] - target
+        if flo == 0.0:
+            return float(lo)
+        if fhi == 0.0:
+            return float(hi)
+        return float(brentq(lambda r: self.tail(r) - target, lo, hi,
+                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
+                            maxiter=200))
+
+
+def _cached_table(U: PotentialSpec, key: tuple, f, p: ExtParam) -> TailTable:
+    table = U._tables.get(key)
+    if table is None:
+        table = U._tables[key] = TailTable(f, p)
+    return table
+
+
+def tail_table(U: PotentialSpec, p: ExtParam, n: int) -> TailTable:
+    """The table of r^(n-1) exp(-theta_p(U(r))), built once per (U, p, n)."""
+    return _cached_table(U, ("radial", p.raw, n), _radial_weight(U, p, n), p)
+
+
+def mass_table(U: PotentialSpec, p: ExtParam) -> TailTable:
+    """The table whose tail(r) is the mass of exp(-theta_p(U)) outside B_r, up to area.
+
+    Radial potentials use the radial weight in their own dimension; a
+    general 1D potential folds both half-lines onto [0, inf).
+    """
+    if U.is_radial:
+        return tail_table(U, p, U.dimension)
+    return _cached_table(U, ("folded", p.raw, 1), _folded_weight(U, p), p)
 
 
 def normalization(U: PotentialSpec, p: ExtParam) -> NormConstant:
-    """Total mass of exp(-theta_p(U)) over R^n by radial reduction (or full-line quadrature).
-
-    Relative error target 1e-9, reported through ``abs_error``.
-    """
+    """Total mass of exp(-theta_p(U)) over R^n: sphere area times the table total."""
     n = U.dimension
-    start = math.sqrt(p.value) if p.is_finite else 1.0
-    split = 10.0 * max(1.0, start)
-    if U.is_radial:
-        f = _radial_weight(U, p, n)
-        truncation_radius(f, start)  # divergence detection only
-        val, err = _quad_halfline(f, split)
-        z = n * unit_ball_volume(n) * val
-        return NormConstant(z, n * unit_ball_volume(n) * err)
-    # general 1D: integrate both half-lines
-    pos = lambda x: np.exp(-theta_value_array(p, U.value(np.atleast_1d(x))))
-    neg = lambda x: np.exp(-theta_value_array(p, U.value(-np.atleast_1d(x))))
-    truncation_radius(pos, start)
-    truncation_radius(neg, start)
-    vp, ep = _quad_halfline(pos, split)
-    vn, en = _quad_halfline(neg, split)
-    return NormConstant(vp + vn, ep + en)
-
-
-# normalization cache: potentials are immutable, so (potential, p) keys are safe
-_norm_cache: "weakref.WeakKeyDictionary[PotentialSpec, dict]" = weakref.WeakKeyDictionary()
-
-
-def normalization_cached(U: PotentialSpec, p: ExtParam) -> NormConstant:
-    per_pot = _norm_cache.setdefault(U, {})
-    key = p.raw
-    if key not in per_pot:
-        per_pot[key] = normalization(U, p)
-    return per_pot[key]
+    area = n * unit_ball_volume(n) if U.is_radial else 1.0
+    return NormConstant(area * mass_table(U, p).total)

@@ -2,17 +2,16 @@
 
 The radial pushforward condition is a tail-mass balance: t(r) is the
 radius where the target's normalized radial tail equals the source's.
-Tail integrals are computed once as cumulative Gauss-Legendre panel
-tables per (potential, parameter, dimension) and then evaluated exactly
-per panel, so each map construction costs thousands of cheap lookups
-instead of thousands of adaptive quadratures.
+Tail integrals come from the potentials' cached tail tables
+(:func:`~brenier_bounds.potentials.tail_table`), so each map construction
+costs thousands of cheap lookups instead of thousands of adaptive
+quadratures.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -23,103 +22,10 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import ExtParam, theta_value_array
-from .potentials import (PotentialSpec, tail_quadrature, truncation_radius,
-                         _radial_weight)
+from .potentials import _EXTEND_CAP, PotentialSpec, tail_table
+from .potentials import TailTable  # noqa: F401  (re-exported)
 
-_TABLE_POINTS_PER_DECADE = 160
-_TABLE_R_LO_FACTOR = 1e-9
-_EXTEND_CAP = 1e30
 _TAIL_FLOOR = 1e-280
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
-
-
-class TailTable:
-    """Cumulative radial tail table for one (potential, parameter, dimension).
-
-    ``tail(r)`` returns the exact panel quadrature of
-    integral_r^inf s^(n-1) exp(-theta_p(U(s))) ds (without the sphere-area
-    factor, which cancels in every balance). The table extends itself on
-    demand when an inversion target lies beyond the current range.
-    """
-
-    def __init__(self, U: PotentialSpec, p: ExtParam, n: int):
-        self.f = _radial_weight(U, p, n)
-        start = math.sqrt(p.value) if p.is_finite else 1.0
-        self.r_lo = _TABLE_R_LO_FACTOR * max(1.0, start)
-        self.r_max = truncation_radius(self.f, start)
-        self._build()
-
-    def _build(self):
-        decades = math.log10(self.r_max) - math.log10(self.r_lo)
-        count = max(64, int(decades * _TABLE_POINTS_PER_DECADE))
-        nodes = np.concatenate((
-            [0.0],
-            np.logspace(math.log10(self.r_lo), math.log10(self.r_max), count + 1)))
-        a, b = nodes[:-1], nodes[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = self.f(pts.ravel()).reshape(pts.shape)
-        panels = half * (vals @ _GL_WEIGHTS)
-        tail_inf, _ = tail_quadrature(self.f, self.r_max)
-        cum = np.empty(nodes.size)
-        cum[-1] = tail_inf
-        cum[:-1] = tail_inf + np.cumsum(panels[::-1])[::-1]
-        self.nodes = nodes
-        self.cum = cum
-        self.tail_inf = tail_inf
-
-    @property
-    def total(self) -> float:
-        return float(self.cum[0])
-
-    def tail(self, r: float) -> float:
-        if r <= 0.0:
-            return self.total
-        if r >= self.nodes[-1]:
-            val, _ = tail_quadrature(self.f, r)
-            return val
-        i = int(np.searchsorted(self.nodes, r, side="right")) - 1
-        a, b = r, self.nodes[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid + half * _GL_NODES
-        partial = half * float(self.f(pts) @ _GL_WEIGHTS)
-        return partial + float(self.cum[i + 1])
-
-    def invert(self, target: float) -> float:
-        """Radius where tail(r) = target; extends the table toward heavy tails."""
-        if target >= self.total:
-            return 0.0
-        while target < self.tail_inf:
-            if self.r_max >= _EXTEND_CAP:
-                raise BracketFailure(
-                    f"tail inversion target {target:g} below resolvable mass "
-                    f"at the radius cap {_EXTEND_CAP:g}")
-            self.r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
-                             _EXTEND_CAP)
-            self._build()
-        # bracketing panel: cum is strictly decreasing
-        i = int(np.searchsorted(-self.cum, -target, side="right")) - 1
-        i = min(max(i, 0), self.nodes.size - 2)
-        lo, hi = self.nodes[i], self.nodes[i + 1]
-        flo, fhi = self.cum[i] - target, self.cum[i + 1] - target
-        if flo == 0.0:
-            return float(lo)
-        if fhi == 0.0:
-            return float(hi)
-        return float(brentq(lambda r: self.tail(r) - target, lo, hi,
-                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                            maxiter=200))
-
-
-_table_cache: "weakref.WeakKeyDictionary[PotentialSpec, dict]" = weakref.WeakKeyDictionary()
-
-
-def tail_table(U: PotentialSpec, p: ExtParam, n: int) -> TailTable:
-    per_pot = _table_cache.setdefault(U, {})
-    key = (p.raw, n)
-    if key not in per_pot:
-        per_pot[key] = TailTable(U, p, n)
-    return per_pot[key]
 
 
 @dataclass

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .bounds import (BoundReport, finite_global_sharp_bound, global_bound,
-                     local_bound, local_factors, growth_data)
+                     local_bound)
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
 from .extparam import INF, ExtParam
 from .potentials import PotentialSpec
@@ -258,13 +258,11 @@ def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
     D_list = sorted(float(x) for x in D_list)
     rows = []
     for Dv in D_list:
-        D = ExtParam.finite(Dv)
-        gd = growth_data(V, W, d, D, R, n)
-        lam, xi = local_factors(V, W, d, D, R, n)
-        rep = local_bound(V, W, n, ExtParam.finite(d), D, R)
-        rows.append({"D": Dv, "fathi_radius": gd.fathi_radius,
-                     "growth_factor": gd.growth_factor, "lambda": lam, "xi": xi,
-                     "bound": rep.bound.as_float()})
+        rep = local_bound(V, W, n, ExtParam.finite(d), ExtParam.finite(Dv), R)
+        c = rep.constants
+        rows.append({"D": Dv, "fathi_radius": c["fathi_radius"],
+                     "growth_factor": c["growth_factor"], "lambda": c["lambda"],
+                     "xi": c["xi"], "bound": rep.bound.as_float()})
     endpoint = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
 
     radii = [r["fathi_radius"] for r in rows]

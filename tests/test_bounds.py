@@ -16,6 +16,18 @@ def quad(a, n=1):
     return PotentialSpec.quadratic(a, n)
 
 
+def shifted(s, a=1.0):
+    """U(x) = a (x - s)^2 as a general (non-even) 1D potential."""
+    return PotentialSpec.one_dim(lambda x: a * (x - s) ** 2,
+                                 lambda x: 2.0 * a * (x - s),
+                                 hess_upper=2.0 * a, hess_lower=2.0 * a)
+
+
+def shifted_gaussian_tail(r, s):
+    """Mass of e^(-(x - s)^2) / sqrt(pi) outside [-r, r]."""
+    return 0.5 * (math.erfc(r - s) + math.erfc(r + s))
+
+
 class TestGamma:
     def test_cases(self):
         assert gamma(1, 2).as_float() == 0.0          # 2d - D = 0
@@ -65,6 +77,13 @@ class TestTailMass:
         assert tail_mass(quad1, ExtParam.finite(1), 2.0) == pytest.approx(
             1.0 - 2.0 / math.pi * math.atan(2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("s", [0.5, 2.0])
+    def test_shifted_one_dim_closed_form(self, s):
+        W = shifted(s)
+        for r in (0.1, 0.5, 1.0, 2.0, 4.0, 6.0):
+            assert tail_mass(W, INF, r) == pytest.approx(
+                shifted_gaussian_tail(r, s), rel=1e-9)
+
     def test_decreasing_in_radius(self, quad1):
         D = ExtParam.finite(2)
         vals = [tail_mass(quad1, D, r) for r in (0.0, 0.5, 1.0, 5.0, 50.0)]
@@ -80,6 +99,14 @@ class TestGrowthData:
         fathi_want = 3.0 * math.tan(math.pi / 2.0 * (1.0 - m_want))
         assert gd.fathi_radius == pytest.approx(fathi_want, rel=1e-7)
         assert gd.growth_factor == pytest.approx(1.0 + gd.fathi_radius ** 2, rel=1e-12)
+
+    def test_shifted_one_dim_target_inverts_its_tail_mass(self, quad1):
+        W = shifted(0.5)
+        gd = growth_data(quad1, W, 2.0, INF, 1.0, 1)
+        r = gd.fathi_radius / 3.0
+        assert r > 0.0
+        assert tail_mass(W, INF, r) == pytest.approx(gd.m_frak, rel=1e-9)
+        assert shifted_gaussian_tail(r, 0.5) == pytest.approx(gd.m_frak, rel=1e-9)
 
     def test_rejects_infinite_source_parameter_and_radius(self, quad1):
         with pytest.raises(DomainError):

@@ -1,12 +1,14 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
-                            PotentialSpec, normalization, reference_integral,
-                            unit_ball_volume)
-from brenier_bounds.potentials import tail_quadrature
+                            PotentialSpec, growth_data, normalization,
+                            radial_map, reference_integral, unit_ball_volume)
+from brenier_bounds.potentials import mass_table, tail_quadrature, tail_table
 
 
 class TestProfiles:
@@ -81,6 +83,24 @@ class TestNormalization:
                                   lambda x: 2.0 * (x - 1.0))
         # shift invariance: same mass as the centered Gaussian
         assert normalization(U, INF).z == pytest.approx(math.sqrt(math.pi), rel=1e-9)
+
+
+class TestTailTables:
+    def test_one_table_per_potential_parameter_and_dimension(self):
+        U = PotentialSpec.quadratic(1.0, 2)
+        p = ExtParam.finite(3)
+        assert mass_table(U, p) is tail_table(U, p, 2)
+        assert tail_table(U, p, 2) is not tail_table(U, p, 1)
+        assert mass_table(U, p) is not mass_table(U, INF)
+
+    def test_dropped_potentials_are_collected(self):
+        V, W = PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.5, 1)
+        radial_map(V, W, ExtParam.finite(2), ExtParam.finite(3), 1)
+        growth_data(V, W, 2.0, ExtParam.finite(3), 1.0, 1)
+        refs = [weakref.ref(V), weakref.ref(W)]
+        del V, W
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestReferenceIntegral:

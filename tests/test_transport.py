@@ -9,7 +9,7 @@ from brenier_bounds import (EmptyWindow, ExtParam, INF, PotentialSpec,
                             RadialMap, default_grid, lipschitz_empirical,
                             quantile_map_1d, radial_map, second_variation_check,
                             slope_fit)
-from brenier_bounds.transport import TailTable
+from brenier_bounds.transport import tail_table
 
 
 def quad(a, n=1):
@@ -18,7 +18,7 @@ def quad(a, n=1):
 
 class TestTailTable:
     def test_cauchy_closed_form_and_deep_inversion(self, quad1):
-        t = TailTable(quad1, ExtParam.finite(1), 1)
+        t = tail_table(quad1, ExtParam.finite(1), 1)
         assert t.total == pytest.approx(math.pi / 2, rel=1e-10)
         for r in (1.0, 1e4, 1e7):
             assert t.tail(r) == pytest.approx(math.pi / 2 - math.atan(r), rel=1e-8)
@@ -26,13 +26,13 @@ class TestTailTable:
             assert t.invert(target) == pytest.approx(1.0 / math.tan(target), rel=1e-8)
 
     def test_gaussian_closed_form(self, quad1):
-        t = TailTable(quad1, INF, 1)
+        t = tail_table(quad1, INF, 1)
         assert t.total == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-10)
         assert t.tail(1.5) == pytest.approx(
             math.sqrt(math.pi) / 2 * math.erfc(1.5), rel=1e-9)
 
     def test_invert_at_full_mass_returns_origin(self, quad1):
-        t = TailTable(quad1, INF, 1)
+        t = tail_table(quad1, INF, 1)
         assert t.invert(t.total) == 0.0
 
 
