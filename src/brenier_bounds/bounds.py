@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .constants import aggregates, structural
+from .constants import StructuralConstants, aggregates, structural
 from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
                      VoidBound)
 from .extparam import ExtParam, _as_extparam
@@ -168,7 +168,7 @@ def _check_order(n: int, d: ExtParam, D: ExtParam):
         raise DomainError(f"requires n <= d, got n={n}, d={d.value}")
 
 
-def _scenario_stub(V, W, n, d, D, R=None) -> dict:
+def _scenario_stub(n, d, D, R=None) -> dict:
     out = {"n": n, "d": d.label(), "D": D.label()}
     if R is not None:
         out["R"] = R
@@ -185,7 +185,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
         raise ValueError("finite target parameter needs a finite ball radius R")
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
-    scen = _scenario_stub(V, W, n, d, D, R)
+    scen = _scenario_stub(n, d, D, R)
     try:
         if not d.is_finite:
             # both parameters infinite: the endpoint conventions collapse the bound
@@ -223,8 +223,8 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     try:
-        av = aggregates(V, n, "source")
-        aw = aggregates(W, n, "target")
+        av = aggregates(V, n)
+        aw = aggregates(W, n)
     except NoConvergence as exc:
         raise VoidBound(f"global bound void: {exc}") from exc
     m_glob = 1e6 * av.qU ** 2 * aw.qU ** 2
@@ -234,20 +234,24 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
               "c_frak_V": av.cU, "C_frak_W": aw.CU, "L_V": av.LU, "L_W": aw.LU,
               "M_glob": m_glob}
     return BoundReport("global", a, b, bound_from_terms(a, b), consts,
-                       _scenario_stub(V, W, n, d, D))
+                       _scenario_stub(n, d, D))
 
 
-def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
-                            d: float, D: float) -> Tuple[float, float]:
-    """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
-    d, D = _param_float(d), _param_float(D)
+def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
+                      D: float) -> Tuple[StructuralConstants, StructuralConstants]:
+    """Global structural constants of V at d and of W at D, for n <= d <= D < inf."""
     if not (n <= d <= D < math.inf):
         raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d}, D={D}")
     try:
-        sv = structural(V, ExtParam.finite(d), math.inf)
-        sw = structural(W, ExtParam.finite(D), math.inf)
+        return (structural(V, ExtParam.finite(d), math.inf),
+                structural(W, ExtParam.finite(D), math.inf))
     except NoConvergence as exc:
         raise VoidBound(f"growth constants void: {exc}") from exc
+
+
+def _growth_chain(sv: StructuralConstants, sw: StructuralConstants, n: int,
+                  d: float, D: float) -> Tuple[float, float]:
+    """(K, M) from the global constants of V at d and W at D, in log space."""
     log_bracket = (d * (math.log(sv.C0) - math.log(sv.c0))
                    + D * (math.log(sw.C0) - math.log(sw.c0))
                    + d * math.log(1.25) + 2.0 * d * math.log(10.0)
@@ -260,18 +264,21 @@ def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
     return k, m
 
 
+def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
+                            d: float, D: float) -> Tuple[float, float]:
+    """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
+    d, D = _param_float(d), _param_float(D)
+    return _growth_chain(*_global_constants(V, W, n, d, D), n, d, D)
+
+
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                               d: float, D: float) -> BoundReport:
     """Sharper finite-parameter global bound built on the (K, M) growth chain."""
     d, D = _param_float(d), _param_float(D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
-    k, m = finite_growth_constants(V, W, n, d, D)
-    try:
-        sv = structural(V, ExtParam.finite(d), math.inf)
-        sw = structural(W, ExtParam.finite(D), math.inf)
-    except NoConvergence as exc:
-        raise VoidBound(f"sharp global bound void: {exc}") from exc
+    sv, sw = _global_constants(V, W, n, d, D)
+    k, m = _growth_chain(sv, sw, n, d, D)
     g = gamma(ExtParam.finite(d), ExtParam.finite(D))
     one_m = 1.0 + m
     a = C_V2 * sw.C0 * one_m / (c_W2 * sv.c0)
@@ -285,7 +292,7 @@ def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
               "c0_W": sw.c0, "C0_W": sw.C0, "C1_W": sw.C1,
               "gamma": g.as_float()}
     return BoundReport("finite_global_sharp", a, b, bound_from_terms(a, b), consts,
-                       _scenario_stub(V, W, n, ExtParam.finite(d), ExtParam.finite(D)))
+                       _scenario_stub(n, ExtParam.finite(d), ExtParam.finite(D)))
 
 
 @dataclass(frozen=True)
@@ -338,7 +345,7 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
                 s4 = math.exp(expo * (log_reference_integral(n, float(d))
                                       - log_reference_integral(n, float(D)))) \
                     <= 4.0 * math.exp(2.0) + tol
-                _, m = finite_growth_constants(Vn, Wn, n, float(d), float(D))
+                _, m = _growth_chain(sv, sw, n, float(d), float(D))
                 s5 = 1.0 + m <= 1e6 * qV * qV * qW * qW + tol
                 max_one_m = max(max_one_m, 1.0 + m)
                 rows.append({"n": n, "d": d, "D": D, "one_plus_M": 1.0 + m,

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .bounds import (finite_global_sharp_bound, global_bound, local_bound,
-                     mglob_uniformity_check)
-from .errors import BrenierBoundsError, InvalidOrder, VoidBound
-from .extparam import INF, ExtParam
-from .potentials import PotentialSpec
+from .bounds import mglob_uniformity_check
+from .errors import BrenierBoundsError, InvalidOrder
+from .extparam import ExtParam
+from .potentials import PotentialSpec, Quadratic
 from .transport import default_grid, lipschitz_empirical, radial_map
-from .verify import (Scenario, limit_sweep_caffarelli, limit_sweep_D,
-                     run_scenario)
+from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
+                     limit_sweep_D, run_scenario)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -58,39 +57,43 @@ def _scalar(block: dict, key: str, default, kind, ctx: str):
         raise ConfigError(f"{ctx}.{key}: {exc}") from exc
 
 
-def _parse_potential(block: dict, n: int, ctx: str) -> PotentialSpec:
+def _optional_float(value) -> Optional[float]:
+    """float(value), keeping null as None (undeclared bound, default grid end)."""
+    return None if value is None else float(value)
+
+
+_FAMILY_KEYS = {"quadratic": {"coefficient"}, "tabulated": {"csv"},
+                "onedim": {"coefficient", "shift"}}
+
+
+def _parse_potential(block: dict, n: int, ctx: str, base_dir: Path) -> PotentialSpec:
+    """The potential a config block describes; a ``csv`` path is relative to base_dir."""
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: potential must be an object")
     family = block.get("family")
-    if family == "quadratic":
-        _reject_unknown(block, {"family", "coefficient", "hess_upper", "hess_lower"}, ctx)
-        a = _scalar(block, "coefficient", 1.0, float, ctx)
-        spec = PotentialSpec.quadratic(a, n)
-        if "hess_upper" in block or "hess_lower" in block:
-            spec = PotentialSpec(n, spec.profile,
-                                 hess_upper=block.get("hess_upper", 2.0 * a),
-                                 hess_lower=block.get("hess_lower", 2.0 * a))
-        return spec
-    if family == "tabulated":
-        _reject_unknown(block, {"family", "csv", "hess_upper", "hess_lower"}, ctx)
-        if "csv" not in block:
-            raise ConfigError(f"{ctx}: tabulated potential needs a 'csv' path")
-        return PotentialSpec.from_csv(block["csv"], dimension=n,
-                                      hess_upper=block.get("hess_upper"),
-                                      hess_lower=block.get("hess_lower"))
-    if family == "onedim":
-        _reject_unknown(block, {"family", "coefficient", "shift",
-                                "hess_upper", "hess_lower"}, ctx)
-        if n != 1:
-            raise ConfigError(f"{ctx}: onedim potentials require n = 1")
-        a = _scalar(block, "coefficient", 1.0, float, ctx)
-        s = _scalar(block, "shift", 0.0, float, ctx)
-        return PotentialSpec.one_dim(
-            lambda x, a=a, s=s: a * (x - s) ** 2,
-            lambda x, a=a, s=s: 2.0 * a * (x - s),
-            hess_upper=block.get("hess_upper", 2.0 * a),
-            hess_lower=block.get("hess_lower", 2.0 * a))
-    raise ConfigError(f"{ctx}: unknown potential family {family!r}")
+    if not (isinstance(family, str) and family in _FAMILY_KEYS):
+        raise ConfigError(f"{ctx}: unknown potential family {family!r}")
+    _reject_unknown(block, {"family", "hess_upper", "hess_lower"} | _FAMILY_KEYS[family], ctx)
+    if family == "tabulated" and "csv" not in block:
+        raise ConfigError(f"{ctx}: tabulated potential needs a 'csv' path")
+    if family == "onedim" and n != 1:
+        raise ConfigError(f"{ctx}: onedim potentials require n = 1")
+    a = _scalar(block, "coefficient", 1.0, float, ctx)
+    s = _scalar(block, "shift", 0.0, float, ctx)
+    # a quadratic's exact Hessian is 2a; a tabulated profile declares its own or none
+    default = None if family == "tabulated" else 2.0 * a
+    upper = _scalar(block, "hess_upper", default, _optional_float, ctx)
+    lower = _scalar(block, "hess_lower", default, _optional_float, ctx)
+    try:
+        if family == "quadratic":
+            return PotentialSpec(n, Quadratic(a), upper, lower)
+        if family == "tabulated":
+            return PotentialSpec.from_csv(base_dir / str(block["csv"]), n, upper, lower)
+        return PotentialSpec.one_dim(lambda x: a * (x - s) ** 2,
+                                     lambda x: 2.0 * a * (x - s), upper, lower)
+    except (ValueError, OSError) as exc:
+        # constructor checks (a nonpositive coefficient, a bad table) and unreadable files
+        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 _SCENARIO_KEYS = {"name", "n", "d", "D", "R", "expected"}
@@ -133,15 +136,15 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> ParsedConfig:
     d = _parse_extended(scen.get("d", n), "scenario.d")
     D = _parse_extended(scen.get("D", "inf"), "scenario.D")
     R = _scalar(scen, "R", math.inf, float, "scenario")
-    V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "potentials.V")
-    W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "potentials.W")
+    V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "potentials.V", base_dir)
+    W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "potentials.W", base_dir)
     scenario = Scenario(
         name=str(scen.get("name", "scenario")),
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=scen.get("expected"),
         grid_points=_scalar(solver, "grid_points", 400, int, "solver"),
-        grid_min=solver.get("grid_min"),
-        grid_max=solver.get("grid_max"))
+        grid_min=_scalar(solver, "grid_min", None, _optional_float, "solver"),
+        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))
     canonical = {
         "scenario": {"name": scenario.name, "n": n, "d": d.label(),
                      "D": D.label(),
@@ -196,29 +199,16 @@ def _bounds_csv(path: Path, reports: List[dict]):
             fh.write(",".join(row) + "\n")
 
 
-def _applicable_bounds(s: Scenario) -> List[dict]:
-    reports = [global_bound(s.V, s.W, s.n, s.d, s.D)]
-    if math.isfinite(s.R):
-        reports.append(local_bound(s.V, s.W, s.n, s.d, s.D, s.R))
-    elif not s.D.is_finite:
-        # infinite window, log-concave target: the endpoint/Caffarelli bound
-        # survives with the global structural constant (window R -> inf)
-        reports.append(local_bound(s.V, s.W, s.n, s.d, s.D, 1e8))
-    if s.d.is_finite and s.D.is_finite:
-        reports.append(finite_global_sharp_bound(s.V, s.W, s.n, s.d.value, s.D.value))
-    return [r.to_dict() for r in reports]
-
-
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else None
     for s in cfg.scenarios:
         try:
-            reports = _applicable_bounds(s)
-        except (InvalidOrder,) as exc:
+            reports = [compute().to_dict() for compute in applicable_bounds(s).values()]
+        except InvalidOrder as exc:
             print(f"error: {s.name}: {exc} (requires d <= D)", file=sys.stderr)
             return EXIT_INPUT
-        except (VoidBound, BrenierBoundsError) as exc:
+        except BrenierBoundsError as exc:
             print(f"error: {s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_VOID
         doc = {"scenario": s.name, "bounds": reports}
@@ -335,8 +325,8 @@ def cmd_sweep(args) -> int:
                        "triples": len(rep.rows)}
         elif kind == "d_limit":
             n = _scalar(block, "n", 1, int, "sweep")
-            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V")
-            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W")
+            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V", p.parent)
+            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W", p.parent)
             rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, float, "sweep"),
                                 _scalar(block, "R", 1.0, float, "sweep"),
                                 block.get("D_list", [2, 10, 100, 1000]))
@@ -344,8 +334,8 @@ def cmd_sweep(args) -> int:
             payload = rep.to_dict() | {"kind": kind}
         elif kind == "caffarelli_limit":
             n = _scalar(block, "n", 1, int, "sweep")
-            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V")
-            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W")
+            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V", p.parent)
+            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W", p.parent)
             rep = limit_sweep_caffarelli(V, W, n,
                                          block.get("d_list", [1, 10, 100, 1e4, 1e6]),
                                          block.get("R_list", [1, 2, 5, 10]))
@@ -403,9 +393,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvalidOrder as exc:
         print(f"error: {exc} (requires d <= D)", file=sys.stderr)
         return EXIT_INPUT
-    except VoidBound as exc:
-        print(f"error: VoidBound: {exc}", file=sys.stderr)
-        return EXIT_VOID
     except BrenierBoundsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VOID

@@ -54,7 +54,6 @@ class GlobalAggregates:
     cU: float   # min{1, c0_n}   (source side)
     CU: float   # max{1, C0_n}   (target side)
     LU: float   # global C1 at p = n
-    role: str
 
     def __post_init__(self):
         if self.qU < 1.0 - 1e-12 or self.cU > 1.0 + 1e-12 or self.CU < 1.0 - 1e-12:
@@ -164,15 +163,12 @@ def _structural_window(U: PotentialSpec, q: float, p: ExtParam) -> StructuralCon
         "constant is infinite")
 
 
-def aggregates(U: PotentialSpec, n: int, role: str) -> GlobalAggregates:
+def aggregates(U: PotentialSpec, n: int) -> GlobalAggregates:
     """Parameter-uniform aggregates of U from its global constants at p = n.
 
-    ``role`` is 'source' or 'target'; all four aggregates are computed
-    either way (only the relevant ones enter each bound).
+    All four aggregates are computed; only the relevant ones enter each bound.
     """
-    if role not in ("source", "target"):
-        raise ValueError("role must be 'source' or 'target'")
     sc = structural(U, ExtParam.finite(float(n)), math.inf)
     cU = min(1.0, sc.c0)
     CU = max(1.0, sc.C0)
-    return GlobalAggregates(qU=CU / cU, cU=cU, CU=CU, LU=sc.C1, role=role)
+    return GlobalAggregates(qU=CU / cU, cU=cU, CU=CU, LU=sc.C1)

@@ -41,6 +41,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
 # profiles
 # --------------------------------------------------------------------------
 
+def _central_second(deriv, x):
+    """Second derivative as a central difference of ``deriv``, relative step 1e-5."""
+    x = np.asarray(x, dtype=float)
+    step = 1e-5 * np.maximum(1.0, np.abs(x))
+    return (deriv(x + step) - deriv(x - step)) / (2.0 * step)
+
+
 @dataclass(frozen=True, eq=False)
 class Quadratic:
     """U(x) = a |x|^2 with a > 0."""
@@ -115,10 +122,8 @@ class RadialTabulated:
         out = np.where(r < lo, self.du_interp(lo), out)
         return out if out.ndim else float(out)
 
-    def second(self, r, h=1e-5):
-        r = np.asarray(r, dtype=float)
-        step = h * np.maximum(1.0, np.abs(r))
-        return (self.deriv(r + step) - self.deriv(r - step)) / (2.0 * step)
+    def second(self, r):
+        return _central_second(self.deriv, r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +139,8 @@ class OneDim:
     def deriv(self, x):
         return np.asarray(self.fprime(np.asarray(x, dtype=float)), dtype=float)
 
-    def second(self, x, h=1e-5):
-        x = np.asarray(x, dtype=float)
-        step = h * np.maximum(1.0, np.abs(x))
-        return (self.deriv(x + step) - self.deriv(x - step)) / (2.0 * step)
+    def second(self, x):
+        return _central_second(self.deriv, x)
 
 
 # --------------------------------------------------------------------------

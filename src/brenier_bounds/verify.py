@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .bounds import (BoundReport, finite_global_sharp_bound, global_bound,
                      local_bound)
-from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
+from .errors import BrenierBoundsError, EmptyWindow
 from .extparam import INF, ExtParam
 from .potentials import PotentialSpec
 from .transport import (RadialMap, LipschitzEstimate, default_grid,
@@ -114,6 +114,22 @@ def slope_fit(m: RadialMap, r_min: float, r_max: float) -> Tuple[float, float]:
     return float(slope), r2
 
 
+def applicable_bounds(s: Scenario) -> Dict[str, Callable[[], BoundReport]]:
+    """The bounds that apply to ``s``, by label, not yet evaluated.
+
+    ``global`` always; ``local`` on a finite ball, or on the whole space when
+    D = inf (the endpoint bound then takes the global structural constant,
+    R = inf); ``finite_global_sharp`` when d and D are both finite.
+    """
+    out = {"global": lambda: global_bound(s.V, s.W, s.n, s.d, s.D)}
+    if math.isfinite(s.R) or not s.D.is_finite:
+        out["local"] = lambda: local_bound(s.V, s.W, s.n, s.d, s.D, s.R)
+    if s.d.is_finite and s.D.is_finite:
+        out["finite_global_sharp"] = lambda: finite_global_sharp_bound(
+            s.V, s.W, s.n, s.d.value, s.D.value)
+    return out
+
+
 def run_scenario(s: Scenario) -> VerifyReport:
     """Compute all applicable bounds, the transport map, and every check."""
     t0 = time.perf_counter()
@@ -121,23 +137,16 @@ def run_scenario(s: Scenario) -> VerifyReport:
     order_ok = s.order_valid()
     if not order_ok:
         rep.inapplicable["bounds"] = "InvalidOrder: d > D (or d < n)"
+    else:
+        for label, compute in applicable_bounds(s).items():
+            _try(rep, label, lambda: rep.bounds.append(compute()))
 
-    # theoretical bounds
-    if order_ok:
-        _try(rep, "global", lambda: rep.bounds.append(global_bound(s.V, s.W, s.n, s.d, s.D)))
-        if math.isfinite(s.R) or not s.D.is_finite:
-            _try(rep, "local", lambda: rep.bounds.append(
-                local_bound(s.V, s.W, s.n, s.d, s.D, s.R)))
-        if s.d.is_finite and s.D.is_finite:
-            _try(rep, "finite_global_sharp", lambda: rep.bounds.append(
-                finite_global_sharp_bound(s.V, s.W, s.n, s.d.value, s.D.value)))
-
-    # transport map and empirical quantities
-    grid_max = s.grid_max
-    need = [v for v in (s.R if math.isfinite(s.R) else None, _slope_hi(s)) if v]
-    if need:
-        scale = math.sqrt(s.d.value) if s.d.is_finite else 1.0
-        grid_max = max(grid_max or 50.0 * max(1.0, scale), *need)
+    # transport map and empirical quantities; the grid covers R and the slope window
+    exp_slope = (s.expected or {}).get("slope")
+    slope_lo, slope_hi = (exp_slope.get("window", (1e2, 1e4)) if exp_slope is not None
+                          else (None, None))
+    need = [float(v) for v in (s.R if math.isfinite(s.R) else None, slope_hi) if v]
+    grid_max = max(s.grid_max or s.proxy_radius(), *need) if need else s.grid_max
     m = None
 
     def build():
@@ -160,10 +169,9 @@ def run_scenario(s: Scenario) -> VerifyReport:
                     rep.slacks.append({"inequality": e.inequality,
                                        "epsilon": e.epsilon, "slack": e.slack})
             _try(rep, "second_variation", slacks)
-        exp_slope = (s.expected or {}).get("slope")
         if exp_slope is not None:
-            lo, hi = exp_slope.get("window", (1e2, 1e4))
-            _try(rep, "slope", lambda: setattr(rep, "slope", slope_fit(m, lo, hi)))
+            _try(rep, "slope", lambda: setattr(rep, "slope",
+                                               slope_fit(m, slope_lo, slope_hi)))
 
     # dominance margins
     for b in rep.bounds:
@@ -177,13 +185,6 @@ def run_scenario(s: Scenario) -> VerifyReport:
     return rep
 
 
-def _slope_hi(s: Scenario) -> Optional[float]:
-    exp_slope = (s.expected or {}).get("slope")
-    if exp_slope is None:
-        return None
-    return float(exp_slope.get("window", (1e2, 1e4))[1])
-
-
 def _try(rep: VerifyReport, label: str, thunk):
     try:
         thunk()
@@ -192,9 +193,8 @@ def _try(rep: VerifyReport, label: str, thunk):
 
 
 def _judge(s: Scenario, rep: VerifyReport) -> Tuple[bool, str]:
-    hard_errors = {k: v for k, v in rep.errors.items()}
-    if hard_errors:
-        return False, f"component errors: {sorted(hard_errors)}"
+    if rep.errors:
+        return False, f"component errors: {sorted(rep.errors)}"
     for regime, margin in rep.margins.items():
         if margin < DOMINANCE_TOL:
             return False, f"dominance violated in regime {regime}: margin {margin:g}"
@@ -306,15 +306,12 @@ def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
     d_list = sorted(float(x) for x in d_list)
     R_list = sorted(float(x) for x in R_list)
     sharp = math.sqrt(V.hess_upper / W.hess_lower)
-    rows, wrong = [], []
-    for R in R_list:
-        for d in d_list:
-            b = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
-            rows.append({"R": R, "d": d, "bound": b, "gap": b - sharp})
-    for d in d_list:
-        for R in R_list:
-            b = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
-            wrong.append({"d": d, "R": R, "bound": b, "gap": b - sharp})
+    bound = {(R, d): local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
+             for R in R_list for d in d_list}
+    rows = [{"R": R, "d": d, "bound": bound[R, d], "gap": bound[R, d] - sharp}
+            for R in R_list for d in d_list]
+    wrong = [{"d": d, "R": R, "bound": bound[R, d], "gap": bound[R, d] - sharp}
+             for d in d_list for R in R_list]
     final = [r for r in rows if r["R"] == R_list[-1] and r["d"] == d_list[-1]][0]
     gap = final["gap"] / sharp
     checks = [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import brenier_bounds.bounds as bounds_mod
 from brenier_bounds import (DomainError, EXT_INF, EXT_ZERO, ExtParam, ExtReal,
                             INF, InvalidOrder, PotentialSpec, VoidBound,
                             bound_from_terms, ext_min, finite_global_sharp_bound,
@@ -180,6 +181,18 @@ class TestGlobalBounds:
     def test_growth_constants_no_overflow_at_large_d(self, quad1):
         k, m = finite_growth_constants(quad1, quad1, 1, 300, 300)
         assert math.isfinite(k) and math.isfinite(m)
+
+    def test_sharp_bound_scans_each_potential_once(self, monkeypatch):
+        calls = []
+        real = bounds_mod.structural
+
+        def counting(U, p, R, **kw):
+            calls.append((U, p.value, R))
+            return real(U, p, R, **kw)
+        monkeypatch.setattr(bounds_mod, "structural", counting)
+        V, W = shifted(0.0), shifted(0.0, a=0.5)
+        finite_global_sharp_bound(V, W, 1, 2.0, 3.0)
+        assert calls == [(V, 2.0, math.inf), (W, 3.0, math.inf)]
 
     def test_order_violations(self, quad1):
         with pytest.raises(DomainError):

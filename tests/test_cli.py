@@ -71,6 +71,41 @@ class TestConfigParsing:
         assert key in err
 
 
+    @pytest.mark.parametrize("block,value,needle", [
+        ("V", {"family": "quadratic", "coefficient": -1}, "coefficient"),
+        ("V", {"family": "tabulated", "csv": "missing.csv"}, "missing.csv"),
+        ("V", {"family": "quadratic", "hess_upper": "abc"}, "hess_upper"),
+        ("solver", {"grid_min": "a"}, "grid_min"),
+    ])
+    def test_malformed_potential_or_solver_exits_one(self, tmp_path, capsys,
+                                                     block, value, needle):
+        doc = identity_doc()
+        if block == "solver":
+            doc["solver"] = value
+        else:
+            doc["potentials"][block] = value
+        assert main(["verify", "--config", write(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_csv_path_is_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
+        cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+        cfg_dir.mkdir()
+        elsewhere.mkdir()
+        r = [0.25 * i for i in range(81)]
+        (cfg_dir / "u.csv").write_text("r,u\n" + "".join(f"{x},{x * x}\n" for x in r))
+        doc = identity_doc()
+        doc["potentials"]["V"] = {"family": "tabulated", "csv": "u.csv"}
+        path = write(cfg_dir / "c.json", doc)
+        monkeypatch.chdir(elsewhere)
+        # the table is read; without declared Hessian bounds the bounds are void
+        assert main(["bounds", "--config", path]) == 2
+        assert "VoidBound" in capsys.readouterr().err
+        assert main(["transport", "--config", path]) == 0
+        assert (elsewhere / "identity_map.csv").exists()
+
+
 class TestBoundsCommand:
     def test_identity_outputs_global_bound(self, tmp_path, capsys):
         path = write(tmp_path / "c.json", identity_doc())
@@ -105,6 +140,29 @@ class TestBoundsCommand:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         assert main(["bounds", "--config", str(path)]) == 1
+
+
+    def test_bounds_prints_exactly_what_verify_checks(self, tmp_path, capsys):
+        doc = {"scenarios": [
+            identity_doc("finite_window"),
+            identity_doc("endpoint_whole_space", D="inf", R="inf"),
+            identity_doc("both_infinite", d="inf", D="inf", R="inf")]}
+        doc["scenarios"][1]["potentials"]["V"]["coefficient"] = 0.3
+        path = write(tmp_path / "c.json", doc)
+        assert main(["bounds", "--config", path, "--out", str(tmp_path / "b")]) == 0
+        main(["verify", "--config", path, "--out", str(tmp_path / "v")])
+        capsys.readouterr()
+        for s in doc["scenarios"]:
+            name = s["scenario"]["name"]
+            printed = json.loads((tmp_path / "b" / f"{name}_bounds.json").read_text())
+            checked = json.loads((tmp_path / "v" / f"{name}_report.json").read_text())
+            assert [(b["regime"], b["bound"]) for b in printed["bounds"]] == \
+                [(b["regime"], b["bound"]) for b in checked["bounds"]]
+        endpoint = json.loads((tmp_path / "b" / "endpoint_whole_space_bounds.json")
+                              .read_text())["bounds"][1]
+        assert endpoint["regime"] == "endpoint_poly_log"
+        assert endpoint["scenario"]["R"] == "inf"
+        assert endpoint["constants"]["c0_V"] == 0.3 and endpoint["bound"] == 1.0
 
 
 class TestTransportCommand:

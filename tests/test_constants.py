@@ -92,12 +92,12 @@ class TestMonotonicity:
 class TestAggregates:
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
     def test_quadratic_aggregates(self, a):
-        g = aggregates(quad(a), 1, "source")
+        g = aggregates(quad(a), 1)
         assert g.qU == pytest.approx(max(1.0, a) / min(1.0, a), rel=1e-9)
         assert g.cU == pytest.approx(min(1.0, a), rel=1e-9)
         assert g.CU == pytest.approx(max(1.0, a), rel=1e-9)
         assert g.LU == pytest.approx(4.0 * a * a, rel=1e-9)
 
     def test_invariants_of_the_bundle(self):
-        g = aggregates(quad(3.0), 2, "target")
+        g = aggregates(quad(3.0), 2)
         assert g.qU >= 1.0 and g.cU <= 1.0 <= g.CU and g.LU >= 0.0

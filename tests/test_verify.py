@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import brenier_bounds.verify as verify_mod
 from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario,
                             limit_sweep_D, limit_sweep_caffarelli, run_scenario)
 
@@ -73,3 +74,18 @@ class TestLimitSweeps:
         assert rep.sharp_value == 1.0
         assert rep.final_gap < 0.01
         assert rep.wrong_order_rows  # the reversed order is tabulated, not asserted
+
+    def test_caffarelli_sweep_evaluates_each_endpoint_bound_once(self, monkeypatch):
+        calls = []
+        real = verify_mod.local_bound
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(verify_mod, "local_bound", counting)
+        d_list, R_list = [10, 100, 1e4], [1.0, 3.0]
+        rep = limit_sweep_caffarelli(quad(0.5), quad(0.5), 1, d_list, R_list)
+        assert len(calls) == len(d_list) * len(R_list)
+        by_key = {(r["R"], r["d"]): r for r in rep.rows}
+        assert [by_key[r["R"], r["d"]]["bound"] for r in rep.wrong_order_rows] == \
+            [r["bound"] for r in rep.wrong_order_rows]
