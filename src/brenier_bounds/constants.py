@@ -121,11 +121,23 @@ def structural(U: PotentialSpec, p: ExtParam, R: float, *,
                force_scan: bool = False) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
-    Raises :class:`ConventionUndefined` for p = infinity with R = infinity
-    (the zeroth-order endpoint conventions exist only for finite R) and
+    Computed once per (U, p, R) and kept on U; ``force_scan`` bypasses
+    that memo and the quadratic closed form. Raises
+    :class:`ConventionUndefined` for p = infinity with R = infinity (the
+    zeroth-order endpoint conventions exist only for finite R) and
     :class:`NoConvergence` when an expanding-window supremum does not
     stabilize (the constant is infinite and any bound using it is void).
     """
+    if force_scan:
+        return _structural(U, p, R, force_scan=True)
+    key = ("structural", p.raw, R)
+    if key not in U._memo:
+        U._memo[key] = _structural(U, p, R, force_scan=False)
+    return U._memo[key]
+
+
+def _structural(U: PotentialSpec, p: ExtParam, R: float, *,
+                force_scan: bool) -> StructuralConstants:
     if R < 0:
         raise ValueError("R must be nonnegative")
     if not p.is_finite:

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import BracketFailure, DivergentIntegral, DomainError
@@ -35,6 +34,11 @@ _TABLE_POINTS_PER_DECADE = 160
 _TABLE_R_LO_FACTOR = 1e-9
 _EXTEND_CAP = 1e30
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
+
+# Newton inversion stops once the residual is at the rounding level of the
+# panel sums, or the step at the rounding level of the radius
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAXITER = 60
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +156,17 @@ class PotentialSpec:
     """A potential with its dimension and declared Hessian eigenvalue bounds.
 
     ``hess_upper`` / ``hess_lower`` are None when unbounded/undeclared.
-    Immutable after construction; all evaluation is reentrant. ``_tables``
-    holds the spec's tail tables (see :func:`tail_table`), keyed by
-    (weight kind, p.raw, n), so they live exactly as long as the spec.
+    Immutable after construction; all evaluation is reentrant. ``_memo``
+    holds what is computed once per spec, so it lives exactly as long as the
+    spec: the tail tables (see :func:`tail_table`), keyed by (weight kind,
+    p.raw, n), and the structural constants, keyed by ("structural", p.raw, R).
     """
 
     dimension: int
     profile: object
     hess_upper: Optional[float] = None
     hess_lower: Optional[float] = None
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -345,13 +350,29 @@ def tail_quadrature(f, r: float):
     return val, err
 
 
-class TailTable:
-    """Cumulative tail table of one decaying weight f on [0, inf).
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
+    """Running sums of x, each corrected by the rounding errors made so far.
 
-    ``tail(r)`` returns the exact panel quadrature of integral_r^inf f(s) ds
-    and ``total`` the integral over the whole half-line. The table extends
-    itself on demand when an inversion target lies beyond the current range.
-    ``p`` sets the scale of the panel grid.
+    Every partial sum of the plain running sum is off by the two-sum errors
+    of the additions before it; adding them back leaves about one rounding.
+    """
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    back = s - prev
+    err = (prev - (s - back)) + (x - back)
+    return s + np.cumsum(err)
+
+
+class TailTable:
+    """Cumulative tail and head tables of one decaying weight f on [0, inf).
+
+    ``tail(r)`` is the panel quadrature of integral_r^inf f(s) ds, read from
+    the backward cumulative panel sum ``cum``; ``head(r)`` is that of
+    integral_0^r f(s) ds, read from the forward sum ``head_cum``, so neither
+    loses digits to ``total - other``. ``total`` is the integral over the
+    whole half-line. Both take a scalar (float out) or an array, and so does
+    ``invert``. Radii or targets past the last node extend the table toward
+    heavy tails, up to ``_EXTEND_CAP``. ``p`` sets the scale of the panel grid.
     """
 
     def __init__(self, f, p: ExtParam):
@@ -367,66 +388,119 @@ class TailTable:
         nodes = np.concatenate((
             [0.0],
             np.logspace(math.log10(self.r_lo), math.log10(self.r_max), count + 1)))
-        a, b = nodes[:-1], nodes[1:]
+        panels = self._quadrature(nodes[:-1], nodes[1:])
+        tail_inf, _ = tail_quadrature(self.f, self.r_max)
+        self.nodes = nodes
+        self.cum = _compensated_cumsum(np.append(panels, tail_inf)[::-1])[::-1]
+        self.head_cum = _compensated_cumsum(np.append(0.0, panels))
+        self.tail_inf = tail_inf
+
+    def _extend(self) -> bool:
+        """Grow r_max one step toward ``_EXTEND_CAP`` and rebuild; False at the cap."""
+        if self.r_max >= _EXTEND_CAP:
+            return False
+        self.r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
+                         _EXTEND_CAP)
+        self._build()
+        return True
+
+    def _quadrature(self, a, b):
+        """Gauss-Legendre integral of f over each [a, b] (equal-length arrays)."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = self.f(pts.ravel()).reshape(pts.shape)
-        panels = half * (vals @ _GL_WEIGHTS)
-        tail_inf, _ = tail_quadrature(self.f, self.r_max)
-        cum = np.empty(nodes.size)
-        cum[-1] = tail_inf
-        cum[:-1] = tail_inf + np.cumsum(panels[::-1])[::-1]
-        self.nodes = nodes
-        self.cum = cum
-        self.tail_inf = tail_inf
+        return half * (self.f(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
+
+    def _within(self, r, i, head: bool):
+        """head(r) or tail(r) for radii r inside their panels i."""
+        if head:
+            return self.head_cum[i] + self._quadrature(self.nodes[i], r)
+        return self._quadrature(r, self.nodes[i + 1]) + self.cum[i + 1]
+
+    def _evaluate(self, r, head: bool):
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        while flat.size and float(np.max(flat)) > self.nodes[-1] and self._extend():
+            pass
+        inner = np.clip(flat, 0.0, self.nodes[-1])
+        i = np.searchsorted(self.nodes, inner, side="right") - 1
+        out = self._within(inner, np.clip(i, 0, self.nodes.size - 2), head)
+        out[flat <= 0.0] = 0.0 if head else self.total
+        for k in np.flatnonzero(flat > self.nodes[-1]):  # only past _EXTEND_CAP
+            rest, _ = tail_quadrature(self.f, float(flat[k]))
+            out[k] = self.head_cum[-1] + (self.tail_inf - rest) if head else rest
+        return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
     @property
     def total(self) -> float:
         return float(self.cum[0])
 
-    def tail(self, r: float) -> float:
-        if r <= 0.0:
-            return self.total
-        if r >= self.nodes[-1]:
-            val, _ = tail_quadrature(self.f, r)
-            return val
-        i = int(np.searchsorted(self.nodes, r, side="right")) - 1
-        a, b = r, self.nodes[i + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pts = mid + half * _GL_NODES
-        partial = half * float(self.f(pts) @ _GL_WEIGHTS)
-        return partial + float(self.cum[i + 1])
+    def tail(self, r):
+        """integral_r^inf f(s) ds for a radius or an array of radii."""
+        return self._evaluate(r, head=False)
 
-    def invert(self, target: float) -> float:
-        """Radius where tail(r) = target; extends the table toward heavy tails."""
-        if target >= self.total:
-            return 0.0
-        while target < self.tail_inf:
-            if self.r_max >= _EXTEND_CAP:
+    def head(self, r):
+        """integral_0^r f(s) ds for a radius or an array of radii."""
+        return self._evaluate(r, head=True)
+
+    def invert(self, target, head: bool = False):
+        """Radius where tail(r) = target (head(r) = target with ``head``).
+
+        Each target is bracketed by its panel with ``searchsorted``, then
+        solved by a safeguarded Newton iteration inside that panel, with f
+        as the derivative and bisection whenever a step leaves the bracket.
+        Targets below the table's resolvable tail mass extend the table.
+        """
+        target = np.asarray(target, dtype=float)
+        flat = target.ravel()
+        while np.any(flat > self.head_cum[-1] if head else flat < self.tail_inf):
+            if not self._extend():
                 raise BracketFailure(
-                    f"tail inversion target {target:g} below resolvable mass "
-                    f"at the radius cap {_EXTEND_CAP:g}")
-            self.r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
-                             _EXTEND_CAP)
-            self._build()
-        # bracketing panel: cum is strictly decreasing
-        i = int(np.searchsorted(-self.cum, -target, side="right")) - 1
-        i = min(max(i, 0), self.nodes.size - 2)
+                    f"{'head' if head else 'tail'} inversion target beyond the "
+                    f"resolvable mass at the radius cap {_EXTEND_CAP:g}")
+        out = np.zeros(flat.size)
+        live = flat > 0.0 if head else flat < self.total
+        if np.any(live):
+            out[live] = self._newton(flat[live], head)
+        return float(out[0]) if target.ndim == 0 else out.reshape(target.shape)
+
+    def _newton(self, target, head: bool):
+        # g(r) = tail(r) - target, or target - head(r): decreasing, g' = -f
+        sign = -1.0 if head else 1.0
+        cum = self.head_cum if head else self.cum
+        i = np.searchsorted(-sign * cum, -sign * target, side="right") - 1
+        i = np.clip(i, 0, self.nodes.size - 2)
         lo, hi = self.nodes[i], self.nodes[i + 1]
-        flo, fhi = self.cum[i] - target, self.cum[i + 1] - target
-        if flo == 0.0:
-            return float(lo)
-        if fhi == 0.0:
-            return float(hi)
-        return float(brentq(lambda r: self.tail(r) - target, lo, hi,
-                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                            maxiter=200))
+        g_lo, g_hi = sign * (cum[i] - target), sign * (cum[i + 1] - target)
+        drop = g_lo - g_hi
+        r = lo + (hi - lo) * np.divide(g_lo, drop, out=np.zeros_like(drop), where=drop > 0.0)
+        active = np.arange(target.size)
+        for _ in range(_NEWTON_MAXITER):
+            ra, ia = r[active], i[active]
+            g = sign * (self._within(ra, ia, head) - target[active])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = g / self.f(ra)
+            # converged once the residual is at the rounding level of the
+            # panel sums, or the Newton step at that of the radius
+            done = ((np.abs(g) <= _NEWTON_TOL * target[active])
+                    | (np.abs(step) <= _NEWTON_TOL * ra))
+            lo[active] = np.where(g > 0.0, ra, lo[active])
+            hi[active] = np.where(g < 0.0, ra, hi[active])
+            new = ra + step
+            inside = (new > lo[active]) & (new < hi[active])
+            new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
+            done |= hi[active] - lo[active] <= _NEWTON_TOL * ra
+            # a converged point keeps its iterate, wherever its step lands
+            r[active] = np.where(done, ra, new)
+            active = active[~done]
+            if active.size == 0:
+                break
+        return r
 
 
 def _cached_table(U: PotentialSpec, key: tuple, f, p: ExtParam) -> TailTable:
-    table = U._tables.get(key)
+    table = U._memo.get(key)
     if table is None:
-        table = U._tables[key] = TailTable(f, p)
+        table = U._memo[key] = TailTable(f, p)
     return table
 
 

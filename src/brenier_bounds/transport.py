@@ -2,10 +2,9 @@
 
 The radial pushforward condition is a tail-mass balance: t(r) is the
 radius where the target's normalized radial tail equals the source's.
-Tail integrals come from the potentials' cached tail tables
-(:func:`~brenier_bounds.potentials.tail_table`), so each map construction
-costs thousands of cheap lookups instead of thousands of adaptive
-quadratures.
+Tail and head integrals come from the potentials' cached tail tables
+(:func:`~brenier_bounds.potentials.tail_table`), which evaluate and invert
+a whole grid of radii at once.
 """
 
 from __future__ import annotations
@@ -63,19 +62,21 @@ def default_grid(d: ExtParam, points: int = 400,
     return np.logspace(math.log10(lo), math.log10(hi), points)
 
 
-def _log_radial_weight(U: PotentialSpec, p: ExtParam, n: int, r: float) -> float:
-    """log of r^(n-1) exp(-theta_p(U(r))), stable deep in the tails."""
-    expo = float(theta_value_array(p, np.atleast_1d(U.value(r)))[0])
-    return (n - 1) * math.log(r) - expo
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True entry of ``mask``, or its length when there is none."""
+    return int(np.argmax(mask)) if np.any(mask) else mask.size
 
 
 def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                n: int, r_grid: Optional[np.ndarray] = None) -> RadialMap:
     """Monotone radial map from the (V, d) density to the (W, D) density.
 
-    For each grid radius r, t(r) solves the tail-mass balance
-    tail_W(t)/Z_W = tail_V(r)/Z_V to relative tolerance ~1e-14; the
-    derivative comes from the differentiated balance.
+    t(r) balances the masses on the side of the median that keeps its
+    digits: head_W(t)/Z_W = head_V(r)/Z_V where the source tail fraction
+    exceeds 1/2, tail_W(t)/Z_W = tail_V(r)/Z_V elsewhere, so no mass is
+    formed as 1 - tail near the origin. The whole grid is inverted at once
+    to ~1e-14 relative; the derivative comes from the differentiated
+    balance in log space.
     """
     if r_grid is None:
         r_grid = default_grid(d)
@@ -84,35 +85,37 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
         raise ValueError("r_grid must be positive and strictly increasing")
     tv = tail_table(V, d, n)
     tw = tail_table(W, D, n)
+    tail_v = tv.tail(r_grid)
     zv, zw = tv.total, tw.total
-    t = np.empty_like(r_grid)
-    t_prime = np.empty_like(r_grid)
-    resid = np.empty_like(r_grid)
-    usable = len(r_grid)
-    for i, r in enumerate(r_grid):
-        frac = tv.tail(r) / zv
-        if frac <= _TAIL_FLOOR:
-            # the map is still well defined here, but the tail mass is at
-            # (or below) denormal range and the inversion loses all
-            # relative precision, so stop the grid at this radius
-            usable = i
-            break
-        try:
-            t[i] = tw.invert(frac * zw)
-        except BracketFailure:
-            usable = i
-            break
-        resid[i] = tw.tail(t[i]) / zw - frac
-        # density ratio in log space: denormal densities near the
-        # underflow cut would otherwise wreck the derivative
-        log_ratio = (_log_radial_weight(V, d, n, r)
-                     - _log_radial_weight(W, D, n, t[i]))
-        t_prime[i] = (zw / zv) * math.exp(log_ratio)
+    frac = tail_v / zv
+    # the map is still well defined past the floor, but the tail mass is at
+    # (or below) denormal range and the inversion loses all relative
+    # precision, so stop the grid at the first such radius
+    usable = _first(frac <= _TAIL_FLOOR)
+    split = _first(frac[:usable] <= 0.5)
+    targets = frac[split:usable] * zw
+    try:
+        t_tail = tw.invert(targets)
+    except BracketFailure:
+        # the target table now reaches its radius cap: stop at the first
+        # target below the mass it resolves
+        usable = split + _first(targets < tw.tail_inf)
+        targets = targets[:usable - split]
+        t_tail = tw.invert(targets)
     if usable < 10:
         raise DivergentIntegral(
             "tail masses underflow on nearly the whole grid; shrink r_grid")
-    return RadialMap(r_grid[:usable], t[:usable], t_prime[:usable], n,
-                     resid[:usable])
+    head_frac = tv.head(r_grid[:split]) / zv
+    t_head = tw.invert(head_frac * zw, head=True)
+    r = r_grid[:usable]
+    t = np.concatenate((t_head, t_tail))
+    resid = np.concatenate((head_frac - tw.head(t_head) / zw,
+                            tw.tail(t_tail) / zw - frac[split:usable]))
+    # density ratio in log space: denormal densities near the underflow
+    # cut would otherwise wreck the derivative
+    log_ratio = ((n - 1) * (np.log(r) - np.log(t))
+                 - theta_value_array(d, V.value(r)) + theta_value_array(D, W.value(t)))
+    return RadialMap(r, t, (zw / zv) * np.exp(log_ratio), n, resid)
 
 
 def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,

@@ -66,6 +66,7 @@ class VerifyReport:
     margins: Dict[str, float] = field(default_factory=dict)
     slacks: List[dict] = field(default_factory=list)
     residual_max: Optional[float] = None
+    map_range: Optional[dict] = None
     slope: Optional[Tuple[float, float]] = None
     errors: Dict[str, str] = field(default_factory=dict)
     inapplicable: Dict[str, str] = field(default_factory=dict)
@@ -90,6 +91,7 @@ class VerifyReport:
             "margins": dict(self.margins),
             "slacks": list(self.slacks),
             "residual_max": self.residual_max,
+            "map_range": None if self.map_range is None else dict(self.map_range),
             "slope": None if self.slope is None else
                 {"slope": self.slope[0], "r2": self.slope[1]},
             "errors": dict(self.errors),
@@ -147,16 +149,21 @@ def run_scenario(s: Scenario) -> VerifyReport:
                           else (None, None))
     need = [float(v) for v in (s.R if math.isfinite(s.R) else None, slope_hi) if v]
     grid_max = max(s.grid_max or s.proxy_radius(), *need) if need else s.grid_max
+    grid = default_grid(s.d, s.grid_points, s.grid_min, grid_max)
     m = None
 
     def build():
         nonlocal m
-        m = radial_map(s.V, s.W, s.d, s.D, s.n,
-                       default_grid(s.d, s.grid_points, s.grid_min, grid_max))
+        m = radial_map(s.V, s.W, s.d, s.D, s.n, grid)
     _try(rep, "map", build)
 
     if m is not None:
         rep.residual_max = float(np.max(np.abs(m.residuals)))
+        # the map stops where the source tail underflows; say how far it got
+        rep.map_range = {"requested_max": float(grid[-1]),
+                         "effective_max": float(m.r_grid[-1]),
+                         "points": int(m.r_grid.size),
+                         "requested_points": int(grid.size)}
         window = s.R if math.isfinite(s.R) else s.proxy_radius()
         _try(rep, "lipschitz", lambda: setattr(
             rep, "empirical", lipschitz_empirical(m, window)))

@@ -1,9 +1,12 @@
+import functools
 import gc
 import math
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import erf, erfc
 
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
@@ -101,6 +104,75 @@ class TestTailTables:
         del V, W
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+
+EPS = np.finfo(float).eps
+
+# (n, p) cases of the engine tests and a radius deep in each one's tail:
+# below 1e-170 of the mass for p = 50 and p = inf, 1e-20 for p = n
+ENGINE_CASES = [(n, p) for n in (1, 2, 3) for p in (float(n), 50.0, math.inf)]
+
+
+def _deep_radius(n, p):
+    return 20.0 if math.isinf(p) else (1e3 if p == 50.0 else 1e20)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_table(n, p):
+    """The radial table of |x|^2 at (n, p), shared across examples."""
+    U = PotentialSpec.quadratic(1.0, n)
+    return tail_table(U, INF if math.isinf(p) else ExtParam.finite(p), n)
+
+
+class TestTailEngine:
+    @pytest.mark.parametrize("n,p", ENGINE_CASES)
+    def test_arrays_match_scalar_calls(self, n, p):
+        t = _unit_table(n, p)
+        r = np.logspace(-6, math.log10(_deep_radius(n, p)), 40)
+        tail, head = t.tail(r), t.head(r)
+        np.testing.assert_allclose(tail, [t.tail(x) for x in r], rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(head, [t.head(x) for x in r], rtol=4 * EPS, atol=0)
+        assert isinstance(t.tail(1.0), float) and isinstance(t.head(1.0), float)
+        np.testing.assert_allclose(t.invert(tail), [t.invert(x) for x in tail],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(t.invert(head, head=True),
+                                   [t.invert(x, head=True) for x in head],
+                                   rtol=1e-14, atol=0)
+        assert np.max(np.abs(head + tail - t.total)) <= 4 * EPS * t.total
+
+    def test_cauchy_closed_forms(self):
+        t = _unit_table(1, 1.0)
+        r = np.logspace(-6, 15, 200)
+        np.testing.assert_allclose(t.head(r), np.arctan(r), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(t.tail(r), np.arctan(1.0 / r), rtol=1e-14, atol=0)
+
+    def test_gaussian_closed_forms(self):
+        # at radius r the weight itself is only known to ~2 r^2 eps
+        t = _unit_table(1, math.inf)
+        r = np.logspace(-6, math.log10(6.0), 200)
+        half = math.sqrt(math.pi) / 2
+        np.testing.assert_allclose(t.head(r), half * erf(r), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(t.tail(r), half * erfc(r), rtol=1e-13, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(ENGINE_CASES), u=st.floats(0.0, 1.0))
+    def test_round_trip(self, case, u):
+        n, p = case
+        t = _unit_table(n, p)
+        r = 1e-6 * (_deep_radius(n, p) / 1e-6) ** u
+        # each side is inverted where its mass is the smaller one: there the
+        # radius is well conditioned in it
+        tail, head = t.tail(r), t.head(r)
+        if tail <= head:
+            assert t.invert(tail) == pytest.approx(r, rel=1e-13)
+        else:
+            assert t.invert(head, head=True) == pytest.approx(r, rel=1e-13)
+
+    def test_radii_past_the_table_extend_it(self):
+        t = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        end = t.nodes[-1]
+        assert t.tail(1e3 * end) == pytest.approx(math.atan(1e-3 / end), rel=1e-14)
+        assert t.nodes[-1] > 1e3 * end
 
 
 class TestReferenceIntegral:

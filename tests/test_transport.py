@@ -42,6 +42,15 @@ class TestRadialMap:
         assert np.max(np.abs(m.t / m.r_grid - 1.0)) < 1e-10
         assert np.max(np.abs(m.residuals)) < 1e-10
 
+    def test_identity_keeps_full_precision_at_the_origin(self):
+        # n = 3: the head side keeps the digits that 1 - tail loses
+        V, W = quad(1.0, 3), quad(1.0, 3)
+        p = ExtParam.finite(6)
+        m = radial_map(V, W, p, p, 3)
+        assert len(m.r_grid) == 400
+        assert np.max(np.abs(m.t / m.r_grid - 1.0)) < 1e-13
+        assert np.max(np.abs(m.t_prime - 1.0)) < 1e-13
+
     def test_gaussian_scaling_is_linear(self, quad1, quad_quarter):
         m = radial_map(quad1, quad_quarter, INF, INF, 1)
         assert np.max(np.abs(m.t / (2.0 * m.r_grid) - 1.0)) < 1e-10

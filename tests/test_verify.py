@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
+import brenier_bounds.constants as constants_mod
 import brenier_bounds.verify as verify_mod
 from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario,
                             limit_sweep_D, limit_sweep_caffarelli, run_scenario)
@@ -49,6 +51,39 @@ class TestRunScenario:
         rep = run_scenario(scenario(W=W, d="inf", D="inf"))
         assert not rep.passed
         assert "dominance" in rep.reason
+
+    def test_sharp_gaussian_scaling_in_two_dimensions_passes(self):
+        # the Caffarelli bound equals the map's Lipschitz constant here, so
+        # the map must be accurate to well below the 1e-9 dominance guard;
+        # t' deep in the tail is conditioned at ~2 t^2 eps, hence 1e-11
+        rep = run_scenario(scenario(V=quad(1.0, 2), W=quad(0.49, 2), n=2,
+                                    d="inf", D="inf"))
+        assert rep.passed, rep.reason
+        assert abs(rep.margins["caffarelli"]) < 1e-11
+
+    def test_each_global_scan_runs_once_per_potential(self, monkeypatch):
+        scans = Counter()
+        real = constants_mod._structural_window
+
+        def counting(U, q, p):
+            scans[id(U), q] += 1
+            return real(U, q, p)
+        monkeypatch.setattr(constants_mod, "_structural_window", counting)
+        V = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
+        W = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
+        rep = run_scenario(scenario(V=V, W=W, R=5.0))
+        assert rep.passed, rep.reason
+        assert scans[id(V), 2.0] == 1
+        assert set(scans.values()) == {1}
+
+    def test_map_range_reports_the_truncated_grid(self):
+        rep = run_scenario(scenario(W=quad(0.25), d="inf", D="inf"))
+        r = rep.map_range
+        assert r["requested_max"] == pytest.approx(50.0)
+        assert r["requested_points"] == 400
+        assert r["points"] == 374
+        assert r["effective_max"] == pytest.approx(24.7, abs=0.05)
+        assert rep.to_dict()["map_range"] == r
 
     def test_report_serialization_schema(self):
         rep = run_scenario(scenario(R=1.0))
