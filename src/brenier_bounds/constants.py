@@ -6,8 +6,8 @@ For a potential U at parameter p, on the ball of radius R:
     C0 =   sup (p + U) / (p + |x|^2)
     C1 =   sup ( |grad U| / (sqrt(p) + |x|) )^2
 
-computed by a log-spaced grid scan plus golden-section refinement around
-the argmax. R = inf uses an expanding-window scan with convergence
+computed by a log-spaced grid scan (U, U' once per point) plus a zoom around
+each argmax; R = inf adds one annulus [R/2, R] per doubling, with convergence
 detection (closed form for quadratic profiles). At p = infinity the values
 are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
@@ -18,13 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConventionUndefined, DomainError, NoConvergence
 from .extparam import ExtParam
 from .potentials import PotentialSpec, Quadratic
 
 _SCAN_POINTS = 2048
+_ANNULUS = np.geomspace(0.5, 1.0, 64)  # the annulus [R/2, R] in units of R
+_ZOOM_ROUNDS = 4
+_ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # sample positions within a zoom bracket
 _WINDOW_REL_TOL = 1e-8
 _MAX_DOUBLINGS = 64
 
@@ -69,60 +71,65 @@ def _scan_grid(q: float, R: float) -> np.ndarray:
     return np.concatenate(([0.0], grid))
 
 
-def _refine_sup(f, grid: np.ndarray, vals: np.ndarray) -> float:
-    """Grid sup plus one golden-section refinement on the bracketing interval."""
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, len(grid) - 1)])
-    if hi > lo:
-        res = minimize_scalar(lambda r: -float(f(np.array([r]))[0]),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-9 * max(1.0, hi - lo)})
-        if res.success:
-            best = max(best, float(-res.fun))
-    return best
+def zoom_max(f, grid, i, y):
+    """Refine the maxima of k objectives sampled on ``grid``; returns the best (x, y).
+
+    ``i``, ``y`` (shape (k,)) are the grid argmaxes and maxima; ``f`` maps (k, m)
+    abscissae to the values of objective j on row j. Each round resamples the two
+    cells around every argmax; it stops early when all maxima stay on grid[-1].
+    """
+    rows = np.arange(len(i))
+    X, x = np.broadcast_to(grid, (len(i), grid.size)), grid[i]
+    for _ in range(_ZOOM_ROUNDS):
+        lo = X[rows, np.maximum(i - 1, 0)]
+        hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
+        X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+        X[:, -1] = hi
+        Y = f(X)
+        i = Y.argmax(axis=-1)
+        top = Y[rows, i]
+        x = np.where(top > y, X[rows, i], x)
+        y = np.maximum(top, y)
+        if (x == grid[-1]).all():
+            break
+    return x, y
 
 
-def _ratio_functions(U: PotentialSpec, q: float):
-    """The three scan objectives as vectorized functions of the signed coordinate."""
-    def up(x):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(U.value(x), dtype=float)
-        if np.any(u <= -q):
-            raise DomainError(f"potential violates U > -p on the scan grid (p={q})")
-        return (q + u) / (q + np.square(x))
+def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
+    """Rows (up, dn = 1/up, grad2) at the radii r from one U and one U' call.
 
-    def dn(x):
-        return 1.0 / up(x)
-
-    def grad2(x):
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(U.grad_norm(x), dtype=float)
-        return np.square(g / (math.sqrt(q) + np.abs(x)))
-
-    return up, dn, grad2
+    A 1D potential is evaluated at +-r; each radius keeps the larger values.
+    """
+    x = r if U.is_radial else np.concatenate((r, -r))
+    u = np.asarray(U.value(x), dtype=float)
+    if (u <= -q).any():
+        raise DomainError(f"potential violates U > -p on the scan grid (p={q})")
+    up = (q + u) / (q + x * x)
+    g2 = np.square(np.asarray(U.grad_norm(x), dtype=float) / (math.sqrt(q) + np.abs(x)))
+    vals = np.stack((up, 1.0 / up, g2))
+    return vals if U.is_radial else np.maximum(vals[:, :r.size], vals[:, r.size:])
 
 
-def _scan_ball(U: PotentialSpec, q: float, R: float):
-    """Sup of the three objectives over the ball of radius R."""
-    up, dn, grad2 = _ratio_functions(U, q)
-    grid = _scan_grid(q, R)
-    if not U.is_radial:
-        grid = np.concatenate((-grid[::-1], grid))
-    sups = []
-    for f in (up, dn, grad2):
-        vals = f(grid)
-        sups.append(_refine_sup(f, grid, vals))
-    return tuple(sups)  # (sup_up, sup_dn, sup_grad2)
+def _scan(U: PotentialSpec, q: float, r: np.ndarray, best=-np.inf) -> np.ndarray:
+    """Sups (up, dn, grad2) over the increasing radii r and the running sups ``best``;
+    only rows whose grid maximum reaches ``best`` are zoomed."""
+    vals = _objectives(U, q, r)
+    i = np.argmax(vals, axis=1)
+    top = vals[np.arange(3), i]
+    rows = np.flatnonzero(top >= best)
+    if rows.size:
+        def f(X):
+            return _objectives(U, q, X.ravel()).reshape(3, *X.shape)[rows, np.arange(rows.size)]
+        _, top[rows] = zoom_max(f, r, i[rows], top[rows])
+    return np.maximum(best, top)
 
 
 def structural(U: PotentialSpec, p: ExtParam, R: float, *,
                force_scan: bool = False) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
-    Computed once per (U, p, R) and kept on U; ``force_scan`` bypasses
-    that memo and the quadratic closed form. Raises
+    Computed once per (U, p, R) and kept on U, failures too; ``force_scan``
+    bypasses that memo and the quadratic closed form. Raises
     :class:`ConventionUndefined` for p = infinity with R = infinity (the
     zeroth-order endpoint conventions exist only for finite R) and
     :class:`NoConvergence` when an expanding-window supremum does not
@@ -132,8 +139,14 @@ def structural(U: PotentialSpec, p: ExtParam, R: float, *,
         return _structural(U, p, R, force_scan=True)
     key = ("structural", p.raw, R)
     if key not in U._memo:
-        U._memo[key] = _structural(U, p, R, force_scan=False)
-    return U._memo[key]
+        try:
+            U._memo[key] = _structural(U, p, R, force_scan=False)
+        except NoConvergence as exc:
+            U._memo[key] = exc.with_traceback(None)  # no frame keeps U alive
+    hit = U._memo[key]
+    if isinstance(hit, NoConvergence):
+        raise NoConvergence(*hit.args)
+    return hit
 
 
 def _structural(U: PotentialSpec, p: ExtParam, R: float, *,
@@ -153,22 +166,23 @@ def _structural(U: PotentialSpec, p: ExtParam, R: float, *,
             return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a, p, R)
         return _structural_window(U, q, p)
 
-    sup_up, sup_dn, sup_g2 = _scan_ball(U, q, R)
+    sup_up, sup_dn, sup_g2 = _scan(U, q, _scan_grid(q, R)).tolist()
     return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, R)
 
 
 def _structural_window(U: PotentialSpec, q: float, p: ExtParam) -> StructuralConstants:
     """Expanding-window scan for R = infinity with three-doubling convergence."""
     base = max(1.0, math.sqrt(q))
-    prev = None
+    prev = _scan(U, q, _scan_grid(q, base))
     stable = 0
-    for k in range(_MAX_DOUBLINGS):
-        cur = np.array(_scan_ball(U, q, base * 2.0 ** k))
-        if prev is not None:
-            rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
-            stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
-            if stable >= 3:
-                return StructuralConstants(1.0 / cur[1], cur[0], cur[2], p, math.inf)
+    for k in range(1, _MAX_DOUBLINGS):
+        R = base * 2.0 ** k
+        cur = _scan(U, q, R * _ANNULUS, prev)
+        rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
+        stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
+        if stable >= 3:
+            sup_up, sup_dn, sup_g2 = cur.tolist()
+            return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, math.inf)
         prev = cur
     raise NoConvergence(
         "expanding-window supremum did not stabilize; a global structural "

@@ -17,8 +17,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
+from .constants import zoom_max
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import ExtParam, theta_value_array
 from .potentials import _EXTEND_CAP, PotentialSpec, tail_table
@@ -212,23 +213,22 @@ class LipschitzEstimate:
 _SMALL_R = 1e-4
 
 
-def _eigen_arrays(m: RadialMap) -> Tuple[np.ndarray, np.ndarray]:
-    radial = m.t_prime
+def _eigen_arrays(m: RadialMap, R: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Radial and tangential eigenvalues on the grid, -inf at grid points past R."""
+    mask = m.r_grid <= R
+    if not np.any(mask):
+        raise EmptyWindow(f"no grid point at or below R={R}")
+    radial = np.where(mask, m.t_prime, -np.inf)
     if m.n == 1:
         return radial, np.full_like(radial, -np.inf)
     # at the origin the radial and tangential eigenvalues coincide
     tangential = np.where(np.abs(m.r_grid) < _SMALL_R, m.t_prime, m.t / m.r_grid)
-    return radial, tangential
+    return radial, np.where(mask, tangential, -np.inf)
 
 
 def lipschitz_empirical(m: RadialMap, R: float) -> LipschitzEstimate:
     """Sup of the map's Hessian eigenvalue families over grid points with r <= R."""
-    mask = m.r_grid <= R
-    if not np.any(mask):
-        raise EmptyWindow(f"no grid point at or below R={R}")
-    radial, tangential = _eigen_arrays(m)
-    radial = np.where(mask, radial, -np.inf)
-    tangential = np.where(mask, tangential, -np.inf)
+    radial, tangential = _eigen_arrays(m, R)
     ir, it = int(np.argmax(radial)), int(np.argmax(tangential))
     if m.n > 1 and tangential[it] > radial[ir]:
         return LipschitzEstimate(float(tangential[it]), float(m.r_grid[it]), "tangential")
@@ -263,33 +263,19 @@ class SecondVariationReport:
 
 
 def _refine_maximizer(m: RadialMap, R: float) -> Tuple[float, float, float, str]:
-    """Grid argmax of the eigenvalue within B_R plus one golden-section refinement."""
-    mask = m.r_grid <= R
-    if not np.any(mask):
-        raise EmptyWindow(f"no grid point at or below R={R}")
-    radial, tangential = _eigen_arrays(m)
+    """Grid argmax of the eigenvalue within B_R plus a zoom on its two grid cells."""
+    radial, tangential = _eigen_arrays(m, R)
     eig = np.maximum(radial, tangential)
-    eig = np.where(mask, eig, -np.inf)
     i = int(np.argmax(eig))
     comp = "tangential" if (m.n > 1 and tangential[i] > radial[i]) else "radial"
     t_interp = PchipInterpolator(m.r_grid, m.t)
     tp_interp = PchipInterpolator(m.r_grid, m.t_prime)
 
-    def eig_at(r: float) -> float:
-        if comp == "radial" or r < _SMALL_R:
-            return float(tp_interp(r))
-        return float(t_interp(r)) / r
+    def eig_at(r):
+        return np.where((comp == "radial") | (r < _SMALL_R), tp_interp(r), t_interp(r) / r)
 
-    lo = float(m.r_grid[max(i - 1, 0)])
-    hi = float(min(m.r_grid[min(i + 1, m.r_grid.size - 1)], R))
-    best_r, best = float(m.r_grid[i]), float(eig[i])
-    if hi > lo:
-        res = minimize_scalar(lambda r: -eig_at(r), bounds=(lo, hi),
-                              method="bounded",
-                              options={"xatol": 1e-10 * max(1.0, hi)})
-        if res.success and -res.fun > best:
-            best_r, best = float(res.x), float(-res.fun)
-    return best_r, float(t_interp(best_r)), best, comp
+    (x,), (lam,) = zoom_max(eig_at, np.minimum(m.r_grid, R), np.array([i]), eig[i:i + 1])
+    return float(x), float(t_interp(x)), float(lam), comp
 
 
 def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,

@@ -141,6 +141,19 @@ class TestBoundsCommand:
         path.write_text("{not json")
         assert main(["bounds", "--config", str(path)]) == 1
 
+    def test_csv_cells_of_scanned_constants_are_numbers(self, tmp_path, capsys):
+        doc = identity_doc(R=5)
+        for role in ("V", "W"):
+            doc["potentials"][role] = {"family": "onedim", "coefficient": 1.0, "shift": 0.0}
+        path = write(tmp_path / "c.json", doc)
+        out = tmp_path / "b"
+        assert main(["bounds", "--config", path, "--out", str(out), "--format", "csv"]) == 0
+        capsys.readouterr()
+        header, *rows = [line.split(",") for line in
+                         (out / "identity_bounds.csv").read_text().splitlines()]
+        assert header[0] == "regime" and len(rows) == 3
+        [float(cell) for row in rows for cell in row[1:] if cell]  # no np.float64(...) reprs
+
 
     def test_bounds_prints_exactly_what_verify_checks(self, tmp_path, capsys):
         doc = {"scenarios": [

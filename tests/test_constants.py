@@ -45,6 +45,61 @@ class TestQuadraticClosedForms:
         assert s.C1 == pytest.approx(want.C1, rel=1e-5)
 
 
+def shifted_quadratic_extremes(a, s, q, R):
+    """Exact (inf up, sup up, sup grad2) over [-R, R] for U = a (x - s)^2.
+
+    up = (q + a (x - s)^2) / (q + x^2) has its critical points at the roots
+    of a s x^2 + (a q - a s^2 - q) x - a q s; its limit a at infinity lies
+    strictly between them, so at R = inf both extremes are attained.
+    grad2 = (2a |x - s| / (sqrt(q) + |x|))^2 is monotone on each side of 0,
+    so its sup over a ball is at 0 or +-R; at R = inf it is at 0 only when
+    |s| > sqrt(q) (otherwise it is the unattained limit 4a^2).
+    """
+    A, B, C = a * s, a * q - a * s * s - q, -a * q * s
+    r1 = (-B - math.copysign(math.sqrt(B * B - 4.0 * A * C), B)) / (2.0 * A)
+    ends = [x for x in (-R, R) if math.isfinite(R)]
+    ups = [(q + a * (x - s) ** 2) / (q + x * x)
+           for x in [r1, C / (A * r1)] + ends if abs(x) <= R]
+    g2 = max((2.0 * a * abs(x - s) / (math.sqrt(q) + abs(x))) ** 2 for x in [0.0] + ends)
+    return min(ups), max(ups), g2
+
+
+class TestExactScans:
+    @pytest.mark.parametrize("a,s,q,R", [
+        (1.0, 0.5, 2.0, 0.3), (1.0, 0.5, 2.0, 3.0), (1.0, 0.5, 2.0, 40.0),
+        (2.0, 3.0, 4.0, 1.0), (2.0, 3.0, 4.0, 10.0), (2.0, 3.0, 4.0, math.inf),
+        (0.5, -2.5, 1.0, 2.0), (0.5, -2.5, 1.0, math.inf),
+        (3.0, 1.5, 1.0, 0.8), (3.0, 1.5, 1.0, math.inf),
+        (0.25, 4.0, 9.0, math.inf)])
+    def test_shifted_quadratic_closed_form_extremes(self, a, s, q, R):
+        U = PotentialSpec.one_dim(lambda x: a * (x - s) ** 2, lambda x: 2.0 * a * (x - s))
+        got = structural(U, ExtParam.finite(q), R, force_scan=True)
+        inf_up, sup_up, sup_g2 = shifted_quadratic_extremes(a, s, q, R)
+        assert got.c0 == pytest.approx(inf_up, rel=1e-12)
+        assert got.C0 == pytest.approx(sup_up, rel=1e-12)
+        assert got.C1 == pytest.approx(sup_g2, rel=1e-12)
+
+
+class TestScanCost:
+    def test_window_scan_evaluates_u_a_few_times_per_doubling(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.asarray(x))
+            return 1.5 * x ** 2
+        U = PotentialSpec.one_dim(f, lambda x: 3.0 * x)
+        q = 2.0
+        s = structural(U, ExtParam.finite(q), math.inf, force_scan=True)
+        assert s.C0 == pytest.approx(1.5, rel=1e-12)
+        assert s.C1 == pytest.approx(9.0, rel=1e-6)
+        # windows: the ball of radius max(1, sqrt(q)), then one per doubling
+        reach = max(float(np.max(np.abs(x))) for x in calls)
+        windows = 1 + round(math.log2(reach / max(1.0, math.sqrt(q))))
+        assert windows > 20
+        assert min(x.size for x in calls) > 1
+        assert len(calls) <= 6 * windows
+
+
 class TestEndpointConventions:
     def test_log_concave_on_a_ball_collapses_to_units(self):
         s = structural(quad(5.0), INF, 7.0)

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import brenier_bounds.constants as constants_mod
@@ -19,6 +20,19 @@ def scenario(name="s", V=None, W=None, n=1, d=2.0, D=2.0, R=math.inf, **kw):
     d = d if isinstance(d, ExtParam) else ExtParam.parse(d)
     D = D if isinstance(D, ExtParam) else ExtParam.parse(D)
     return Scenario(name=name, V=V, W=W, n=n, d=d, D=D, R=R, **kw)
+
+
+@pytest.fixture
+def window_scans(monkeypatch):
+    """Counter of expanding-window scans by (id(potential), p)."""
+    scans = Counter()
+    real = constants_mod._structural_window
+
+    def counting(U, q, p):
+        scans[id(U), q] += 1
+        return real(U, q, p)
+    monkeypatch.setattr(constants_mod, "_structural_window", counting)
+    return scans
 
 
 class TestRunScenario:
@@ -61,20 +75,28 @@ class TestRunScenario:
         assert rep.passed, rep.reason
         assert abs(rep.margins["caffarelli"]) < 1e-11
 
-    def test_each_global_scan_runs_once_per_potential(self, monkeypatch):
-        scans = Counter()
-        real = constants_mod._structural_window
-
-        def counting(U, q, p):
-            scans[id(U), q] += 1
-            return real(U, q, p)
-        monkeypatch.setattr(constants_mod, "_structural_window", counting)
+    def test_each_global_scan_runs_once_per_potential(self, window_scans):
+        scans = window_scans
         V = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         W = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         rep = run_scenario(scenario(V=V, W=W, R=5.0))
         assert rep.passed, rep.reason
         assert scans[id(V), 2.0] == 1
         assert set(scans.values()) == {1}
+
+    def test_failed_global_scan_runs_once_per_potential(self, window_scans):
+        # past its last node a tabulated profile continues linearly, so the
+        # global c0 scan of a tabulated |x|^2 never converges
+        scans = window_scans
+        r = np.arange(0.0, 20.125, 0.25)
+        with pytest.warns(UserWarning, match="declared hess"):
+            V = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
+        rep = run_scenario(scenario(V=V, W=V, R=5.0))
+        assert set(scans.values()) == {1}
+        assert set(rep.errors) == {"global", "local", "finite_global_sharp"}
+        assert all(msg.endswith("expanding-window supremum did not stabilize; a global "
+                                "structural constant is infinite")
+                   for msg in rep.errors.values())
 
     def test_map_range_reports_the_truncated_grid(self):
         rep = run_scenario(scenario(W=quad(0.25), d="inf", D="inf"))
