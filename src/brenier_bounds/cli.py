@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -188,15 +189,25 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json_text(payload) + "\n")
 
 
+def _cell(v) -> str:
+    """CSV cell text: the round-trip repr of a real number, numpy scalars
+    included (their own repr reads np.float64(...)); "" for None."""
+    # the float test first: the ABC checks cost more than the whole cell
+    if isinstance(v, float) or (isinstance(v, numbers.Real)
+                                and not isinstance(v, numbers.Integral)):
+        return repr(float(v))
+    return "" if v is None else str(v)
+
+
 def _bounds_csv(path: Path, reports: List[dict]):
     keys = sorted({k for r in reports for k in r["constants"]})
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["regime", "A", "B", "bound"] + keys) + "\n")
         for r in reports:
-            row = [r["regime"], repr(r["A"]), repr(r["B"]), repr(r["bound"])]
-            row += [repr(r["constants"][k]) if k in r["constants"] else "" for k in keys]
-            fh.write(",".join(row) + "\n")
+            row = [r["regime"], r["A"], r["B"], r["bound"]]
+            row += [r["constants"].get(k) for k in keys]
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def cmd_bounds(args) -> int:
@@ -275,9 +286,9 @@ def cmd_verify(args) -> int:
         with open(out_dir / "summary.csv", "w", newline="") as fh:
             fh.write("scenario,pass,empirical,residual_max,reason\n")
             for rep in reports:
-                emp = "" if rep.empirical is None else repr(rep.empirical.value)
-                res = "" if rep.residual_max is None else repr(rep.residual_max)
-                fh.write(f"{rep.scenario},{rep.passed},{emp},{res},{rep.reason}\n")
+                emp = None if rep.empirical is None else rep.empirical.value
+                row = (rep.scenario, rep.passed, emp, rep.residual_max, rep.reason)
+                fh.write(",".join(map(_cell, row)) + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -316,7 +327,7 @@ def cmd_sweep(args) -> int:
                 fh.write("n,d,D,one_plus_M,pass\n")
                 for row in rep.rows:
                     fh.write(f"{row['n']},{row['d']},{row['D']},"
-                             f"{repr(row['one_plus_M'])},{row['pass']}\n")
+                             f"{_cell(row['one_plus_M'])},{row['pass']}\n")
             payload = {"kind": kind, "pass": rep.all_pass,
                        "e2_product": rep.e2_product,
                        "tau_endpoint_value": rep.tau_endpoint_value,
@@ -361,8 +372,7 @@ def _rows_csv(path: Path, rows: List[dict]):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(keys) + "\n")
         for row in rows:
-            fh.write(",".join(repr(row[k]) if isinstance(row[k], float)
-                              else str(row[k]) for k in keys) + "\n")
+            fh.write(",".join(_cell(row[k]) for k in keys) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -117,13 +117,26 @@ def theta(p: ExtParam, t: float) -> ThetaEval:
     with no float-infinity arithmetic.
     """
     t = float(t)
+    value = theta_value(p, t)
     if not p.is_finite:
-        return ThetaEval(t, 1.0, 0.0)
+        return ThetaEval(value, 1.0, 0.0)
     q = p.value
-    if t <= -q + _NEG_GUARD:
-        raise DomainError(f"theta_p requires t > -p: t={t}, p={q}")
     denom = q + t
-    return ThetaEval(q * math.log1p(t / q), q / denom, -q / (denom * denom))
+    return ThetaEval(value, q / denom, -q / (denom * denom))
+
+
+def _domain_error(q: float, t: float) -> DomainError:
+    return DomainError(f"theta_p requires t > -p: t={t}, p={q}")
+
+
+def theta_value(p: ExtParam, t: float) -> float:
+    """theta_p(t) of a float in scalar math; raises DomainError if t <= -p."""
+    q = p.raw
+    if q is None:
+        return t
+    if t <= -q + _NEG_GUARD:
+        raise _domain_error(q, t)
+    return q * math.log1p(t / q)
 
 
 def theta_value_array(p: ExtParam, t: np.ndarray) -> np.ndarray:
@@ -132,8 +145,9 @@ def theta_value_array(p: ExtParam, t: np.ndarray) -> np.ndarray:
     if not p.is_finite:
         return t.copy()
     q = p.value
-    if np.any(t <= -q + _NEG_GUARD):
-        raise DomainError(f"theta_p requires t > -p everywhere (p={q})")
+    bad = t <= -q + _NEG_GUARD
+    if np.any(bad):
+        raise _domain_error(q, float(t[bad].flat[0]))
     return q * np.log1p(t / q)
 
 
@@ -141,4 +155,4 @@ def unnormalized_density(U, p: ExtParam, x_norm: float) -> float:
     """Unnormalized density factor exp(-theta_p(U(|x|))) at radius |x| = x_norm."""
     if x_norm < 0:
         raise ValueError("x_norm must be nonnegative")
-    return math.exp(-theta(p, float(U.value(x_norm))).value)
+    return math.exp(-theta_value(p, float(U.value(x_norm))))

@@ -130,6 +130,13 @@ class RadialTabulated:
         return _central_second(self.deriv, r)
 
 
+def _numpy_input(x):
+    """x as a float array, or as a numpy float when it is a scalar: the
+    callables then do scalar arithmetic, about 3x cheaper than on 0-d arrays."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x[()]
+
+
 @dataclass(frozen=True, eq=False)
 class OneDim:
     """General 1D potential given by callables U and U' (dimension 1 only)."""
@@ -138,10 +145,10 @@ class OneDim:
     fprime: Callable[[np.ndarray], np.ndarray]
 
     def value(self, x):
-        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.f(_numpy_input(x)), dtype=float)
 
     def deriv(self, x):
-        return np.asarray(self.fprime(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.fprime(_numpy_input(x)), dtype=float)
 
     def second(self, x):
         return _central_second(self.deriv, x)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from brenier_bounds.cli import (ConfigError, load_config, main, parse_config)
+from brenier_bounds.cli import (ConfigError, _rows_csv, load_config, main, parse_config)
 
 
 def write(path, doc):
@@ -154,6 +154,13 @@ class TestBoundsCommand:
         assert header[0] == "regime" and len(rows) == 3
         [float(cell) for row in rows for cell in row[1:] if cell]  # no np.float64(...) reprs
 
+    def test_csv_cells_of_numpy_scalars_are_numbers(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _rows_csv(path, [{"D": np.int64(2), "lambda": np.float64(0.5), "xi": 1e-300,
+                          "bound": np.float32(3.5), "growth": np.float64(np.inf)}])
+        header, row = path.read_text().splitlines()
+        assert header == "D,lambda,xi,bound,growth"
+        assert [float(cell) for cell in row.split(",")] == [2.0, 0.5, 1e-300, 3.5, math.inf]
 
     def test_bounds_prints_exactly_what_verify_checks(self, tmp_path, capsys):
         doc = {"scenarios": [

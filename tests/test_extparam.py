@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brenier_bounds import DomainError, ExtParam, INF, theta, unnormalized_density
-from brenier_bounds.extparam import theta_value_array
+from brenier_bounds.extparam import theta_value, theta_value_array
 
 
 class TestExtParam:
@@ -69,6 +69,12 @@ class TestTheta:
             theta(ExtParam.finite(2), -2.0)
         with pytest.raises(DomainError):
             theta(ExtParam.finite(2), -2.5)
+        # the scalar and array paths share the guard and the message
+        p = ExtParam.finite(2)
+        for call in (lambda: theta_value(p, -2.0),
+                     lambda: theta_value_array(p, np.array([1.0, -2.0]))):
+            with pytest.raises(DomainError, match=r"t > -p: t=-2\.0, p=2\.0"):
+                call()
 
     def test_vectorized_values_match_scalar(self):
         p = ExtParam.finite(3)
@@ -76,6 +82,8 @@ class TestTheta:
         got = theta_value_array(p, t)
         want = [theta(p, x).value for x in t]
         assert np.allclose(got, want, rtol=1e-15)
+        assert [theta_value(p, float(x)) for x in t] == want
+        assert theta_value(INF, 7.5) == 7.5
 
 
 def test_unnormalized_density_interpolates_families():

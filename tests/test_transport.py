@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brenier_bounds import (EmptyWindow, ExtParam, INF, PotentialSpec,
+from brenier_bounds import (DomainError, EmptyWindow, ExtParam, INF, PotentialSpec,
                             RadialMap, default_grid, lipschitz_empirical,
                             quantile_map_1d, radial_map, second_variation_check,
                             slope_fit)
@@ -99,6 +99,53 @@ class TestQuantileOracle:
         m = quantile_map_1d(V, W, ExtParam.finite(1), ExtParam.finite(1), x)
         assert np.max(np.abs(m.t - (x - 1.0))) < 1e-8
         assert np.max(np.abs(m.t_prime - 1.0)) < 1e-8
+
+
+def shifted_quad(a, s):
+    return PotentialSpec.one_dim(lambda x: a * (x - s) ** 2, lambda x: 2.0 * a * (x - s),
+                                 hess_upper=2.0 * a, hess_lower=2.0 * a)
+
+
+class TestQuantileOracleClosedForms:
+    """quantile_map_1d against exact maps on the benchmark's grid."""
+
+    GRID = np.logspace(math.log10(0.01), math.log10(20.0), 200)
+
+    @pytest.mark.parametrize("name,V,W,d,D,want", [
+        ("cauchy_identity", quad(1.3), quad(1.3), ExtParam.finite(1), ExtParam.finite(1),
+         lambda x: x),
+        ("gaussian_scaling", quad(1.0), quad(0.3), INF, INF,
+         lambda x: math.sqrt(1.0 / 0.3) * x),
+        ("shifted_gaussian", quad(1.0), shifted_quad(0.3, 0.5), INF, INF,
+         lambda x: math.sqrt(1.0 / 0.3) * x + 0.5),
+    ])
+    def test_exact_to_twelve_digits(self, name, V, W, d, D, want):
+        m = quantile_map_1d(V, W, d, D, self.GRID)
+        assert np.max(np.abs(m.t / want(self.GRID) - 1.0)) <= 1e-12, name
+        assert np.max(np.abs(m.residuals)) <= 1e-13, name
+
+    def test_never_builds_a_tail_table(self):
+        V, W = quad(1.0), shifted_quad(0.5, 0.5)
+        quantile_map_1d(V, W, ExtParam.finite(2), ExtParam.finite(4), self.GRID[::10])
+        assert V._memo == {} and W._memo == {}
+
+    def test_density_below_minus_p_raises(self):
+        # U = x^2 - 2 reaches -2 <= -p at p = 1 near the origin
+        V = PotentialSpec.one_dim(lambda x: x * x - 2.0, lambda x: 2.0 * x)
+        with pytest.raises(DomainError, match="t > -p"):
+            quantile_map_1d(V, quad(1.0), ExtParam.finite(1), ExtParam.finite(1),
+                            self.GRID[::10])
+
+    def test_tabulated_profile_matches_radial_map(self):
+        # PCHIP is only C^1 at its nodes: without splitting there QUADPACK
+        # warns of roundoff and the maps part by 6.7e-8
+        r = 0.25 * np.arange(81)
+        V = PotentialSpec.tabulated(r, r * r)
+        d, D = ExtParam.finite(3), ExtParam.finite(5)
+        x = self.GRID[::4]
+        a = radial_map(V, quad(0.5), d, D, 1, x)
+        b = quantile_map_1d(V, quad(0.5), d, D, x)
+        assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-10
 
 
 class TestLipschitz:
