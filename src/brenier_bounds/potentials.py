@@ -86,6 +86,13 @@ class RadialTabulated:
     u_values: np.ndarray
     u_interp: PchipInterpolator = field(repr=False)
     du_interp: Callable = field(repr=False)
+    # u and u' at the first and last node, the linear extensions' constants
+    _ends: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        lo, hi = self.r_nodes[0], self.r_nodes[-1]
+        object.__setattr__(self, "_ends", (float(self.u_interp(lo)), float(self.u_interp(hi)),
+                                           float(self.du_interp(lo)), float(self.du_interp(hi))))
 
     @classmethod
     def from_samples(cls, r, u, du=None) -> "RadialTabulated":
@@ -111,19 +118,19 @@ class RadialTabulated:
 
     def value(self, r):
         r, rc, lo, hi = self._split(r)
+        u_lo, u_hi, s_lo, s_hi = self._ends
         out = np.asarray(self.u_interp(rc), dtype=float)
         # linear extension with boundary slopes
-        shi = float(self.du_interp(hi))
-        slo = float(self.du_interp(lo))
-        out = np.where(r > hi, self.u_interp(hi) + shi * (r - hi), out)
-        out = np.where(r < lo, self.u_interp(lo) + slo * (r - lo), out)
+        out = np.where(r > hi, u_hi + s_hi * (r - hi), out)
+        out = np.where(r < lo, u_lo + s_lo * (r - lo), out)
         return out if out.ndim else float(out)
 
     def deriv(self, r):
         r, rc, lo, hi = self._split(r)
+        _, _, s_lo, s_hi = self._ends
         out = np.asarray(self.du_interp(rc), dtype=float)
-        out = np.where(r > hi, self.du_interp(hi), out)
-        out = np.where(r < lo, self.du_interp(lo), out)
+        out = np.where(r > hi, s_hi, out)
+        out = np.where(r < lo, s_lo, out)
         return out if out.ndim else float(out)
 
     def second(self, r):

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .constants import zoom_max
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
@@ -122,51 +121,73 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
 
 def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                     x_grid: Optional[np.ndarray] = None) -> RadialMap:
-    """Independent 1D oracle: T = G^(-1) o F by adaptive-quadrature CDF tails.
+    """Independent 1D oracle: T = G^(-1) o F by adaptive-quadrature masses.
 
     Never touches the tail tables. The densities are evaluated in scalar
-    math, the masses by QUADPACK to 1e-12 relative, and each T(x) by Brent
-    on an upper tail anchored at its bracket's far end, so the map agrees
-    with closed forms to ~1e-13 relative. It cross-checks the radial solver
-    on even potentials and handles general (non-even) 1D potentials.
+    math and every mass by QUADPACK to 1e-12 relative. The source's tails
+    come from one quadrature per grid interval and one half-line at each
+    end, summed with compensation (``math.fsum``). As in radial_map, the
+    grid is split at the source median: above it T balances upper tails,
+    below it lower tails, solved as the upper tails of the mirrored
+    densities, so no fraction is formed as 1 - tail. Each T(x) is a
+    safeguarded Newton root (:func:`_invert_upper_tail`), and the map
+    agrees with closed forms to ~1e-13 relative. The grid stops where a
+    tail fraction reaches 1e-280, as in radial_map. The oracle cross-checks
+    the radial solver on even potentials and handles general (non-even)
+    1D potentials.
     """
     if x_grid is None:
         x_grid = default_grid(d)
     x_grid = np.asarray(x_grid, dtype=float)
-    if np.any(np.diff(x_grid) <= 0):
-        raise ValueError("x_grid must be strictly increasing")
+    if x_grid.size == 0 or np.any(np.diff(x_grid) <= 0):
+        raise ValueError("x_grid must be non-empty and strictly increasing")
 
     src, dst = _Line(V, d), _Line(W, D)
-    t = np.empty_like(x_grid)
-    t_prime = np.empty_like(x_grid)
-    resid = np.empty_like(x_grid)
-    lo = hi = None
-    for i, x in enumerate(x_grid.tolist()):
-        target = src.upper(x)
-        y, hi = _invert_upper_tail(dst, target, lo, hi)
-        # the residual's tail is the next point's bracket base
-        lo = (y, dst.upper(y))
-        t[i], resid[i] = y, lo[1] - target
-        t_prime[i] = (dst.total / src.total) * src.density(x) / dst.density(y)
-    return RadialMap(x_grid, t, t_prime, 1, resid)
+    x = x_grid.tolist()
+    gaps = [src.mass(a, b) for a, b in zip(x, x[1:])]
+    right = gaps + [src.mass(x[-1], math.inf)]
+    upper = np.array([math.fsum(right[i:]) for i in range(len(x))]) / src.total
+    split = _first(upper <= 0.5)
+    left = [src.mass(-math.inf, x[0])] + gaps if split else []
+    lower = np.array([math.fsum(left[:i + 1]) for i in range(split)]) / src.total
+    # at the floor the fractions near denormal range, where the roots lose
+    # all relative precision, so the grid stops there, on either side
+    lo, hi = _first(lower > _TAIL_FLOOR), _first(upper <= _TAIL_FLOOR)
+    if hi - lo < min(10, len(x)):
+        raise DivergentIntegral(
+            "tail masses underflow on nearly the whole grid; shrink x_grid")
+    rho = [src.density(v) / src.total for v in x]
+    t, t_prime, resid = _invert_upper_tail(dst, x[split:hi], upper[split:hi].tolist(),
+                                           rho[split:hi])
+    if lo < split:
+        mirror = dst if W.is_radial else _Line(W, D, mirrored=True)
+        side = _invert_upper_tail(mirror, [-v for v in x[lo:split][::-1]],
+                                  lower[lo:][::-1].tolist(), rho[lo:split][::-1])
+        t = [-v for v in side[0][::-1]] + t
+        t_prime, resid = side[1][::-1] + t_prime, side[2][::-1] + resid
+    return RadialMap(x_grid[lo:hi], np.array(t), np.array(t_prime), 1, np.array(resid))
 
 
 class _Line:
     """The line density exp(-theta_p(U(x))) in scalar math, and its masses.
 
-    The density is smooth between its breaks: the origin, since a radial
-    profile is read at |x|, and the nodes of a tabulated profile at +-r.
-    QUADPACK cannot reach 1e-12 across kinks, so each mass is split at the
-    breaks, and whole pieces are integrated once. The split at the origin
-    also keeps a half-line quadrature that starts far left of the bulk from
-    stepping over it.
+    ``mirrored`` reads U at -x, so upper tails of the mirrored line are
+    lower tails of U's. The density is smooth between its breaks: the
+    origin, since a radial profile is read at |x|, and the nodes of a
+    tabulated profile at +-r. QUADPACK cannot reach 1e-12 across kinks, so
+    each mass is split at the breaks, and whole pieces are integrated once.
+    The split at the origin also keeps a half-line quadrature that starts
+    far left of the bulk from stepping over it.
     """
 
-    def __init__(self, U: PotentialSpec, p: ExtParam):
+    def __init__(self, U: PotentialSpec, p: ExtParam, mirrored: bool = False):
+        value = U.value
         if U.is_radial:
-            self.density = lambda x: math.exp(-theta_value(p, float(U.value(abs(x)))))
+            self.density = lambda x: math.exp(-theta_value(p, float(value(abs(x)))))
+        elif mirrored:
+            self.density = lambda x: math.exp(-theta_value(p, float(value(-x))))
         else:
-            self.density = lambda x: math.exp(-theta_value(p, float(U.value(x))))
+            self.density = lambda x: math.exp(-theta_value(p, float(value(x))))
         nodes = U.profile.r_nodes.tolist() if isinstance(U.profile, RadialTabulated) else []
         self.breaks = sorted({0.0, *nodes, *(-r for r in nodes)})
         self._pieces = {}
@@ -198,41 +219,100 @@ class _Line:
         return quad(self.density, a, b, epsabs=1e-300, epsrel=1e-12, limit=400)[0]
 
 
-def _invert_upper_tail(line: _Line, target: float, lo, hi):
-    """Solve line.upper(T) = target for the decreasing upper tail.
+_HI_STEPS = 8.0   # a new hi lies this many predicted steps past the last root
 
-    ``lo`` and ``hi`` are (y, upper(y)) pairs left by the previous grid
-    point, or None. Half-line tails move them until upper(lo) >= target >
-    upper(hi); Brent then solves g(y) = upper(hi) + mass(y, hi)/total - target,
-    so each iterate costs a short quadrature and adds two positive terms:
-    nothing cancels, however small the target. Returns T and hi.
+
+def _invert_upper_tail(line: _Line, x: List[float], targets: List[float],
+                       rho: List[float]) -> Tuple[List[float], List[float], List[float]]:
+    """Solve line.upper(t_i) = targets[i] along an increasing grid x.
+
+    The targets decrease along x, and rho[i] is the normalized source
+    density at x[i], so t' = rho / (density(t)/Z). Each tail is anchored at
+    a point hi beyond the root, upper(y) = upper(hi) + mass(y, hi)/Z: two
+    positive terms, so nothing cancels however small the target. hi comes
+    from a half-line quadrature and serves the following points for as long
+    as it lies beyond their roots. Newton on g(y) = upper(y) - target, with
+    g' = -density(y)/Z, starts at t[i-1] + t'[i-1] (x[i] - x[i-1]) and
+    bisects whenever a step leaves the bracket; iterates below the target
+    become hi, so the quadratures shrink with the steps. The root's anchored
+    tail gives its residual and is the next point's lower bracket end.
+    Returns the lists t, t' and residuals.
     """
-    if hi is not None and hi[1] >= target:
-        lo, hi = hi, None
-    if lo is None:
-        lo = (-1.0, line.upper(-1.0))
-    while lo[1] < target:
-        y = lo[0] * 2.0 if lo[0] < -1.0 else lo[0] - 1.0
+    t, t_prime, resid = [], [], []
+    lo = hi = None                        # (y, upper(y)) pairs
+    for i, target in enumerate(targets):
+        start, step = None, 1.0
+        if t:
+            start = t[-1] + t_prime[-1] * (x[i] - x[i - 1])
+            step = _HI_STEPS * (start - t[-1])
+        if hi is not None and hi[1] >= target:
+            lo, hi = hi, None
+        elif lo is not None and lo[1] < target:
+            # the targets tie to rounding: the previous root is past this one
+            lo, hi = None, lo
+        lo, hi = _widen(line, target, lo, hi, step)
+        y, u, f = _newton(line, target, lo, hi, start)
+        lo = (y, u)
+        t.append(y)
+        t_prime.append(rho[i] / f)
+        resid.append(u - target)
+    return t, t_prime, resid
+
+
+def _widen(line: _Line, target: float, lo, hi, step: float):
+    """Half-line tails move (lo, hi) out until upper(lo) >= target > upper(hi).
+
+    With neither end known the first trial is the origin. Each trial lies
+    ``step`` past the known end, and the step grows fourfold per trial.
+    """
+    if lo is None and hi is None:
+        lo = (0.0, line.upper(0.0))
+        if lo[1] < target:
+            lo, hi = None, lo
+    while lo is None or hi is None:
+        y = hi[0] - step if lo is None else lo[0] + step
         if abs(y) > _EXTEND_CAP:
             raise BracketFailure("quantile bracket ran past the radius cap")
-        lo = (y, line.upper(y))
-    step = max(1e-2, 1e-2 * abs(lo[0]))
-    while hi is None:
-        y = lo[0] + step
-        if y > _EXTEND_CAP:
-            raise BracketFailure("quantile bracket ran past the radius cap")
         u = line.upper(y)
-        if u < target:
-            hi = (y, u)
+        if u >= target:
+            lo = (y, u)
         else:
-            lo, step = (y, u), 4.0 * step
-    (y_lo, u_lo), (y_hi, u_hi) = lo, hi
-    # at the ends g is the expansion's own tail values, so brentq's sign
-    # test agrees with the bracket; inside it is the anchored increment
-    g = lambda y: (u_lo if y == y_lo
-                   else u_hi + line.mass(y, y_hi) / line.total) - target
-    # every mass is good to ~1e-13 relative, so solve to machine precision
-    return float(brentq(g, y_lo, y_hi, xtol=1e-15, rtol=1e-15, maxiter=200)), hi
+            hi = (y, u)
+        step *= 4.0
+    return lo, hi
+
+
+def _newton(line: _Line, target: float, lo, hi, y: Optional[float]):
+    """Safeguarded Newton root of upper(y) = target in the bracket (lo, hi).
+
+    Stops once the step or the bracket is below 1e-15 relative, the
+    bracket holds less than 1e-16 of the target's mass (a root at the
+    origin), or the residual is below 1e-12 of the target and the step no
+    longer halves (the quadratures' rounding floor). Returns the last
+    iterate with its anchored tail and normalized density.
+    """
+    z = line.total
+    a, (b, ub) = lo[0], hi
+    last = math.inf
+    for _ in range(200):
+        if y is None or y >= b:
+            y, last = 0.5 * (a + b), math.inf
+        elif y < a:
+            y = a               # restart from the lower end
+        u = ub + line.mass(y, b) / z
+        f = line.density(y) / z
+        if u >= target:
+            a = y
+        else:
+            b, ub = y, u
+        step = (u - target) / f if f > 0.0 else math.inf
+        if (abs(step) <= 1e-15 * abs(y) or b - a <= 1e-15 * max(abs(a), abs(b))
+                or (b - a) * f <= 1e-16 * target
+                or (abs(u - target) <= 1e-12 * target and abs(step) >= 0.5 * last)):
+            return y, u, f
+        last = abs(step)
+        y += step
+    raise RuntimeError(f"quantile Newton did not converge for target {target!r}")
 
 
 @dataclass(frozen=True)

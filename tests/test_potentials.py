@@ -38,6 +38,33 @@ class TestProfiles:
         assert np.allclose(U.value(x), x ** 2, rtol=1e-6, atol=1e-6)
         assert np.allclose(U.deriv(x), 2.0 * x, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("with_du", [False, True])
+    def test_tabulated_end_constants_match_the_interpolants(self, with_du):
+        # value and deriv take u and u' at the end nodes from constants set
+        # at construction: they must equal evaluating the interpolants there
+        r = np.linspace(0.5, 5.0, 19)
+        prof = PotentialSpec.tabulated(r, r ** 3, du=3.0 * r ** 2 if with_du else None).profile
+        lo, hi = r[0], r[-1]
+
+        def value(x):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(prof.u_interp(np.clip(x, lo, hi)), dtype=float)
+            out = np.where(x > hi, prof.u_interp(hi) + float(prof.du_interp(hi)) * (x - hi), out)
+            return np.where(x < lo, prof.u_interp(lo) + float(prof.du_interp(lo)) * (x - lo), out)
+
+        def deriv(x):
+            x = np.asarray(x, dtype=float)
+            out = np.asarray(prof.du_interp(np.clip(x, lo, hi)), dtype=float)
+            out = np.where(x > hi, prof.du_interp(hi), out)
+            return np.where(x < lo, prof.du_interp(lo), out)
+
+        x = np.array([0.0, 0.2, lo, 1.3, 2.75, hi, 6.0, 40.0])
+        assert np.array_equal(prof.value(x), value(x))
+        assert np.array_equal(prof.deriv(x), deriv(x))
+        for v in x.tolist():
+            assert prof.value(v) == float(value(v)) and type(prof.value(v)) is float
+            assert prof.deriv(v) == float(deriv(v)) and type(prof.deriv(v)) is float
+
     def test_from_csv_roundtrip(self, tmp_path):
         r = np.linspace(0.0, 10.0, 500)
         path = tmp_path / "pot.csv"

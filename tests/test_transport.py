@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brenier_bounds import (DomainError, EmptyWindow, ExtParam, INF, PotentialSpec,
-                            RadialMap, default_grid, lipschitz_empirical,
+from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, ExtParam, INF,
+                            PotentialSpec, RadialMap, default_grid, lipschitz_empirical,
                             quantile_map_1d, radial_map, second_variation_check,
-                            slope_fit)
+                            slope_fit, transport)
 from brenier_bounds.transport import tail_table
 
 
@@ -146,6 +146,73 @@ class TestQuantileOracleClosedForms:
         a = radial_map(V, quad(0.5), d, D, 1, x)
         b = quantile_map_1d(V, quad(0.5), d, D, x)
         assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-10
+
+
+    def test_few_half_line_quadratures(self, monkeypatch):
+        # the source tails are summed from grid-interval masses and every
+        # root is anchored at a shared far end: the old per-point half-line
+        # tails made about 500 infinite-limit quadratures here
+        calls, real_quad = [], transport.quad
+
+        def counting_quad(f, a, b, **kw):
+            calls.append(math.isinf(a) or math.isinf(b))
+            return real_quad(f, a, b, **kw)
+
+        monkeypatch.setattr(transport, "quad", counting_quad)
+        quantile_map_1d(PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.3, 1),
+                        INF, INF, self.GRID)
+        assert sum(calls) <= 100
+
+
+class TestQuantileOracleBothTails:
+    """Signed grids: below the source median the oracle balances lower tails."""
+
+    HALF = np.logspace(-3.0, 1.0, 120)
+    GRID = np.concatenate((-HALF[::-1], HALF))
+
+    @pytest.mark.parametrize("V,W,want", [
+        (quad(1.8), quad(3.1), lambda x: math.sqrt(1.8 / 3.1) * x),
+        (quad(1.0), shifted_quad(0.25, 0.5), lambda x: 2.0 * x + 0.5),
+    ])
+    def test_gaussian_closed_forms(self, V, W, want):
+        m = quantile_map_1d(V, W, INF, INF, self.GRID)
+        assert len(m.t) == len(self.GRID)
+        w = want(self.GRID)
+        assert np.all(np.abs(m.t - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+
+    def test_odd_symmetry_toward_polynomial_tails(self):
+        m = quantile_map_1d(quad(0.69), quad(0.96), INF, ExtParam.finite(4), self.GRID)
+        assert len(m.t) == len(self.GRID)
+        assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
+
+    def test_grid_through_the_median(self):
+        # x = 0 balances a tail of exactly 1/2: its root sits on a bracket end
+        x = np.linspace(-50.0, 50.0, 201)
+        m = quantile_map_1d(quad(1.0), quad(1.0), ExtParam.finite(1), INF, x)
+        assert abs(m.t[100]) <= 1e-15
+        assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
+
+
+class TestQuantileOracleTailFloor:
+    """Past a tail fraction of 1e-280 the grid stops, as radial_map's does."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kept_points_are_exact(self, sign):
+        r = np.logspace(-2.0, math.log10(30.0), 50)
+        x = np.sort(sign * r)
+        V, W = quad(1.0), quad(0.25)
+        m = quantile_map_1d(V, W, INF, INF, x)
+        kept = len(radial_map(V, W, INF, INF, 1, r).t)
+        assert 10 <= len(m.t) == kept < len(x)
+        assert np.array_equal(m.r_grid, x[:kept] if sign > 0 else x[-kept:])
+        assert np.max(np.abs(m.t / (2.0 * m.r_grid) - 1.0)) <= 1e-12
+        assert np.max(np.abs(m.t_prime - 2.0)) <= 1e-10
+
+    def test_too_few_points_left(self):
+        with pytest.raises(DivergentIntegral):
+            quantile_map_1d(quad(1.0), quad(0.25), INF, INF, np.linspace(20.0, 30.0, 12))
+        with pytest.raises(ValueError, match="non-empty"):
+            quantile_map_1d(quad(1.0), quad(0.25), INF, INF, np.array([]))
 
 
 class TestLipschitz:
