@@ -126,11 +126,11 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     Never touches the tail tables. The densities are evaluated in scalar
     math and every mass by QUADPACK to 1e-12 relative. The source's tails
     come from one quadrature per grid interval and one half-line at each
-    end, summed with compensation (``math.fsum``). As in radial_map, the
-    grid is split at the source median: above it T balances upper tails,
-    below it lower tails, solved as the upper tails of the mirrored
-    densities, so no fraction is formed as 1 - tail. Each T(x) is a
-    safeguarded Newton root (:func:`_invert_upper_tail`), and the map
+    end, summed with compensation (:func:`_running_sums`). As in
+    radial_map, the grid is split at the source median: above it T
+    balances upper tails, below it lower tails, solved as the upper tails
+    of the mirrored densities, so no fraction is formed as 1 - tail. Each
+    T(x) is a safeguarded Newton root (:func:`_invert_upper_tail`), and the map
     agrees with closed forms to ~1e-13 relative. The grid stops where a
     tail fraction reaches 1e-280, as in radial_map. The oracle cross-checks
     the radial solver on even potentials and handles general (non-even)
@@ -146,10 +146,10 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     x = x_grid.tolist()
     gaps = [src.mass(a, b) for a, b in zip(x, x[1:])]
     right = gaps + [src.mass(x[-1], math.inf)]
-    upper = np.array([math.fsum(right[i:]) for i in range(len(x))]) / src.total
+    upper = np.array(_running_sums(right[::-1])[::-1]) / src.total
     split = _first(upper <= 0.5)
-    left = [src.mass(-math.inf, x[0])] + gaps if split else []
-    lower = np.array([math.fsum(left[:i + 1]) for i in range(split)]) / src.total
+    left = [src.mass(-math.inf, x[0])] + gaps[:split - 1] if split else []
+    lower = np.array(_running_sums(left)) / src.total
     # at the floor the fractions near denormal range, where the roots lose
     # all relative precision, so the grid stops there, on either side
     lo, hi = _first(lower > _TAIL_FLOOR), _first(upper <= _TAIL_FLOOR)
@@ -166,6 +166,20 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
         t = [-v for v in side[0][::-1]] + t
         t_prime, resid = side[1][::-1] + t_prime, side[2][::-1] + resid
     return RadialMap(x_grid[lo:hi], np.array(t), np.array(t_prime), 1, np.array(resid))
+
+
+def _running_sums(terms: List[float]) -> List[float]:
+    """Partial sums of ``terms``, compensated (Neumaier) in one pass.
+
+    A plain running sum loses about one digit of a tail fraction here.
+    """
+    sums, s, c = [], 0.0, 0.0
+    for v in terms:
+        t = s + v
+        c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+        s = t
+        sums.append(s + c)
+    return sums
 
 
 class _Line:
@@ -286,13 +300,16 @@ def _newton(line: _Line, target: float, lo, hi, y: Optional[float]):
     """Safeguarded Newton root of upper(y) = target in the bracket (lo, hi).
 
     Stops once the step or the bracket is below 1e-15 relative, the
-    bracket holds less than 1e-16 of the target's mass (a root at the
-    origin), or the residual is below 1e-12 of the target and the step no
-    longer halves (the quadratures' rounding floor). Returns the last
-    iterate with its anchored tail and normalized density.
+    bracket holds less than 1e-16 of the target's mass by its ends'
+    anchored tails (a root on a bracket end, as at the origin), or the
+    residual is below 1e-12 of the target and the step no longer halves
+    (the quadratures' rounding floor). The bracket's mass is read from its
+    ends because the density at the iterate underflows where a wide first
+    bracket puts its midpoint far out in a tail. Returns the
+    last iterate with its anchored tail and normalized density.
     """
     z = line.total
-    a, (b, ub) = lo[0], hi
+    (a, ua), (b, ub) = lo, hi
     last = math.inf
     for _ in range(200):
         if y is None or y >= b:
@@ -302,12 +319,12 @@ def _newton(line: _Line, target: float, lo, hi, y: Optional[float]):
         u = ub + line.mass(y, b) / z
         f = line.density(y) / z
         if u >= target:
-            a = y
+            a, ua = y, u
         else:
             b, ub = y, u
         step = (u - target) / f if f > 0.0 else math.inf
         if (abs(step) <= 1e-15 * abs(y) or b - a <= 1e-15 * max(abs(a), abs(b))
-                or (b - a) * f <= 1e-16 * target
+                or ua - ub <= 1e-16 * target
                 or (abs(u - target) <= 1e-12 * target and abs(step) >= 0.5 * last)):
             return y, u, f
         last = abs(step)

@@ -193,6 +193,27 @@ class TestQuantileOracleBothTails:
         assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
 
 
+class TestQuantileOracleFarRoots:
+    """Roots far from the origin: the first bracket is wide and its midpoint
+    sits where the target density underflows."""
+
+    @pytest.mark.parametrize("x", [
+        TestQuantileOracleClosedForms.GRID, TestQuantileOracleClosedForms.GRID[:1]])
+    @pytest.mark.parametrize("s", [30.0, -30.0])
+    def test_shifted_target(self, x, s):
+        m = quantile_map_1d(quad(1.0), shifted_quad(0.25, s), INF, INF, x)
+        want = 2.0 * x + s
+        assert len(m.t) == len(x)
+        assert np.all(np.abs(m.t - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("x", [np.linspace(15.0, 20.0, 40), np.array([15.0]),
+                                   np.linspace(-20.0, -15.0, 40)])
+    def test_grid_starting_in_the_tail(self, x):
+        m = quantile_map_1d(quad(1.0), quad(0.25), INF, INF, x)
+        assert len(m.t) == len(x)
+        assert np.max(np.abs(m.t / (2.0 * x) - 1.0)) <= 1e-12
+
+
 class TestQuantileOracleTailFloor:
     """Past a tail fraction of 1e-280 the grid stops, as radial_map's does."""
 
