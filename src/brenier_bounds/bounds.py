@@ -308,8 +308,7 @@ class UniformityReport:
 
 
 def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
-                           qW: float = 1.0, V: Optional[PotentialSpec] = None,
-                           W: Optional[PotentialSpec] = None) -> UniformityReport:
+                           qW: float = 1.0) -> UniformityReport:
     """Verify every step of the chain 1 + M <= 10^6 qV^2 qW^2 on a parameter grid."""
     e2 = 125000.0 * math.exp(2.0)
     taus = np.linspace(1e-6, 1.0, 2001)
@@ -321,17 +320,16 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
     max_one_m = 0.0
     tol = 1e-9
     for n in n_range:
-        Vn = V if V is not None else PotentialSpec.quadratic(1.0, n)
-        Wn = W if W is not None else PotentialSpec.quadratic(1.0, n)
+        U = PotentialSpec.quadratic(1.0, n)  # both potentials
         for d in d_range:
             if d < n:
                 continue
-            sv = structural(Vn, ExtParam.finite(float(d)), math.inf)
+            sv = structural(U, ExtParam.finite(float(d)), math.inf)
             ratio_v = sv.C0 / sv.c0
             for D in D_range:
                 if D < d:
                     continue
-                sw = structural(Wn, ExtParam.finite(float(D)), math.inf)
+                sw = structural(U, ExtParam.finite(float(D)), math.inf)
                 ratio_w = sw.C0 / sw.c0
                 expo = 2.0 / (2.0 * D - n)
                 s1 = (ratio_v ** (d * expo) <= qV * qV + tol

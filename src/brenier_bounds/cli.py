@@ -9,11 +9,13 @@ level so sweep definitions cannot silently misconfigure tolerances.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import math
 import numbers
+import operator
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,7 +23,7 @@ from .bounds import mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
 from .extparam import ExtParam
 from .potentials import PotentialSpec, Quadratic
-from .transport import default_grid, lipschitz_empirical, radial_map
+from .transport import lipschitz_empirical, radial_map
 from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
                      limit_sweep_D, run_scenario)
 
@@ -35,32 +37,45 @@ class ConfigError(ValueError):
     """Malformed or non-strict configuration."""
 
 
-def _reject_unknown(block: dict, allowed: set, ctx: str):
+def _block(block, allowed: set, ctx: str) -> dict:
+    """block, checked to be an object with no keys outside ``allowed``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{ctx} must be an object, got {block!r}")
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys {unknown}")
+    return block
 
 
-def _parse_extended(token, ctx: str) -> ExtParam:
+def _convert(value, kind, ctx: str):
+    """kind(value); a value ``kind`` rejects is a ConfigError."""
     try:
-        return ExtParam.parse(token)
-    except (ValueError, TypeError) as exc:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _scalar(block: dict, key: str, default, kind, ctx: str):
     """block[key] converted by ``kind`` (int or float; float accepts "inf")."""
-    if key not in block:
-        return default
-    try:
-        return kind(block[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{ctx}.{key}: {exc}") from exc
+    return _convert(block[key], kind, f"{ctx}.{key}") if key in block else default
 
 
 def _optional_float(value) -> Optional[float]:
     """float(value), keeping null as None (undeclared bound, default grid end)."""
     return None if value is None else float(value)
+
+
+def _finite_positive(v) -> float:
+    return ExtParam.finite(v).value
+
+
+def _positive_list(block: dict, key: str, default: list, kind, ctx: str) -> list:
+    """block[key]: a non-empty list of positive numbers, each converted by ``kind``."""
+    values = block.get(key, default)
+    out = [_convert(v, kind, f"{ctx}.{key}") for v in values] if isinstance(values, list) else []
+    if not (out and all(v > 0 for v in out)):
+        raise ConfigError(f"{ctx}.{key}: expected a non-empty list of positive numbers")
+    return out
 
 
 _FAMILY_KEYS = {"quadratic": {"coefficient"}, "tabulated": {"csv"},
@@ -74,7 +89,7 @@ def _parse_potential(block: dict, n: int, ctx: str, base_dir: Path) -> Potential
     family = block.get("family")
     if not (isinstance(family, str) and family in _FAMILY_KEYS):
         raise ConfigError(f"{ctx}: unknown potential family {family!r}")
-    _reject_unknown(block, {"family", "hess_upper", "hess_lower"} | _FAMILY_KEYS[family], ctx)
+    _block(block, {"family", "hess_upper", "hess_lower"} | _FAMILY_KEYS[family], ctx)
     if family == "tabulated" and "csv" not in block:
         raise ConfigError(f"{ctx}: tabulated potential needs a 'csv' path")
     if family == "onedim" and n != 1:
@@ -97,75 +112,74 @@ def _parse_potential(block: dict, n: int, ctx: str, base_dir: Path) -> Potential
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
-_SCENARIO_KEYS = {"name", "n", "d", "D", "R", "expected"}
-_SOLVER_KEYS = {"grid_points", "grid_min", "grid_max"}
-_OUTPUT_KEYS = {"dir", "format"}
-_TOP_KEYS = {"scenario", "potentials", "solver", "output"}
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-@dataclass
-class ParsedConfig:
-    scenarios: List[Scenario] = field(default_factory=list)
-    canonical: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+# the fields of the expected checks, and each check's required and optional fields
+_EXPECTED_FIELDS = {
+    "value": _is_number, "tol": _is_number,
+    "window": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+    "regime": lambda v: v is None or isinstance(v, str)}
+_EXPECTED_KEYS = {"lipschitz": ({"value", "tol"}, set()),
+                  "slope": ({"value"}, {"tol", "window"}),
+                  "bound": ({"value", "tol"}, {"regime"})}
 
 
-def parse_config(doc: dict, base_dir: Path = Path(".")) -> ParsedConfig:
+def _check_expected(block) -> Optional[dict]:
+    """The scenario's ``expected`` block, checked so verify can read it as given."""
+    if block is None:
+        return None
+    for key, entry in _block(block, set(_EXPECTED_KEYS), "expected").items():
+        required, optional = _EXPECTED_KEYS[key]
+        _block(entry, required | optional, f"expected.{key}")
+        for field in sorted(required | set(entry)):
+            if field not in entry or not _EXPECTED_FIELDS[field](entry[field]):
+                raise ConfigError(f"expected.{key}.{field}: missing or bad: {entry.get(field)!r}")
+    return block
+
+
+def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     """Parse a strict-JSON config document into scenarios."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    if "scenarios" in doc:
-        _reject_unknown(doc, {"scenarios"}, "config")
-        parts = [parse_config(item, base_dir) for item in doc["scenarios"]]
-        return ParsedConfig(
-            scenarios=[s for p in parts for s in p.scenarios],
-            canonical={"scenarios": [p.canonical for p in parts]},
-            output=parts[0].output if parts else {})
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    scen = doc.get("scenario")
-    if not isinstance(scen, dict):
-        raise ConfigError("config needs a 'scenario' block")
-    _reject_unknown(scen, _SCENARIO_KEYS, "scenario")
-    pots = doc.get("potentials", {})
-    _reject_unknown(pots, {"V", "W"}, "potentials")
-    solver = doc.get("solver", {})
-    _reject_unknown(solver, _SOLVER_KEYS, "solver")
-    output = doc.get("output", {})
-    _reject_unknown(output, _OUTPUT_KEYS, "output")
-
+    if isinstance(doc, dict) and "scenarios" in doc:
+        _block(doc, {"scenarios"}, "config")
+        if not isinstance(doc["scenarios"], list):
+            raise ConfigError("config: 'scenarios' must be a list")
+        return [s for item in doc["scenarios"] for s in parse_config(item, base_dir)]
+    _block(doc, {"scenario", "potentials", "solver"}, "config")
+    scen = _block(doc.get("scenario"), {"name", "n", "d", "D", "R", "expected"}, "scenario")
+    solver = _block(doc.get("solver", {}), {"grid_points", "grid_min", "grid_max"}, "solver")
     n = _scalar(scen, "n", 1, int, "scenario")
-    d = _parse_extended(scen.get("d", n), "scenario.d")
-    D = _parse_extended(scen.get("D", "inf"), "scenario.D")
+    d = _convert(scen.get("d", n), ExtParam.parse, "scenario.d")
+    D = _convert(scen.get("D", "inf"), ExtParam.parse, "scenario.D")
     R = _scalar(scen, "R", math.inf, float, "scenario")
-    V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "potentials.V", base_dir)
-    W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "potentials.W", base_dir)
-    scenario = Scenario(
+    V, W = _potentials(doc, n, "potentials.", base_dir)
+    return [Scenario(
         name=str(scen.get("name", "scenario")),
         V=V, W=W, n=n, d=d, D=D, R=R,
-        expected=scen.get("expected"),
+        expected=_check_expected(scen.get("expected")),
         grid_points=_scalar(solver, "grid_points", 400, int, "solver"),
         grid_min=_scalar(solver, "grid_min", None, _optional_float, "solver"),
-        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))
-    canonical = {
-        "scenario": {"name": scenario.name, "n": n, "d": d.label(),
-                     "D": D.label(),
-                     "R": "inf" if math.isinf(R) else repr(R),
-                     **({"expected": scen["expected"]} if scen.get("expected") else {})},
-        "potentials": {"V": dict(pots.get("V", {"family": "quadratic"})),
-                       "W": dict(pots.get("W", {"family": "quadratic"}))},
-        "solver": dict(solver),
-        "output": dict(output),
-    }
-    return ParsedConfig([scenario], canonical, dict(output))
+        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))]
 
 
-def load_config(path) -> ParsedConfig:
-    p = Path(path)
+def _potentials(doc: dict, n: int, ctx: str, base_dir: Path):
+    """The (V, W) pair of a config; each defaults to the quadratic |x|^2."""
+    pots = _block(doc.get("potentials", {}), {"V", "W"}, "potentials")
+    return (_parse_potential(pots.get(role, {"family": "quadratic"}), n, ctx + role, base_dir)
+            for role in ("V", "W"))
+
+
+def _read_json(path: Path):
     try:
-        doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{p}: {exc}") from exc
-    return parse_config(doc, p.parent)
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad encoding
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_config(path) -> List[Scenario]:
+    p = Path(path)
+    return parse_config(_read_json(p), p.parent)
 
 
 def _strict(obj):
@@ -192,28 +206,33 @@ def _write_json(path: Path, payload: dict):
 def _cell(v) -> str:
     """CSV cell text: the round-trip repr of a real number, numpy scalars
     included (their own repr reads np.float64(...)); "" for None."""
-    # the float test first: the ABC checks cost more than the whole cell
-    if isinstance(v, float) or (isinstance(v, numbers.Real)
-                                and not isinstance(v, numbers.Integral)):
+    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
         return repr(float(v))
     return "" if v is None else str(v)
 
 
-def _bounds_csv(path: Path, reports: List[dict]):
-    keys = sorted({k for r in reports for k in r["constants"]})
+# the cell types csv.writer writes as _cell does (a float by its repr)
+_PLAIN = {str, int, float, bool, type(None)}
+
+
+def _rows_csv(path: Path, rows: List[dict], keys: Optional[List[str]] = None):
+    """An RFC 4180 table of the columns ``keys`` (default: the first row's keys)."""
+    keys = list(rows[0]) if keys is None else keys
+    get = operator.itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
+    table = list(map(get, rows))
+    # the uniformity table has thousands of rows: convert only if a cell needs it
+    if not set(map(type, itertools.chain.from_iterable(table))) <= _PLAIN:
+        table = [list(map(_cell, cells)) for cells in table]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(["regime", "A", "B", "bound"] + keys) + "\n")
-        for r in reports:
-            row = [r["regime"], r["A"], r["B"], r["bound"]]
-            row += [r["constants"].get(k) for k in keys]
-            fh.write(",".join(map(_cell, row)) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows(table)
 
 
 def cmd_bounds(args) -> int:
-    cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else None
-    for s in cfg.scenarios:
+    for s in load_config(args.config):
         try:
             reports = [compute().to_dict() for compute in applicable_bounds(s).values()]
         except InvalidOrder as exc:
@@ -228,19 +247,20 @@ def cmd_bounds(args) -> int:
             if args.format in ("json", "both"):
                 _write_json(out_dir / f"{s.name}_bounds.json", doc)
             if args.format in ("csv", "both"):
-                _bounds_csv(out_dir / f"{s.name}_bounds.csv", reports)
+                keys = sorted({k for r in reports for k in r["constants"]})
+                keys = ["regime", "A", "B", "bound"] + keys
+                # each regime has its own constants; the others' cells stay blank
+                _rows_csv(out_dir / f"{s.name}_bounds.csv",
+                          [dict.fromkeys(keys) | r | r["constants"] for r in reports], keys)
     return EXIT_OK
 
 
 def cmd_transport(args) -> int:
-    cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else Path(".")
-    for s in cfg.scenarios:
+    for s in load_config(args.config):
         try:
-            grid = default_grid(s.d, s.grid_points, s.grid_min, s.grid_max)
-            m = radial_map(s.V, s.W, s.d, s.D, s.n, grid)
-            window = s.R if math.isfinite(s.R) else s.proxy_radius()
-            lip = lipschitz_empirical(m, window)
+            m = radial_map(s.V, s.W, s.d, s.D, s.n, s.grid())
+            lip = lipschitz_empirical(m, s.window())
         except BrenierBoundsError as exc:
             print(f"error: {s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_VOID
@@ -257,17 +277,10 @@ def cmd_transport(args) -> int:
     return EXIT_OK
 
 
-def _collect_configs(path: Path) -> List[Path]:
-    if path.is_dir():
-        return sorted(path.glob("*.json"))
-    return [path]
-
-
 def cmd_verify(args) -> int:
-    paths = _collect_configs(Path(args.config))
-    scenarios: List[Scenario] = []
-    for p in paths:
-        scenarios.extend(load_config(p).scenarios)
+    path = Path(args.config)
+    scenarios = [s for p in (sorted(path.glob("*.json")) if path.is_dir() else [path])
+                 for s in load_config(p)]
     if not scenarios:
         print("error: no scenarios found", file=sys.stderr)
         return EXIT_INPUT
@@ -283,12 +296,10 @@ def cmd_verify(args) -> int:
         if out_dir:
             _write_json(out_dir / f"{rep.scenario}_report.json", rep.to_dict())
     if out_dir:
-        with open(out_dir / "summary.csv", "w", newline="") as fh:
-            fh.write("scenario,pass,empirical,residual_max,reason\n")
-            for rep in reports:
-                emp = None if rep.empirical is None else rep.empirical.value
-                row = (rep.scenario, rep.passed, emp, rep.residual_max, rep.reason)
-                fh.write(",".join(map(_cell, row)) + "\n")
+        _rows_csv(out_dir / "summary.csv", [
+            {"scenario": rep.scenario, "pass": rep.passed,
+             "empirical": None if rep.empirical is None else rep.empirical.value,
+             "residual_max": rep.residual_max, "reason": rep.reason} for rep in reports])
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -298,81 +309,46 @@ _SWEEP_KEYS = {"kind", "n", "n_list", "d", "d_max", "d_list", "D_list", "D_max",
 
 def cmd_sweep(args) -> int:
     p = Path(args.config)
-    try:
-        doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        block = doc.get("sweep")
-        if not isinstance(block, dict):
-            raise ConfigError("sweep config needs a 'sweep' block")
-        _reject_unknown(doc, {"sweep", "potentials"}, "config")
-        _reject_unknown(block, _SWEEP_KEYS, "sweep")
-        kind = block.get("kind")
-        out_dir = Path(args.out) if args.out else Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        pots = doc.get("potentials", {})
-        _reject_unknown(pots, {"V", "W"}, "potentials")
-
-        if kind == "uniformity":
-            n_list = block.get("n_list", [1, 2, 3])
-            d_max = _scalar(block, "d_max", 50, int, "sweep")
-            D_max = _scalar(block, "D_max", d_max, int, "sweep")
-            rep = mglob_uniformity_check(n_list, range(1, d_max + 1),
-                                         range(1, D_max + 1),
-                                         qV=_scalar(block, "qV", 1.0, float, "sweep"),
-                                         qW=_scalar(block, "qW", 1.0, float, "sweep"))
-            with open(out_dir / "uniformity.csv", "w", newline="") as fh:
-                fh.write("n,d,D,one_plus_M,pass\n")
-                for row in rep.rows:
-                    fh.write(f"{row['n']},{row['d']},{row['D']},"
-                             f"{_cell(row['one_plus_M'])},{row['pass']}\n")
-            payload = {"kind": kind, "pass": rep.all_pass,
-                       "e2_product": rep.e2_product,
-                       "tau_endpoint_value": rep.tau_endpoint_value,
-                       "tau_endpoint_target": rep.tau_endpoint_target,
-                       "max_one_plus_M": rep.max_one_plus_m,
-                       "triples": len(rep.rows)}
-        elif kind == "d_limit":
-            n = _scalar(block, "n", 1, int, "sweep")
-            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V", p.parent)
-            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W", p.parent)
-            rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, float, "sweep"),
-                                _scalar(block, "R", 1.0, float, "sweep"),
-                                block.get("D_list", [2, 10, 100, 1000]))
-            _rows_csv(out_dir / "d_limit.csv", rep.rows)
-            payload = rep.to_dict() | {"kind": kind}
-        elif kind == "caffarelli_limit":
-            n = _scalar(block, "n", 1, int, "sweep")
-            V = _parse_potential(pots.get("V", {"family": "quadratic"}), n, "V", p.parent)
-            W = _parse_potential(pots.get("W", {"family": "quadratic"}), n, "W", p.parent)
-            rep = limit_sweep_caffarelli(V, W, n,
-                                         block.get("d_list", [1, 10, 100, 1e4, 1e6]),
-                                         block.get("R_list", [1, 2, 5, 10]))
-            _rows_csv(out_dir / "caffarelli_limit.csv", rep.rows)
-            payload = rep.to_dict() | {"kind": kind}
+    doc = _block(_read_json(p), {"sweep", "potentials"}, "config")
+    block = _block(doc.get("sweep"), _SWEEP_KEYS, "sweep")
+    _block(doc.get("potentials", {}), {"V", "W"}, "potentials")  # strict for every kind
+    kind = block.get("kind")
+    out_dir = Path(args.out) if args.out else Path(".")
+    if kind == "uniformity":
+        n_list = _positive_list(block, "n_list", [1, 2, 3], int, "sweep")
+        d_max = _scalar(block, "d_max", 50, int, "sweep")
+        D_max = _scalar(block, "D_max", d_max, int, "sweep")
+        rep = mglob_uniformity_check(n_list, range(1, d_max + 1), range(1, D_max + 1),
+                                     qV=_scalar(block, "qV", 1.0, float, "sweep"),
+                                     qW=_scalar(block, "qW", 1.0, float, "sweep"))
+        _rows_csv(out_dir / "uniformity.csv", rep.rows, ["n", "d", "D", "one_plus_M", "pass"])
+        payload = {"kind": kind, "pass": rep.all_pass,
+                   "e2_product": rep.e2_product,
+                   "tau_endpoint_value": rep.tau_endpoint_value,
+                   "tau_endpoint_target": rep.tau_endpoint_target,
+                   "max_one_plus_M": rep.max_one_plus_m,
+                   "triples": len(rep.rows)}
+    elif kind in ("d_limit", "caffarelli_limit"):
+        n = _scalar(block, "n", 1, int, "sweep")
+        V, W = _potentials(doc, n, "", p.parent)
+        if kind == "d_limit":
+            rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, _finite_positive, "sweep"),
+                                _scalar(block, "R", 1.0, _finite_positive, "sweep"),
+                                _positive_list(block, "D_list", [2, 10, 100, 1000],
+                                               _finite_positive, "sweep"))
         else:
-            raise ConfigError(f"unknown sweep kind {kind!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BrenierBoundsError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VOID
+            rep = limit_sweep_caffarelli(
+                V, W, n,
+                _positive_list(block, "d_list", [1, 10, 100, 1e4, 1e6], _finite_positive,
+                               "sweep"),
+                _positive_list(block, "R_list", [1, 2, 5, 10], float, "sweep"))
+        _rows_csv(out_dir / f"{kind}.csv", rep.rows)
+        payload = rep.to_dict() | {"kind": kind}
+    else:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
     _write_json(out_dir / "sweep_report.json", payload)
     print(_json_text({k: v for k, v in payload.items() if k != "rows"}))
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
-
-
-def _rows_csv(path: Path, rows: List[dict]):
-    if not rows:
-        return
-    keys = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row[k]) for k in keys) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

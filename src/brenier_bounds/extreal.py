@@ -17,13 +17,6 @@ class ExtReal:
     raw: Union[float, None] = None  # None encodes +infinity
 
     @classmethod
-    def finite(cls, x: float) -> "ExtReal":
-        x = float(x)
-        if not math.isfinite(x) or x < 0.0:
-            raise ValueError(f"finite ExtReal must be a nonnegative real, got {x!r}")
-        return cls(x)
-
-    @classmethod
     def infinity(cls) -> "ExtReal":
         return cls(None)
 
@@ -50,16 +43,6 @@ class ExtReal:
         if self.raw is None:
             return self
         return ExtReal(self.raw * c)
-
-    def plus(self, x: float) -> "ExtReal":
-        if self.raw is None:
-            return self
-        return ExtReal(self.raw + float(x))
-
-    def sqrt(self) -> "ExtReal":
-        if self.raw is None:
-            return self
-        return ExtReal(math.sqrt(self.raw))
 
     def __lt__(self, other: "ExtReal") -> bool:
         if self.raw is None:

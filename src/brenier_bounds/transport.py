@@ -22,7 +22,8 @@ from scipy.interpolate import PchipInterpolator
 from .constants import zoom_max
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import ExtParam, theta_value, theta_value_array
-from .potentials import _EXTEND_CAP, PotentialSpec, RadialTabulated, tail_table
+from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
+                         _compensated_cumsum, tail_table)
 from .potentials import TailTable  # noqa: F401  (re-exported)
 
 _TAIL_FLOOR = 1e-280
@@ -126,7 +127,7 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     Never touches the tail tables. The densities are evaluated in scalar
     math and every mass by QUADPACK to 1e-12 relative. The source's tails
     come from one quadrature per grid interval and one half-line at each
-    end, summed with compensation (:func:`_running_sums`). As in
+    end, summed with compensation (``potentials._compensated_cumsum``). As in
     radial_map, the grid is split at the source median: above it T
     balances upper tails, below it lower tails, solved as the upper tails
     of the mirrored densities, so no fraction is formed as 1 - tail. Each
@@ -146,10 +147,10 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     x = x_grid.tolist()
     gaps = [src.mass(a, b) for a, b in zip(x, x[1:])]
     right = gaps + [src.mass(x[-1], math.inf)]
-    upper = np.array(_running_sums(right[::-1])[::-1]) / src.total
+    upper = _compensated_cumsum(np.array(right[::-1]))[::-1] / src.total
     split = _first(upper <= 0.5)
     left = [src.mass(-math.inf, x[0])] + gaps[:split - 1] if split else []
-    lower = np.array(_running_sums(left)) / src.total
+    lower = _compensated_cumsum(np.array(left, dtype=float)) / src.total
     # at the floor the fractions near denormal range, where the roots lose
     # all relative precision, so the grid stops there, on either side
     lo, hi = _first(lower > _TAIL_FLOOR), _first(upper <= _TAIL_FLOOR)
@@ -166,20 +167,6 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
         t = [-v for v in side[0][::-1]] + t
         t_prime, resid = side[1][::-1] + t_prime, side[2][::-1] + resid
     return RadialMap(x_grid[lo:hi], np.array(t), np.array(t_prime), 1, np.array(resid))
-
-
-def _running_sums(terms: List[float]) -> List[float]:
-    """Partial sums of ``terms``, compensated (Neumaier) in one pass.
-
-    A plain running sum loses about one digit of a tail fraction here.
-    """
-    sums, s, c = [], 0.0, 0.0
-    for v in terms:
-        t = s + v
-        c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
-        s = t
-        sums.append(s + c)
-    return sums
 
 
 class _Line:
@@ -342,6 +329,8 @@ class LipschitzEstimate:
 
 
 _SMALL_R = 1e-4
+# the Young parameters of the finite-D inequality family
+_EPSILONS = (0.1, 0.5, 0.9)
 
 
 def _eigen_arrays(m: RadialMap, R: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -410,8 +399,7 @@ def _refine_maximizer(m: RadialMap, R: float) -> Tuple[float, float, float, str]
 
 
 def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
-                           d: ExtParam, D: ExtParam, R: float,
-                           epsilons=(0.1, 0.5, 0.9)) -> SecondVariationReport:
+                           d: ExtParam, D: ExtParam, R: float) -> SecondVariationReport:
     """Evaluate the maximum-principle inequalities at the empirical maximizer.
 
     Finite d <= D < inf: the Young-parameter family of inequalities for
@@ -436,7 +424,7 @@ def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
     if D.is_finite:
         dd, DD = d.value, D.value
         lhs = w11 * lam * lam
-        for eps in epsilons:
+        for eps in _EPSILONS:
             rhs = ((1.0 / (1.0 - eps)) * (dd / DD) * (DD + w_val) / (dd + v_val) * v11
                    + (1.0 / (eps * (1.0 - eps)))
                    * (v1 * v1 * w1 * w1) / (w11 * (dd + v_val) ** 2))

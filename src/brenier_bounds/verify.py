@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,6 +56,21 @@ class Scenario:
         scale = math.sqrt(self.d.value) if self.d.is_finite else 1.0
         return 50.0 * max(1.0, scale)
 
+    def window(self) -> float:
+        """The empirical Lipschitz window: R, or the proxy radius when R = inf."""
+        return self.R if math.isfinite(self.R) else self.proxy_radius()
+
+    def slope_window(self) -> Optional[Tuple[float, float]]:
+        """The fit window of the expected growth exponent, if one is expected."""
+        slope = (self.expected or {}).get("slope")
+        return None if slope is None else tuple(slope.get("window", (1e2, 1e4)))
+
+    def grid(self) -> np.ndarray:
+        """The map grid: the solver's, widened to cover R and the slope window."""
+        hi = max(self.grid_max or self.proxy_radius(), self.R if math.isfinite(self.R) else 0.0,
+                 (self.slope_window() or (0.0, 0.0))[1])
+        return default_grid(self.d, self.grid_points, self.grid_min, hi)
+
 
 @dataclass
 class VerifyReport:
@@ -78,16 +93,9 @@ class VerifyReport:
         return {
             "scenario": self.scenario,
             "bounds": [b.to_dict() for b in self.bounds],
-            "empirical": None if self.empirical is None else {
-                "value": self.empirical.value,
-                "argmax_r": self.empirical.argmax_r,
-                "component": self.empirical.component,
-            },
-            "empirical_global_proxy": None if self.empirical_proxy is None else {
-                "value": self.empirical_proxy.value,
-                "argmax_r": self.empirical_proxy.argmax_r,
-                "component": self.empirical_proxy.component,
-            },
+            "empirical": None if self.empirical is None else asdict(self.empirical),
+            "empirical_global_proxy":
+                None if self.empirical_proxy is None else asdict(self.empirical_proxy),
             "margins": dict(self.margins),
             "slacks": list(self.slacks),
             "residual_max": self.residual_max,
@@ -143,13 +151,8 @@ def run_scenario(s: Scenario) -> VerifyReport:
         for label, compute in applicable_bounds(s).items():
             _try(rep, label, lambda: rep.bounds.append(compute()))
 
-    # transport map and empirical quantities; the grid covers R and the slope window
-    exp_slope = (s.expected or {}).get("slope")
-    slope_lo, slope_hi = (exp_slope.get("window", (1e2, 1e4)) if exp_slope is not None
-                          else (None, None))
-    need = [float(v) for v in (s.R if math.isfinite(s.R) else None, slope_hi) if v]
-    grid_max = max(s.grid_max or s.proxy_radius(), *need) if need else s.grid_max
-    grid = default_grid(s.d, s.grid_points, s.grid_min, grid_max)
+    # transport map and empirical quantities
+    grid = s.grid()
     m = None
 
     def build():
@@ -164,7 +167,7 @@ def run_scenario(s: Scenario) -> VerifyReport:
                          "effective_max": float(m.r_grid[-1]),
                          "points": int(m.r_grid.size),
                          "requested_points": int(grid.size)}
-        window = s.R if math.isfinite(s.R) else s.proxy_radius()
+        window = s.window()
         _try(rep, "lipschitz", lambda: setattr(
             rep, "empirical", lipschitz_empirical(m, window)))
         _try(rep, "lipschitz_proxy", lambda: setattr(
@@ -176,9 +179,9 @@ def run_scenario(s: Scenario) -> VerifyReport:
                     rep.slacks.append({"inequality": e.inequality,
                                        "epsilon": e.epsilon, "slack": e.slack})
             _try(rep, "second_variation", slacks)
-        if exp_slope is not None:
-            _try(rep, "slope", lambda: setattr(rep, "slope",
-                                               slope_fit(m, slope_lo, slope_hi)))
+        slope_window = s.slope_window()
+        if slope_window is not None:
+            _try(rep, "slope", lambda: setattr(rep, "slope", slope_fit(m, *slope_window)))
 
     # dominance margins
     for b in rep.bounds:

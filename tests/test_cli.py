@@ -1,10 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from brenier_bounds.cli import (ConfigError, _rows_csv, load_config, main, parse_config)
+from brenier_bounds.cli import ConfigError, _rows_csv, load_config, main
 
 
 def write(path, doc):
@@ -29,20 +30,13 @@ class TestConfigParsing:
 
     def test_inf_spelling_case_insensitive(self, tmp_path):
         doc = identity_doc(d="INF", D="Inf", R="inf")
-        cfg = load_config(write(tmp_path / "c.json", doc))
-        s = cfg.scenarios[0]
+        s = load_config(write(tmp_path / "c.json", doc))[0]
         assert not s.d.is_finite and not s.D.is_finite and math.isinf(s.R)
-
-    def test_round_trip_through_canonical_form(self, tmp_path):
-        cfg = load_config(write(tmp_path / "c.json", identity_doc()))
-        again = parse_config(cfg.canonical)
-        a, b = cfg.scenarios[0], again.scenarios[0]
-        assert (a.name, a.n, a.d, a.D, a.R) == (b.name, b.n, b.d, b.D, b.R)
 
     def test_scenario_lists_flatten(self, tmp_path):
         doc = {"scenarios": [identity_doc("one"), identity_doc("two")]}
-        cfg = load_config(write(tmp_path / "c.json", doc))
-        assert [s.name for s in cfg.scenarios] == ["one", "two"]
+        scenarios = load_config(write(tmp_path / "c.json", doc))
+        assert [s.name for s in scenarios] == ["one", "two"]
 
     def test_unknown_family_is_an_input_error(self, tmp_path):
         doc = identity_doc()
@@ -85,6 +79,28 @@ class TestConfigParsing:
         else:
             doc["potentials"][block] = value
         assert main(["verify", "--config", write(tmp_path / "c.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    @pytest.mark.parametrize("command,doc,needle", [
+        ("verify", {"scenarios": 5}, "scenarios"),
+        ("verify", identity_doc(expected=3), "expected"),
+        ("verify", identity_doc(expected={"lipschitz": {"value": 1}}), "tol"),
+        ("verify", identity_doc(expected={"lipschtz": {"value": 1, "tol": 1e-8}}), "lipschtz"),
+        ("verify", identity_doc(expected={"slope": {"value": 5, "window": 100}}), "window"),
+        ("verify", {**identity_doc(), "output": {"dir": "out", "format": "json"}}, "output"),
+        ("sweep", [1, 2], "config"),
+        ("sweep", {"sweep": {"kind": "d_limit", "D_list": "abc"}}, "D_list"),
+        ("sweep", {"sweep": {"kind": "d_limit", "D_list": ["inf"]}}, "D_list"),
+        ("sweep", {"sweep": {"kind": "caffarelli_limit", "d_list": [0, 1]}}, "d_list"),
+        ("sweep", {"sweep": {"kind": "d_limit", "R": "inf"}}, "sweep.R"),
+        ("sweep", {"sweep": {"kind": "uniformity", "n_list": 3}}, "n_list"),
+        ("sweep", {"sweep": {"kind": "d_limit", "d": 4, "D_list": [2, 10]}}, "d <= D"),
+    ])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
+        path = write(tmp_path / "c.json", doc)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
@@ -195,6 +211,17 @@ class TestTransportCommand:
                              delimiter=",", names=True)
         assert np.max(np.abs(data["t"] - data["r"])) < 1e-10
 
+    def test_map_covers_the_window_verify_maps(self, tmp_path, capsys):
+        # R = 200 lies beyond the proxy radius 50 sqrt(2)
+        path = write(tmp_path / "c.json", identity_doc(d=2, D=3, R=200))
+        assert main(["transport", "--config", path, "--out", str(tmp_path / "t")]) == 0
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "v")]) == 0
+        capsys.readouterr()
+        last = (tmp_path / "t" / "identity_map.csv").read_text().splitlines()[-1]
+        report = json.loads((tmp_path / "v" / "identity_report.json").read_text())
+        assert float(last.split(",")[0]) == report["map_range"]["effective_max"]
+        assert report["map_range"]["effective_max"] == pytest.approx(200.0, rel=1e-12)
+
 
 class TestVerifyCommand:
     def test_passing_scenario_exits_zero(self, tmp_path, capsys):
@@ -205,6 +232,21 @@ class TestVerifyCommand:
         assert (out_dir / "identity_report.json").exists()
         assert (out_dir / "summary.csv").exists()
         assert "identity" in capsys.readouterr().out
+
+    def test_summary_csv_quotes_a_reason_with_commas(self, tmp_path, capsys):
+        # a tabulated V without declared Hessian bounds voids all three bounds
+        r = [0.25 * i for i in range(81)]
+        (tmp_path / "u.csv").write_text("r,u\n" + "".join(f"{x},{x * x}\n" for x in r))
+        doc = identity_doc()
+        doc["potentials"]["V"] = {"family": "tabulated", "csv": "u.csv"}
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write(tmp_path / "c.json", doc),
+                     "--out", str(out)]) == 3
+        capsys.readouterr()
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5]
+        assert rows[1][4] == "component errors: ['finite_global_sharp', 'global', 'local']"
 
     def test_directory_of_configs_in_parallel(self, tmp_path):
         d = tmp_path / "suite"
