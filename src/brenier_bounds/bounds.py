@@ -249,26 +249,34 @@ def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
         raise VoidBound(f"growth constants void: {exc}") from exc
 
 
-def _growth_chain(sv: StructuralConstants, sw: StructuralConstants, n: int,
-                  d: float, D: float) -> Tuple[float, float]:
-    """(K, M) from the global constants of V at d and W at D, in log space."""
-    log_bracket = (d * (math.log(sv.C0) - math.log(sv.c0))
-                   + D * (math.log(sw.C0) - math.log(sw.c0))
+def _chain_terms(sc: StructuralConstants, n: int, p: float) -> Tuple[float, float]:
+    """(log(C0/c0), log I_p): what the growth chain reads of one potential's
+    global constants at parameter p."""
+    return math.log(sc.C0) - math.log(sc.c0), log_reference_integral(n, p)
+
+
+def _growth_chain(n: int, d, D, v, w):
+    """(K, M) in log space, from the ``_chain_terms`` v of V at d and w of W at D.
+
+    d, D and the terms are scalars or equal-shape arrays.
+    """
+    (log_ratio_v, log_i_v), (log_ratio_w, log_i_w) = v, w
+    log_bracket = (d * log_ratio_v + D * log_ratio_w
                    + d * math.log(1.25) + 2.0 * d * math.log(10.0)
                    - n * math.log(3.0)
-                   + D * (math.log(D) - math.log(d))
-                   + log_reference_integral(n, d) - log_reference_integral(n, D))
+                   + D * (np.log(D) - np.log(d))
+                   + log_i_v - log_i_w)
     log_k = math.log(3.0) + log_bracket / (2.0 * D - n)
-    k = math.exp(log_k)
-    m = math.exp(math.log(d / D) + 2.0 * log_k)
-    return k, m
+    return np.exp(log_k), np.exp(np.log(d / D) + 2.0 * log_k)
 
 
 def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
                             d: float, D: float) -> Tuple[float, float]:
     """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
     d, D = _param_float(d), _param_float(D)
-    return _growth_chain(*_global_constants(V, W, n, d, D), n, d, D)
+    sv, sw = _global_constants(V, W, n, d, D)
+    k, m = _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
+    return float(k), float(m)
 
 
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
@@ -278,7 +286,7 @@ def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     sv, sw = _global_constants(V, W, n, d, D)
-    k, m = _growth_chain(sv, sw, n, d, D)
+    k, m = map(float, _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D)))
     g = gamma(ExtParam.finite(d), ExtParam.finite(D))
     one_m = 1.0 + m
     a = C_V2 * sw.C0 * one_m / (c_W2 * sv.c0)
@@ -309,7 +317,13 @@ class UniformityReport:
 
 def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
                            qW: float = 1.0) -> UniformityReport:
-    """Verify every step of the chain 1 + M <= 10^6 qV^2 qW^2 on a parameter grid."""
+    """Verify every step of the chain 1 + M <= 10^6 qV^2 qW^2 on a parameter grid.
+
+    For each n the chain is evaluated as arrays over the pairs n <= d <= D,
+    from the structural constants and reference integral of each distinct
+    parameter, each computed once. Rows run over d, then D, as given; a
+    grid without such a pair does not pass.
+    """
     e2 = 125000.0 * math.exp(2.0)
     taus = np.linspace(1e-6, 1.0, 2001)
     tau_vals = math.log(9.0) + (2.0 * math.log(125.0) - 2.0 * taus * math.log(3.0)) / (2.0 - taus)
@@ -319,39 +333,38 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
     rows = []
     max_one_m = 0.0
     tol = 1e-9
+    grid_d, grid_D = np.meshgrid(list(d_range), list(D_range), indexing="ij")
     for n in n_range:
+        keep = (grid_d >= n) & (grid_D >= grid_d)
+        d, D = grid_d[keep], grid_D[keep]
+        if not d.size:
+            continue
         U = PotentialSpec.quadratic(1.0, n)  # both potentials
-        for d in d_range:
-            if d < n:
-                continue
-            sv = structural(U, ExtParam.finite(float(d)), math.inf)
-            ratio_v = sv.C0 / sv.c0
-            for D in D_range:
-                if D < d:
-                    continue
-                sw = structural(U, ExtParam.finite(float(D)), math.inf)
-                ratio_w = sw.C0 / sw.c0
-                expo = 2.0 / (2.0 * D - n)
-                s1 = (ratio_v ** (d * expo) <= qV * qV + tol
-                      and ratio_w ** (D * expo) <= qW * qW + tol)
-                s2 = (d / D) * (D / d) ** (D * expo) <= 2.0 + tol
-                mid = 9.0 * math.exp(expo * (d * math.log(1.25)
-                                             + 2.0 * d * math.log(10.0)
-                                             - n * math.log(3.0)))
-                upper = 9.0 * math.exp(expo * (D * math.log(125.0) - n * math.log(3.0)))
-                s3 = mid <= upper * (1.0 + tol) and upper <= 15625.0 * (1.0 + tol)
-                s4 = math.exp(expo * (log_reference_integral(n, float(d))
-                                      - log_reference_integral(n, float(D)))) \
-                    <= 4.0 * math.exp(2.0) + tol
-                _, m = _growth_chain(sv, sw, n, float(d), float(D))
-                s5 = 1.0 + m <= 1e6 * qV * qV * qW * qW + tol
-                max_one_m = max(max_one_m, 1.0 + m)
-                rows.append({"n": n, "d": d, "D": D, "one_plus_M": 1.0 + m,
-                             "ratio_exponent": s1, "dD_factor": s2,
-                             "polynomial_factor": s3, "reference_ratio": s4,
-                             "uniform_bound": s5,
-                             "pass": s1 and s2 and s3 and s4 and s5})
+        ps, at = np.unique(np.concatenate((d, D)), return_inverse=True)
+        iv, iw = at[:d.size], at[d.size:]
+        log_ratio, log_i = np.array([
+            _chain_terms(structural(U, ExtParam.finite(float(p)), math.inf), n, float(p))
+            for p in ps]).T
+        expo = 2.0 / (2.0 * D - n)
+        s1 = ((np.exp(d * expo * log_ratio[iv]) <= qV * qV + tol)
+              & (np.exp(D * expo * log_ratio[iw]) <= qW * qW + tol))
+        s2 = (d / D) * (D / d) ** (D * expo) <= 2.0 + tol
+        mid = 9.0 * np.exp(expo * (d * math.log(1.25) + 2.0 * d * math.log(10.0)
+                                   - n * math.log(3.0)))
+        upper = 9.0 * np.exp(expo * (D * math.log(125.0) - n * math.log(3.0)))
+        s3 = (mid <= upper * (1.0 + tol)) & (upper <= 15625.0 * (1.0 + tol))
+        s4 = np.exp(expo * (log_i[iv] - log_i[iw])) <= 4.0 * math.exp(2.0) + tol
+        _, m = _growth_chain(n, d, D, (log_ratio[iv], log_i[iv]), (log_ratio[iw], log_i[iw]))
+        one_m = 1.0 + m
+        s5 = one_m <= 1e6 * qV * qV * qW * qW + tol
+        max_one_m = max(max_one_m, float(np.max(one_m)))
+        rows += [{"n": n, "d": dv, "D": Dv, "one_plus_M": om,
+                  "ratio_exponent": a, "dD_factor": b, "polynomial_factor": c,
+                  "reference_ratio": e, "uniform_bound": f, "pass": ok}
+                 for dv, Dv, om, a, b, c, e, f, ok in zip(
+                     d.tolist(), D.tolist(), one_m.tolist(), s1.tolist(), s2.tolist(),
+                     s3.tolist(), s4.tolist(), s5.tolist(), (s1 & s2 & s3 & s4 & s5).tolist())]
     all_pass = (e2 < 924000.0
                 and abs(tau_max - tau_target) < 1e-6
-                and all(r["pass"] for r in rows))
+                and bool(rows) and all(r["pass"] for r in rows))
     return UniformityReport(rows, e2, tau_max, tau_target, max_one_m, all_pass)

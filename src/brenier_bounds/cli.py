@@ -23,7 +23,7 @@ from .bounds import mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
 from .extparam import ExtParam
 from .potentials import PotentialSpec, Quadratic
-from .transport import lipschitz_empirical, radial_map
+from .transport import MIN_MAP_POINTS, lipschitz_empirical, radial_map
 from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
                      limit_sweep_D, run_scenario)
 
@@ -154,11 +154,15 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     D = _convert(scen.get("D", "inf"), ExtParam.parse, "scenario.D")
     R = _scalar(scen, "R", math.inf, float, "scenario")
     V, W = _potentials(doc, n, "potentials.", base_dir)
+    grid_points = _scalar(solver, "grid_points", 400, int, "solver")
+    if grid_points < MIN_MAP_POINTS:
+        raise ConfigError(f"solver.grid_points: a map needs at least {MIN_MAP_POINTS} "
+                          f"points, got {grid_points}")
     return [Scenario(
         name=str(scen.get("name", "scenario")),
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=_check_expected(scen.get("expected")),
-        grid_points=_scalar(solver, "grid_points", 400, int, "solver"),
+        grid_points=grid_points,
         grid_min=_scalar(solver, "grid_min", None, _optional_float, "solver"),
         grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))]
 
@@ -318,6 +322,9 @@ def cmd_sweep(args) -> int:
         n_list = _positive_list(block, "n_list", [1, 2, 3], int, "sweep")
         d_max = _scalar(block, "d_max", 50, int, "sweep")
         D_max = _scalar(block, "D_max", d_max, int, "sweep")
+        if min(n_list) > min(d_max, D_max):
+            raise ConfigError(f"sweep: no triple with n <= d <= D for n_list {n_list}, "
+                              f"d_max {d_max}, D_max {D_max}")
         rep = mglob_uniformity_check(n_list, range(1, d_max + 1), range(1, D_max + 1),
                                      qV=_scalar(block, "qV", 1.0, float, "sweep"),
                                      qW=_scalar(block, "qW", 1.0, float, "sweep"))

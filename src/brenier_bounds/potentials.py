@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 from scipy.special import gammaln
 
@@ -352,16 +351,46 @@ def truncation_radius(f, start: float = 1.0) -> float:
     return r
 
 
-def tail_quadrature(f, r: float):
-    """Adaptive quadrature of a decaying integrand over [r, inf), r > 0.
+# a far-tail sum stops once its outermost panel is below this share of it
+_ROUNDING = 0.5 * np.finfo(float).eps
 
-    Substituting u = 1/s maps the half-line onto (0, 1/r], where adaptive
-    quadrature resolves polynomial tails that defeat the default
-    infinite-limit transformation at large r.
+
+def _tail_rule():
+    """Far-tail rule in three pieces (x, c), one row per panel:
+    integral_r^inf f(s) ds ~ r * sum(c * f(r/x)) over all pieces.
+
+    x = r/s turns ds into r dx / x^2, so c is a Gauss-Legendre weight over
+    x^2. Panels are geometric in x: ratio 2^(1/16) down to x = 1/4, where a
+    near-Gaussian weight drops by many decades, then ratio 2 down to 2^-63.
+    The pieces end at x = 2^-8, 2^-32 and 2^-63.
     """
-    g = lambda u: float(f(np.array([1.0 / u]))[0]) / (u * u)
-    val, err = quad(g, 0.0, 1.0 / r, epsabs=1e-300, epsrel=1e-12, limit=400)
-    return val, err
+    ends = np.concatenate((2.0 ** (-np.arange(33) / 16.0), 2.0 ** -np.arange(3.0, 64.0)))
+    mid, half = 0.5 * (ends[:-1] + ends[1:]), 0.5 * (ends[:-1] - ends[1:])
+    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    c = half[:, None] * _GL_WEIGHTS[None, :] / (x * x)
+    cuts = [30 + k for k in (8, 32)]  # the first 30 + k panels end at x = 2^-k
+    return list(zip(np.split(x, cuts), np.split(c, cuts)))
+
+
+_TAIL_PIECES = _tail_rule()
+
+
+def tail_quadrature(f, r: float) -> float:
+    """integral_r^inf f(s) ds of a decaying vectorized weight f, r > 0, in u = 1/s.
+
+    The pieces of ``_tail_rule`` are summed outward, one call of f each,
+    until the outermost panel holds less than the rounding of the sum: past
+    a ratio-2 panel, a weight decaying at least like s^-2 has at most that
+    panel's mass left. So f is not evaluated far beyond where it vanished,
+    where a power of s can overflow.
+    """
+    total = 0.0
+    for x, c in _TAIL_PIECES:
+        panels = (f((r / x).ravel()).reshape(x.shape) * c).sum(axis=1)
+        total += float(panels.sum())
+        if panels[-1] <= _ROUNDING * total:
+            break
+    return r * total
 
 
 def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
@@ -403,7 +432,7 @@ class TailTable:
             [0.0],
             np.logspace(math.log10(self.r_lo), math.log10(self.r_max), count + 1)))
         panels = self._quadrature(nodes[:-1], nodes[1:])
-        tail_inf, _ = tail_quadrature(self.f, self.r_max)
+        tail_inf = tail_quadrature(self.f, self.r_max)
         self.nodes = nodes
         self.cum = _compensated_cumsum(np.append(panels, tail_inf)[::-1])[::-1]
         self.head_cum = _compensated_cumsum(np.append(0.0, panels))
@@ -440,7 +469,7 @@ class TailTable:
         out = self._within(inner, np.clip(i, 0, self.nodes.size - 2), head)
         out[flat <= 0.0] = 0.0 if head else self.total
         for k in np.flatnonzero(flat > self.nodes[-1]):  # only past _EXTEND_CAP
-            rest, _ = tail_quadrature(self.f, float(flat[k]))
+            rest = tail_quadrature(self.f, float(flat[k]))
             out[k] = self.head_cum[-1] + (self.tail_inf - rest) if head else rest
         return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 

@@ -27,6 +27,8 @@ from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
 from .potentials import TailTable  # noqa: F401  (re-exported)
 
 _TAIL_FLOOR = 1e-280
+# fewest grid points a map must keep above the tail floor
+MIN_MAP_POINTS = 10
 
 
 @dataclass
@@ -104,7 +106,7 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
         usable = split + _first(targets < tw.tail_inf)
         targets = targets[:usable - split]
         t_tail = tw.invert(targets)
-    if usable < 10:
+    if usable < MIN_MAP_POINTS:
         raise DivergentIntegral(
             "tail masses underflow on nearly the whole grid; shrink r_grid")
     head_frac = tv.head(r_grid[:split]) / zv
@@ -154,7 +156,7 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     # at the floor the fractions near denormal range, where the roots lose
     # all relative precision, so the grid stops there, on either side
     lo, hi = _first(lower > _TAIL_FLOOR), _first(upper <= _TAIL_FLOOR)
-    if hi - lo < min(10, len(x)):
+    if hi - lo < min(MIN_MAP_POINTS, len(x)):
         raise DivergentIntegral(
             "tail masses underflow on nearly the whole grid; shrink x_grid")
     rho = [src.density(v) / src.total for v in x]

@@ -11,6 +11,8 @@ from brenier_bounds import (DomainError, EXT_INF, EXT_ZERO, ExtParam, ExtReal,
                             finite_growth_constants, gamma, global_bound,
                             growth_data, local_bound, local_factors,
                             mglob_uniformity_check, tail_mass)
+from brenier_bounds.constants import structural
+from brenier_bounds.potentials import log_reference_integral
 
 
 def quad(a, n=1):
@@ -201,7 +203,65 @@ class TestGlobalBounds:
             global_bound(quad1, quad1, 1, ExtParam.finite(3), ExtParam.finite(2))
 
 
+def scalar_uniformity_rows(n_range, d_range, D_range, qV=1.0, qW=1.0):
+    """The uniformity rows triple by triple in scalar math: the reference
+    for the array chain of ``mglob_uniformity_check``."""
+    rows = []
+    tol = 1e-9
+    for n in n_range:
+        U = PotentialSpec.quadratic(1.0, n)
+        for d in d_range:
+            if d < n:
+                continue
+            sv = structural(U, ExtParam.finite(float(d)), math.inf)
+            for D in D_range:
+                if D < d:
+                    continue
+                sw = structural(U, ExtParam.finite(float(D)), math.inf)
+                expo = 2.0 / (2.0 * D - n)
+                s1 = ((sv.C0 / sv.c0) ** (d * expo) <= qV * qV + tol
+                      and (sw.C0 / sw.c0) ** (D * expo) <= qW * qW + tol)
+                s2 = (d / D) * (D / d) ** (D * expo) <= 2.0 + tol
+                mid = 9.0 * math.exp(expo * (d * math.log(1.25) + 2.0 * d * math.log(10.0)
+                                             - n * math.log(3.0)))
+                upper = 9.0 * math.exp(expo * (D * math.log(125.0) - n * math.log(3.0)))
+                s3 = mid <= upper * (1.0 + tol) and upper <= 15625.0 * (1.0 + tol)
+                log_i_d = log_reference_integral(n, float(d))
+                log_i_D = log_reference_integral(n, float(D))
+                s4 = math.exp(expo * (log_i_d - log_i_D)) <= 4.0 * math.exp(2.0) + tol
+                log_bracket = (d * (math.log(sv.C0) - math.log(sv.c0))
+                               + D * (math.log(sw.C0) - math.log(sw.c0))
+                               + d * math.log(1.25) + 2.0 * d * math.log(10.0)
+                               - n * math.log(3.0) + D * (math.log(D) - math.log(d))
+                               + log_i_d - log_i_D)
+                log_k = math.log(3.0) + log_bracket / (2.0 * D - n)
+                m = math.exp(math.log(d / D) + 2.0 * log_k)
+                s5 = 1.0 + m <= 1e6 * qV * qV * qW * qW + tol
+                rows.append({"n": n, "d": d, "D": D, "one_plus_M": 1.0 + m,
+                             "ratio_exponent": s1, "dD_factor": s2,
+                             "polynomial_factor": s3, "reference_ratio": s4,
+                             "uniform_bound": s5,
+                             "pass": s1 and s2 and s3 and s4 and s5})
+    return rows
+
+
 class TestUniformity:
+    @pytest.mark.parametrize("qV,qW", [(1.0, 1.0), (0.999, 1.0)])
+    def test_array_chain_matches_the_scalar_chain(self, qV, qW):
+        grid = ([1, 2, 3], range(1, 21), range(1, 21))
+        rows = mglob_uniformity_check(*grid, qV=qV, qW=qW).rows
+        ref = scalar_uniformity_rows(*grid, qV=qV, qW=qW)
+        assert [list(r) for r in rows] == [list(r) for r in ref]
+        for row, want in zip(rows, ref):
+            assert {k: v for k, v in row.items() if k != "one_plus_M"} == \
+                {k: v for k, v in want.items() if k != "one_plus_M"}
+            assert row["one_plus_M"] == pytest.approx(want["one_plus_M"], rel=1e-14)
+        assert any(not r["ratio_exponent"] for r in rows) == (qV < 1.0)
+
+    def test_empty_grid_does_not_pass(self):
+        rep = mglob_uniformity_check([3], range(1, 3), range(1, 3))
+        assert rep.rows == [] and not rep.all_pass
+
     def test_small_grid_every_step(self):
         rep = mglob_uniformity_check([1, 2], range(1, 11), range(1, 11))
         assert rep.all_pass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from brenier_bounds.cli import ConfigError, _rows_csv, load_config, main
+from brenier_bounds.transport import MIN_MAP_POINTS
 
 
 def write(path, doc):
@@ -97,6 +98,7 @@ class TestConfigParsing:
         ("sweep", {"sweep": {"kind": "d_limit", "R": "inf"}}, "sweep.R"),
         ("sweep", {"sweep": {"kind": "uniformity", "n_list": 3}}, "n_list"),
         ("sweep", {"sweep": {"kind": "d_limit", "d": 4, "D_list": [2, 10]}}, "d <= D"),
+        ("sweep", {"sweep": {"kind": "uniformity", "n_list": [3], "d_max": 2}}, "no triple"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)
@@ -104,6 +106,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("command", ["transport", "verify", "bounds"])
+    def test_too_few_grid_points_exit_one(self, tmp_path, capsys, command):
+        doc = identity_doc()
+        doc["solver"] = {"grid_points": MIN_MAP_POINTS - 1}
+        path = write(tmp_path / "c.json", doc)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver.grid_points:") and err.count("\n") == 1
+        doc["solver"] = {"grid_points": MIN_MAP_POINTS}
+        assert main(["transport", "--config", write(tmp_path / "c.json", doc),
+                     "--out", str(tmp_path / "o")]) == 0
 
     def test_csv_path_is_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
         cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf, erfc
+from scipy.special import betainc, betaln, erf, erfc, gammaincc
 
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
@@ -235,9 +235,39 @@ class TestGeometry:
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
     def test_tail_quadrature_handles_slow_and_fast_decay(self):
-        poly = lambda s: 1.0 / (1.0 + s * s)
-        val, _ = tail_quadrature(lambda a: np.array([poly(a[0])]), 1e6)
+        val = tail_quadrature(lambda s: 1.0 / (1.0 + s * s), 1e6)
         assert val == pytest.approx(math.pi / 2 - math.atan(1e6), rel=1e-10)
-        gauss = lambda s: math.exp(-s * s)
-        val, _ = tail_quadrature(lambda a: np.array([gauss(a[0])]), 2.0)
+        val = tail_quadrature(lambda s: np.exp(-s * s), 2.0)
         assert val == pytest.approx(math.sqrt(math.pi) / 2 * math.erfc(2.0), rel=1e-9)
+
+
+def quadratic_tail(n, a, p, r):
+    """integral_r^inf s^(n-1) (1 + a s^2/p)^(-p) ds in closed form (p = inf: e^(-a s^2))."""
+    if math.isinf(p):
+        return 0.5 * a ** (-0.5 * n) * math.gamma(0.5 * n) * gammaincc(0.5 * n, a * r * r)
+    t = a * r * r / p
+    return (0.5 * (p / a) ** (0.5 * n) * math.exp(betaln(0.5 * n, p - 0.5 * n))
+            * betainc(p - 0.5 * n, 0.5 * n, 1.0 / (1.0 + t)))
+
+
+class TestFarTail:
+    @pytest.mark.parametrize("a", [0.25, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p_token", ["n", "1.5n", "10", "400", "inf"])
+    def test_quadratic_family_closed_form(self, n, a, p_token):
+        # near-Gaussian weights (p = 400, inf) drop by many decades across
+        # the first ratio-2 panel past r_max: an ungraded ladder misses them
+        p = {"n": n, "1.5n": 1.5 * n}.get(p_token) or float(p_token)
+        param = INF if math.isinf(p) else ExtParam.finite(p)
+        table = tail_table(PotentialSpec.quadratic(a, n), param, n)
+        exact = quadratic_tail(n, a, p, table.r_max)
+        assert table.tail_inf == pytest.approx(exact, rel=1e-12)
+        for r in table.r_max * np.array([1.5, 4.0, 100.0]):
+            assert tail_quadrature(table.f, r) == pytest.approx(
+                quadratic_tail(n, a, p, r), rel=1e-12, abs=1e-300)
+
+    def test_stops_before_a_high_dimensional_weight_overflows(self):
+        # r^(n-1) overflows far past r_max, where the weight has long vanished
+        n = 20
+        table = tail_table(PotentialSpec.quadratic(1.0, n), ExtParam.finite(n), n)
+        assert table.tail_inf == pytest.approx(quadratic_tail(n, 1.0, n, table.r_max), rel=1e-12)
