@@ -165,7 +165,7 @@ def _check_order(n: int, d: ExtParam, D: ExtParam):
     if d > D:
         raise InvalidOrder(f"requires d <= D, got d={d.label()}, D={D.label()}")
     if d.is_finite and d.value < n:
-        raise DomainError(f"requires n <= d, got n={n}, d={d.value}")
+        raise InvalidOrder(f"requires n <= d, got n={n}, d={d.value}")
 
 
 def _scenario_stub(n, d, D, R=None) -> dict:

@@ -240,7 +240,7 @@ def cmd_bounds(args) -> int:
         try:
             reports = [compute().to_dict() for compute in applicable_bounds(s).values()]
         except InvalidOrder as exc:
-            print(f"error: {s.name}: {exc} (requires d <= D)", file=sys.stderr)
+            print(f"error: {s.name}: {exc}", file=sys.stderr)
             return EXIT_INPUT
         except BrenierBoundsError as exc:
             print(f"error: {s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -384,7 +384,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidOrder as exc:
-        print(f"error: {exc} (requires d <= D)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrenierBoundsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

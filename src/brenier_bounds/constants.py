@@ -71,7 +71,7 @@ def _scan_grid(q: float, R: float) -> np.ndarray:
     return np.concatenate(([0.0], grid))
 
 
-def zoom_max(f, grid, i, y):
+def _zoom_max(f, grid, i, y):
     """Refine the maxima of k objectives sampled on ``grid``; returns the best (x, y).
 
     ``i``, ``y`` (shape (k,)) are the grid argmaxes and maxima; ``f`` maps (k, m)
@@ -120,27 +120,23 @@ def _scan(U: PotentialSpec, q: float, r: np.ndarray, best=-np.inf) -> np.ndarray
     if rows.size:
         def f(X):
             return _objectives(U, q, X.ravel()).reshape(3, *X.shape)[rows, np.arange(rows.size)]
-        _, top[rows] = zoom_max(f, r, i[rows], top[rows])
+        _, top[rows] = _zoom_max(f, r, i[rows], top[rows])
     return np.maximum(best, top)
 
 
-def structural(U: PotentialSpec, p: ExtParam, R: float, *,
-               force_scan: bool = False) -> StructuralConstants:
+def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
-    Computed once per (U, p, R) and kept on U, failures too; ``force_scan``
-    bypasses that memo and the quadratic closed form. Raises
+    Computed once per (U, p, R) and kept on U, failures too. Raises
     :class:`ConventionUndefined` for p = infinity with R = infinity (the
     zeroth-order endpoint conventions exist only for finite R) and
     :class:`NoConvergence` when an expanding-window supremum does not
     stabilize (the constant is infinite and any bound using it is void).
     """
-    if force_scan:
-        return _structural(U, p, R, force_scan=True)
     key = ("structural", p.raw, R)
     if key not in U._memo:
         try:
-            U._memo[key] = _structural(U, p, R, force_scan=False)
+            U._memo[key] = _structural(U, p, R)
         except NoConvergence as exc:
             U._memo[key] = exc.with_traceback(None)  # no frame keeps U alive
     hit = U._memo[key]
@@ -149,8 +145,7 @@ def structural(U: PotentialSpec, p: ExtParam, R: float, *,
     return hit
 
 
-def _structural(U: PotentialSpec, p: ExtParam, R: float, *,
-                force_scan: bool) -> StructuralConstants:
+def _structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
     if R < 0:
         raise ValueError("R must be nonnegative")
     if not p.is_finite:
@@ -161,7 +156,7 @@ def _structural(U: PotentialSpec, p: ExtParam, R: float, *,
     q = p.value
 
     if math.isinf(R):
-        if isinstance(U.profile, Quadratic) and not force_scan:
+        if isinstance(U.profile, Quadratic):
             a = U.profile.a
             return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a, p, R)
         return _structural_window(U, q, p)

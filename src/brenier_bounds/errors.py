@@ -27,7 +27,7 @@ class ConventionUndefined(BrenierBoundsError):
 
 
 class InvalidOrder(BrenierBoundsError):
-    """Source parameter exceeds target parameter (d > D)."""
+    """The scenario's parameters violate n <= d <= D."""
 
 
 class VoidBound(BrenierBoundsError):

@@ -337,13 +337,15 @@ def _folded_weight(U: PotentialSpec, p: ExtParam):
 
 
 def truncation_radius(f, start: float = 1.0) -> float:
-    """Smallest doubling radius where f drops below the decay floor times its peak."""
+    """Smallest doubling radius past the probe's argmax where f drops below the
+    decay floor times its peak (a weight can still be rising at max(start, 1))."""
     probe = np.concatenate(([0.0], np.logspace(-6, math.log10(max(start, 1.0)) + 1.0, 256)))
-    peak = float(np.max(f(probe)))
+    values = f(probe)
+    peak, r_peak = float(np.max(values)), float(probe[np.argmax(values)])
     if peak <= 0.0 or not math.isfinite(peak):
         raise DivergentIntegral("integrand peak is zero or non-finite")
     r = max(start, 1.0)
-    while float(f(np.array([r]))[0]) > _DECAY_FLOOR * peak:
+    while r < r_peak or float(f(np.array([r]))[0]) > _DECAY_FLOOR * peak:
         r *= 2.0
         if r > _RADIUS_CAP:
             raise DivergentIntegral(

@@ -17,9 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
-from .constants import zoom_max
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import ExtParam, theta_value, theta_value_array
 from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
@@ -384,32 +382,22 @@ class SecondVariationReport:
         return min(e.slack for e in self.entries)
 
 
-def _refine_maximizer(m: RadialMap, R: float) -> Tuple[float, float, float, str]:
-    """Grid argmax of the eigenvalue within B_R plus a zoom on its two grid cells."""
-    radial, tangential = _eigen_arrays(m, R)
-    eig = np.maximum(radial, tangential)
-    i = int(np.argmax(eig))
-    comp = "tangential" if (m.n > 1 and tangential[i] > radial[i]) else "radial"
-    t_interp = PchipInterpolator(m.r_grid, m.t)
-    tp_interp = PchipInterpolator(m.r_grid, m.t_prime)
-
-    def eig_at(r):
-        return np.where((comp == "radial") | (r < _SMALL_R), tp_interp(r), t_interp(r) / r)
-
-    (x,), (lam,) = zoom_max(eig_at, np.minimum(m.r_grid, R), np.array([i]), eig[i:i + 1])
-    return float(x), float(t_interp(x)), float(lam), comp
-
-
 def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
                            d: ExtParam, D: ExtParam, R: float) -> SecondVariationReport:
     """Evaluate the maximum-principle inequalities at the empirical maximizer.
+
+    The maximizer is the grid point where :func:`lipschitz_empirical` finds
+    its sup over r <= R, with the eigenvalue and component found there; t
+    is the map's value at that node, so nothing is interpolated.
 
     Finite d <= D < inf: the Young-parameter family of inequalities for
     each epsilon. D = inf: the endpoint inequality (1 + V/d) W'' lam^2 <= V''
     (with V/d = 0 when d = inf as well). Report-only; the caller judges
     the slacks against its tolerance.
     """
-    x_bar, y_bar, lam, comp = _refine_maximizer(m, R)
+    est = lipschitz_empirical(m, R)
+    x_bar, lam, comp = est.argmax_r, est.value, est.component
+    y_bar = float(m.t[np.searchsorted(m.r_grid, x_bar)])
     v_val = float(V.value(x_bar))
     w_val = float(W.value(y_bar))
     if comp == "radial":

@@ -66,10 +66,21 @@ class Scenario:
         return None if slope is None else tuple(slope.get("window", (1e2, 1e4)))
 
     def grid(self) -> np.ndarray:
-        """The map grid: the solver's, widened to cover R and the slope window."""
+        """The map grid: the solver's, widened to cover R and the slope window,
+        with the window edges ``window()`` and ``proxy_radius()`` as exact nodes:
+        a node within 1e-12 relative of an edge becomes it, another edge is inserted."""
         hi = max(self.grid_max or self.proxy_radius(), self.R if math.isfinite(self.R) else 0.0,
                  (self.slope_window() or (0.0, 0.0))[1])
-        return default_grid(self.d, self.grid_points, self.grid_min, hi)
+        grid = default_grid(self.d, self.grid_points, self.grid_min, hi)
+        for edge in (self.window(), self.proxy_radius()):
+            i = int(np.searchsorted(grid, edge))
+            near = [j for j in (i, i - 1)
+                    if 0 <= j < grid.size and abs(grid[j] - edge) <= 1e-12 * edge]
+            if near:
+                grid[near[0]] = edge
+            elif 0 < i < grid.size:
+                grid = np.insert(grid, i, edge)
+        return grid
 
 
 @dataclass

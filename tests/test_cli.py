@@ -99,6 +99,9 @@ class TestConfigParsing:
         ("sweep", {"sweep": {"kind": "uniformity", "n_list": 3}}, "n_list"),
         ("sweep", {"sweep": {"kind": "d_limit", "d": 4, "D_list": [2, 10]}}, "d <= D"),
         ("sweep", {"sweep": {"kind": "uniformity", "n_list": [3], "d_max": 2}}, "no triple"),
+        ("bounds", {"scenario": {"n": 2, "d": 1, "D": 3}}, "n <= d"),
+        ("sweep", {"sweep": {"kind": "d_limit", "n": 2, "d": 1}}, "n <= d"),
+        ("sweep", {"sweep": {"kind": "caffarelli_limit", "n": 3, "d_list": [1, 10]}}, "n <= d"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)

@@ -29,7 +29,8 @@ class TestQuadraticClosedForms:
     def test_scan_agrees_with_closed_form(self):
         a, p = 3.0, 2.0
         closed = structural(quad(a), ExtParam.finite(p), math.inf)
-        scanned = structural(quad(a), ExtParam.finite(p), math.inf, force_scan=True)
+        U = PotentialSpec.one_dim(lambda x: a * x ** 2, lambda x: 2.0 * a * x)
+        scanned = structural(U, ExtParam.finite(p), math.inf)
         assert scanned.c0 == pytest.approx(closed.c0, rel=1e-6)
         assert scanned.C0 == pytest.approx(closed.C0, rel=1e-6)
         assert scanned.C1 == pytest.approx(closed.C1, rel=1e-6)
@@ -73,7 +74,7 @@ class TestExactScans:
         (0.25, 4.0, 9.0, math.inf)])
     def test_shifted_quadratic_closed_form_extremes(self, a, s, q, R):
         U = PotentialSpec.one_dim(lambda x: a * (x - s) ** 2, lambda x: 2.0 * a * (x - s))
-        got = structural(U, ExtParam.finite(q), R, force_scan=True)
+        got = structural(U, ExtParam.finite(q), R)
         inf_up, sup_up, sup_g2 = shifted_quadratic_extremes(a, s, q, R)
         assert got.c0 == pytest.approx(inf_up, rel=1e-12)
         assert got.C0 == pytest.approx(sup_up, rel=1e-12)
@@ -89,7 +90,7 @@ class TestScanCost:
             return 1.5 * x ** 2
         U = PotentialSpec.one_dim(f, lambda x: 3.0 * x)
         q = 2.0
-        s = structural(U, ExtParam.finite(q), math.inf, force_scan=True)
+        s = structural(U, ExtParam.finite(q), math.inf)
         assert s.C0 == pytest.approx(1.5, rel=1e-12)
         assert s.C1 == pytest.approx(9.0, rel=1e-6)
         # windows: the ball of radius max(1, sqrt(q)), then one per doubling

@@ -151,6 +151,14 @@ def _unit_table(n, p):
     return tail_table(U, INF if math.isinf(p) else ExtParam.finite(p), n)
 
 
+class TestTruncation:
+    def test_table_reaches_past_a_peak_beyond_the_first_radius(self):
+        # r^39 exp(-r^2) rises up to sqrt(19.5) ~ 4.42
+        t = tail_table(PotentialSpec.quadratic(1.0, 40), INF, 40)
+        assert t.r_max > math.sqrt(19.5)
+        assert t.total == pytest.approx(math.gamma(20) / 2, rel=1e-13)
+
+
 class TestTailEngine:
     @pytest.mark.parametrize("n,p", ENGINE_CASES)
     def test_arrays_match_scalar_calls(self, n, p):

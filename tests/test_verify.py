@@ -6,8 +6,9 @@ import pytest
 
 import brenier_bounds.constants as constants_mod
 import brenier_bounds.verify as verify_mod
-from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario,
-                            limit_sweep_D, limit_sweep_caffarelli, run_scenario)
+from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario, lipschitz_empirical,
+                            limit_sweep_D, limit_sweep_caffarelli, radial_map,
+                            run_scenario, second_variation_check)
 
 
 def quad(a, n=1):
@@ -113,6 +114,31 @@ class TestRunScenario:
         assert {"scenario", "bounds", "empirical", "margins", "slacks",
                 "pass", "reason"} <= set(doc)
         assert isinstance(doc["bounds"], list) and doc["bounds"]
+
+
+class TestWindowEdges:
+    def test_second_variation_is_checked_at_the_lipschitz_argmax(self):
+        # a flat identity map, where the eigenvalue's maximizer is decided by rounding
+        a = 0.9690231147834004
+        s = scenario(V=quad(a, 3), W=quad(a, 3), n=3, d=6.0, D=6.0, R=5.0)
+        m = radial_map(s.V, s.W, s.d, s.D, s.n, s.grid())
+        sv = second_variation_check(m, s.V, s.W, s.d, s.D, 5.0)
+        est = lipschitz_empirical(m, 5.0)
+        assert (sv.maximizer_r, sv.eigenvalue, sv.component) == \
+            (est.argmax_r, est.value, est.component)
+        assert sv.maximizer_t == m.t[m.r_grid == est.argmax_r][0]
+
+    @pytest.mark.parametrize("d,R", [(2.0, 10.0), (2.0, 200.0), ("inf", math.inf)])
+    def test_grid_holds_the_window_edges_as_nodes(self, d, R):
+        s = scenario(d=d, D=d, R=R)
+        grid = s.grid()
+        assert s.window() in grid and s.proxy_radius() in grid
+        assert np.all(np.diff(grid) > 0)
+
+    def test_counterexample_sup_reaches_the_proxy_edge(self):
+        s = scenario(d=3.0, D=1.0, grid_points=300, grid_min=10 ** 1.5, grid_max=10 ** 4.2)
+        rep = run_scenario(s)
+        assert rep.empirical.argmax_r == s.proxy_radius()
 
 
 class TestLimitSweeps:
