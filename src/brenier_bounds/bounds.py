@@ -161,7 +161,9 @@ def _require_hess_lower(W: PotentialSpec) -> float:
     return float(W.hess_lower)
 
 
-def _check_order(n: int, d: ExtParam, D: ExtParam):
+def _check_order(n: int, d, D):
+    """Raise :class:`InvalidOrder` unless n <= d <= D (d, D as ExtParam or number)."""
+    d, D = _as_extparam(d), _as_extparam(D)
     if d > D:
         raise InvalidOrder(f"requires d <= D, got d={d.label()}, D={D.label()}")
     if d.is_finite and d.value < n:
@@ -240,7 +242,8 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
 def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
                       D: float) -> Tuple[StructuralConstants, StructuralConstants]:
     """Global structural constants of V at d and of W at D, for n <= d <= D < inf."""
-    if not (n <= d <= D < math.inf):
+    _check_order(n, d, D)
+    if math.isinf(D):
         raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d}, D={D}")
     try:
         return (structural(V, ExtParam.finite(d), math.inf),

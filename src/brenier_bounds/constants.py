@@ -7,9 +7,13 @@ For a potential U at parameter p, on the ball of radius R:
     C1 =   sup ( |grad U| / (sqrt(p) + |x|) )^2
 
 computed by a log-spaced grid scan (U, U' once per point) plus a zoom around
-each argmax; R = inf adds one annulus [R/2, R] per doubling, with convergence
-detection (closed form for quadratic profiles). At p = infinity the values
-are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
+each argmax. R = inf adds one annulus [R/2, R] per doubling to running sups
+until they converge (closed form for quadratic profiles). The annuli of a
+block of doublings are evaluated in one U call, and their zooms share one U
+call per round, each annulus stopping on its own; a replay then takes the
+annuli in order under the one-annulus-at-a-time rules, so the constants are
+bit-identical to scanning the doublings one by one. At p = infinity the
+values are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .potentials import PotentialSpec, Quadratic
 
 _SCAN_POINTS = 2048
 _ANNULUS = np.geomspace(0.5, 1.0, 64)  # the annulus [R/2, R] in units of R
+_BLOCK = 32  # doublings of an expanding window evaluated together
 _ZOOM_ROUNDS = 4
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # sample positions within a zoom bracket
 _WINDOW_REL_TOL = 1e-8
@@ -71,28 +76,40 @@ def _scan_grid(q: float, R: float) -> np.ndarray:
     return np.concatenate(([0.0], grid))
 
 
-def _zoom_max(f, grid, i, y):
-    """Refine the maxima of k objectives sampled on ``grid``; returns the best (x, y).
+def _zoom_max(U: PotentialSpec, q: float, X: np.ndarray, j, i, y, group=None):
+    """Refine maxima of the ``_objectives`` rows j sampled on the rows of X; returns them.
 
-    ``i``, ``y`` (shape (k,)) are the grid argmaxes and maxima; ``f`` maps (k, m)
-    abscissae to the values of objective j on row j. Each round resamples the two
-    cells around every argmax; it stops early when all maxima stay on grid[-1].
+    Row r samples objective j[r] at the increasing abscissae X[r], with grid
+    argmax i[r] and maximum y[r]. Each round resamples the two cells around
+    every argmax, one ``_objectives`` call for all rows. The rows of a group
+    (one annulus of a block scan; all rows when ``group`` is None) stop early
+    together, once all their maxima stay on their grid end X[r, -1]. So each
+    row's result depends only on the rows of its own group: a block's zooms
+    give each annulus what zooming that annulus alone gives, which is what the
+    replay in ``_annulus_sups`` relies on.
     """
     rows = np.arange(len(i))
-    X, x = np.broadcast_to(grid, (len(i), grid.size)), grid[i]
+    x, end, out, live = X[rows, i], X[:, -1], y.copy(), rows
     for _ in range(_ZOOM_ROUNDS):
         lo = X[rows, np.maximum(i - 1, 0)]
         hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
         X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
         X[:, -1] = hi
-        Y = f(X)
+        Y = _objectives(U, q, X.ravel()).reshape(3, *X.shape)[j, rows]
         i = Y.argmax(axis=-1)
         top = Y[rows, i]
         x = np.where(top > y, X[rows, i], x)
         y = np.maximum(top, y)
-        if (x == grid[-1]).all():
-            break
-    return x, y
+        pending = x != end
+        keep = pending.any() if group is None else np.bincount(group, weights=pending)[group] > 0
+        if not keep.all():
+            out[live] = y
+            if not keep.any():
+                return out
+            live, rows = live[keep], rows[:np.count_nonzero(keep)]
+            X, i, j, x, y, end, group = (a[keep] for a in (X, i, j, x, y, end, group))
+    out[live] = y
+    return out
 
 
 def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
@@ -118,10 +135,42 @@ def _scan(U: PotentialSpec, q: float, r: np.ndarray, best=-np.inf) -> np.ndarray
     top = vals[np.arange(3), i]
     rows = np.flatnonzero(top >= best)
     if rows.size:
-        def f(X):
-            return _objectives(U, q, X.ravel()).reshape(3, *X.shape)[rows, np.arange(rows.size)]
-        _, top[rows] = _zoom_max(f, r, i[rows], top[rows])
+        X = np.broadcast_to(r, (rows.size, r.size))
+        top[rows] = _zoom_max(U, q, X, rows, i[rows], top[rows])
     return np.maximum(best, top)
+
+
+def _annulus_sups(U: PotentialSpec, q: float, radii: np.ndarray, best: np.ndarray):
+    """Yield the running sups after each annulus (row of ``radii``), starting from ``best``.
+
+    The values are those of chaining ``_scan`` over the annuli, from one
+    ``_objectives`` call for all grids and one per zoom round. The rows zoomed
+    are those whose grid maximum reaches the running sup of the grid maxima;
+    that running sup is at most the zoomed one, so they include every row the
+    chained scans zoom. An annulus whose chained zoom set differs is rescanned
+    alone with ``_scan``.
+    """
+    try:
+        # the block reaches past the doubling where the window may stop: a
+        # floating-point exception or a failure there sends the block to the
+        # chained scans, which raise (or warn) only where they evaluate
+        with np.errstate(all="raise"):
+            vals = _objectives(U, q, radii.ravel()).reshape(3, *radii.shape)
+            i = vals.argmax(axis=-1)
+            top = np.take_along_axis(vals, i[..., None], axis=-1)[..., 0]
+            zoom = top >= np.maximum.accumulate(np.column_stack((best, top[:, :-1])), axis=1)
+            j, k = np.nonzero(zoom)
+            sups = top.copy()
+            if j.size:
+                sups[j, k] = _zoom_max(U, q, radii[k], j, i[j, k], top[j, k], group=k)
+    except Exception:
+        sups = None
+    for k, r in enumerate(radii):
+        if sups is not None and np.array_equal(top[:, k] >= best, zoom[:, k]):
+            best = np.maximum(best, sups[:, k])
+        else:
+            best = _scan(U, q, r, best)
+        yield best
 
 
 def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
@@ -170,15 +219,15 @@ def _structural_window(U: PotentialSpec, q: float, p: ExtParam) -> StructuralCon
     base = max(1.0, math.sqrt(q))
     prev = _scan(U, q, _scan_grid(q, base))
     stable = 0
-    for k in range(1, _MAX_DOUBLINGS):
-        R = base * 2.0 ** k
-        cur = _scan(U, q, R * _ANNULUS, prev)
-        rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
-        stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
-        if stable >= 3:
-            sup_up, sup_dn, sup_g2 = cur.tolist()
-            return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, math.inf)
-        prev = cur
+    for k in range(1, _MAX_DOUBLINGS, _BLOCK):
+        R = base * 2.0 ** np.arange(k, min(k + _BLOCK, _MAX_DOUBLINGS))
+        for cur in _annulus_sups(U, q, R[:, None] * _ANNULUS, prev):
+            rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
+            stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
+            if stable >= 3:
+                sup_up, sup_dn, sup_g2 = cur.tolist()
+                return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, math.inf)
+            prev = cur
     raise NoConvergence(
         "expanding-window supremum did not stabilize; a global structural "
         "constant is infinite")

@@ -14,9 +14,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import (BoundReport, finite_global_sharp_bound, global_bound,
-                     local_bound)
-from .errors import BrenierBoundsError, EmptyWindow
+from .bounds import (BoundReport, _check_order, finite_global_sharp_bound,
+                     global_bound, local_bound)
+from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
 from .extparam import INF, ExtParam
 from .potentials import PotentialSpec
 from .transport import (RadialMap, LipschitzEstimate, default_grid,
@@ -48,8 +48,11 @@ class Scenario:
     grid_max: Optional[float] = None
 
     def order_valid(self) -> bool:
-        n_ok = (not self.d.is_finite) or self.d.value >= self.n
-        return n_ok and self.d <= self.D
+        try:
+            _check_order(self.n, self.d, self.D)
+        except InvalidOrder:
+            return False
+        return True
 
     def proxy_radius(self) -> float:
         """Desk-scale stand-in window for 'global' empirical suprema."""

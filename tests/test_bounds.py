@@ -197,10 +197,18 @@ class TestGlobalBounds:
         assert calls == [(V, 2.0, math.inf), (W, 3.0, math.inf)]
 
     def test_order_violations(self, quad1):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidOrder):
             finite_growth_constants(quad1, quad1, 1, 3, 2)
         with pytest.raises(InvalidOrder):
             global_bound(quad1, quad1, 1, ExtParam.finite(3), ExtParam.finite(2))
+        # d < n: the same class and text from every entry point
+        V = quad(1.0, 2)
+        for call in (lambda: finite_global_sharp_bound(V, V, 2, 1.0, 3.0),
+                     lambda: global_bound(V, V, 2, ExtParam.finite(1), ExtParam.finite(3))):
+            with pytest.raises(InvalidOrder, match=r"^requires n <= d, got n=2, d=1\.0$"):
+                call()
+        with pytest.raises(DomainError, match="D < inf"):
+            finite_growth_constants(quad1, quad1, 1, 3, math.inf)
 
 
 def scalar_uniformity_rows(n_range, d_range, D_range, qV=1.0, qW=1.0):

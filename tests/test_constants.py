@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from brenier_bounds import (ConventionUndefined, ExtParam, INF, PotentialSpec,
-                            aggregates, structural)
+import brenier_bounds.constants as constants_mod
+from brenier_bounds import (ConventionUndefined, DomainError, ExtParam, INF,
+                            NoConvergence, PotentialSpec, aggregates, structural)
 
 
 def quad(a, n=1):
@@ -81,7 +83,137 @@ class TestExactScans:
         assert got.C1 == pytest.approx(sup_g2, rel=1e-12)
 
 
+def sequential_window(U, q):
+    """(c0, C0, C1) at R = inf from the expanding window scanned one doubling at
+    a time, with one U call per annulus and per zoom round: the reference for
+    the block scan of ``structural``. Raises NoConvergence as it does."""
+    c = constants_mod
+
+    def zoom(f, grid, i, y):
+        rows = np.arange(len(i))
+        X, x = np.broadcast_to(grid, (len(i), grid.size)), grid[i]
+        for _ in range(c._ZOOM_ROUNDS):
+            lo = X[rows, np.maximum(i - 1, 0)]
+            hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
+            X = lo[:, None] + (hi - lo)[:, None] * c._ZOOM_STEPS
+            X[:, -1] = hi
+            Y = f(X)
+            i = Y.argmax(axis=-1)
+            top = Y[rows, i]
+            x = np.where(top > y, X[rows, i], x)
+            y = np.maximum(top, y)
+            if (x == grid[-1]).all():
+                break
+        return y
+
+    def scan(r, best=-np.inf):
+        vals = c._objectives(U, q, r)
+        i = np.argmax(vals, axis=1)
+        top = vals[np.arange(3), i]
+        rows = np.flatnonzero(top >= best)
+        if rows.size:
+            def f(X):
+                return c._objectives(U, q, X.ravel()).reshape(3, *X.shape)[rows, np.arange(rows.size)]
+            top[rows] = zoom(f, r, i[rows], top[rows])
+        return np.maximum(best, top)
+
+    base = max(1.0, math.sqrt(q))
+    prev = scan(c._scan_grid(q, base))
+    stable = 0
+    for k in range(1, c._MAX_DOUBLINGS):
+        cur = scan(base * 2.0 ** k * c._ANNULUS, prev)
+        rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
+        stable = stable + 1 if float(np.max(rel)) < c._WINDOW_REL_TOL else 0
+        if stable >= 3:
+            sup_up, sup_dn, sup_g2 = cur.tolist()
+            return 1.0 / sup_dn, sup_up, sup_g2
+        prev = cur
+    raise NoConvergence(
+        "expanding-window supremum did not stabilize; a global structural "
+        "constant is infinite")
+
+
+def one_dim_shifted(a, s):
+    return PotentialSpec.one_dim(lambda x: a * (x - s) ** 2, lambda x: 2.0 * a * (x - s))
+
+
+def window_potentials():
+    r = np.linspace(0.0, 20.0, 81)
+    pots = {f"{a}(x-{s})^2": one_dim_shifted(a, s)
+            for a in (0.3, 1.0, 1.05, 3.37) for s in (0.0, 0.5, -2.0, 12.0)}
+    pots.update({
+        "x^2+sin3x": PotentialSpec.one_dim(lambda x: x ** 2 + np.sin(3.0 * x),
+                                          lambda x: 2.0 * x + 3.0 * np.cos(3.0 * x)),
+        "x^4+x^2": PotentialSpec.one_dim(lambda x: x ** 4 + x ** 2,
+                                        lambda x: 4.0 * x ** 3 + 2.0 * x),
+        "|x|": PotentialSpec.one_dim(np.abs, np.sign),
+        "tabulated |x|^2": PotentialSpec.tabulated(r, r ** 2, du=2.0 * r),
+    })
+    return pots
+
+
+def window_constants(U, q):
+    s = structural(U, ExtParam.finite(q), math.inf)
+    return s.c0, s.C0, s.C1
+
+
+def outcome(fn):
+    try:
+        return tuple(fn())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockWindowScan:
+    @pytest.mark.parametrize("name", list(window_potentials()))
+    @pytest.mark.parametrize("q", [1, 2, 3, 6, 30])
+    def test_bit_identical_to_the_sequential_scan(self, name, q):
+        U = window_potentials()[name]
+        got = outcome(lambda: window_constants(U, float(q)))
+        assert got == outcome(lambda: sequential_window(U, float(q)))
+
+    @pytest.mark.parametrize("a,s,q", [(2.9, 0.5, 2.0), (0.9, -2.0, 2.0), (0.31, 3.0, 1.0)])
+    def test_rescanned_annulus_is_bit_identical(self, monkeypatch, a, s, q):
+        # an annulus whose peak lies in its last grid cell: the next annulus's
+        # grid max equals the grid-only running sup, so the block zooms it where
+        # the sequential scan does not, and that annulus is scanned again alone
+        scans = []
+        real = constants_mod._scan
+
+        def counting(*args, **kw):
+            scans.append(args[2].size)
+            return real(*args, **kw)
+        monkeypatch.setattr(constants_mod, "_scan", counting)
+        got = window_constants(one_dim_shifted(a, s), q)
+        assert scans[1:] == [constants_mod._ANNULUS.size]
+        assert got == sequential_window(one_dim_shifted(a, s), q)
+
+
+def counted(f, fprime):
+    """A 1D spec whose U calls are recorded, and the list they go to."""
+    calls = []
+
+    def value(x):
+        calls.append(np.asarray(x))
+        return f(x)
+    return PotentialSpec.one_dim(value, fprime), calls
+
+
+def sequential_reach(f, fprime, q):
+    """The largest |x| the sequential window scan evaluates U at."""
+    U, calls = counted(f, fprime)
+    sequential_window(U, q)
+    return max(float(np.max(np.abs(x))) for x in calls)
+
+
 class TestScanCost:
+    def test_block_scan_makes_a_few_u_calls_per_window(self):
+        U, calls = counted(lambda x: 1.5 * x ** 2, lambda x: 3.0 * x)
+        want = sequential_window(U, 2.0)
+        calls.clear()
+        assert window_constants(U, 2.0) == want
+        assert len(calls) <= 12
+
     def test_window_scan_evaluates_u_a_few_times_per_doubling(self):
         calls = []
 
@@ -99,6 +231,73 @@ class TestScanCost:
         assert windows > 20
         assert min(x.size for x in calls) > 1
         assert len(calls) <= 6 * windows
+
+
+class TestWindowDomain:
+    q = 2.0
+
+    @staticmethod
+    def quadratic(x):
+        return 1.5 * x ** 2
+
+    @staticmethod
+    def slope(x):
+        return 3.0 * x
+
+    def reach(self):
+        return sequential_reach(self.quadratic, self.slope, self.q)
+
+    def want(self):
+        U = PotentialSpec.one_dim(self.quadratic, self.slope)
+        return sequential_window(U, self.q)
+
+    def window(self, f):
+        return window_constants(PotentialSpec.one_dim(f, self.slope), self.q)
+
+    def test_violation_beyond_the_reach_does_not_raise(self):
+        far = 4.0 * self.reach()
+        got = self.window(lambda x: np.where(np.abs(x) > far, -10.0, self.quadratic(x)))
+        assert got == self.want()
+
+    def test_violation_inside_the_reach_raises_the_scan_error(self):
+        near = self.reach() / 3.0
+        f = lambda x: np.where(np.abs(x) > near, -10.0, self.quadratic(x))
+        with pytest.raises(DomainError) as got:
+            self.window(f)
+        with pytest.raises(DomainError) as want:
+            sequential_window(PotentialSpec.one_dim(f, self.slope), self.q)
+        assert str(got.value) == str(want.value) == (
+            "potential violates U > -p on the scan grid (p=2.0)")
+
+    def test_overflow_past_the_stop_does_not_raise(self):
+        # RuntimeWarning is an error in this suite, so an overflow that only
+        # the block's evaluation past the stop meets must not surface
+        far = 4.0 * self.reach()
+        got = self.window(lambda x: self.quadratic(x)
+                          + np.square(np.where(np.abs(x) > far, 1e200, 0.0)))
+        assert got == self.want()
+
+    def test_failure_past_the_stop_does_not_raise(self):
+        far = 4.0 * self.reach()
+
+        def f(x):
+            if np.max(np.abs(x)) > far:
+                raise ValueError("evaluated past the window's reach")
+            return self.quadratic(x)
+        assert self.window(f) == self.want()
+
+    def test_overflow_inside_the_reach_warns_as_the_scan_does(self):
+        near = self.reach() / 3.0
+        f = lambda x: self.quadratic(x) + np.square(np.where(np.abs(x) > near, 1e200, 0.0))
+        seen = []
+        for run in (lambda: self.window(f),
+                    lambda: sequential_window(PotentialSpec.one_dim(f, self.slope), self.q)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = outcome(run)
+            seen.append((repr(got), [(w.category, str(w.message)) for w in caught]))
+        assert seen[0] == seen[1]
+        assert (RuntimeWarning, "overflow encountered in square") in seen[0][1]
 
 
 class TestEndpointConventions:
