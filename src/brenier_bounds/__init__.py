@@ -6,15 +6,15 @@ from .errors import (BracketFailure, BrenierBoundsError, ConventionUndefined,
                      DivergentIntegral, DomainError, EmptyWindow, InvalidOrder,
                      MFrakOverflow, NoConvergence, VoidBound)
 from .extparam import INF, ExtParam, ThetaEval, theta, unnormalized_density
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, bound_from_terms, ext_min
 from .potentials import (NormConstant, PotentialSpec, normalization,
                          reference_integral, unit_ball_volume)
 from .constants import (GlobalAggregates, StructuralConstants, aggregates,
                         structural)
 from .bounds import (BoundReport, GrowthData, UniformityReport,
-                     finite_global_sharp_bound, finite_growth_constants,
-                     gamma, global_bound, growth_data, local_bound,
-                     local_factors, mglob_uniformity_check, tail_mass)
+                     bound_from_terms, finite_global_sharp_bound,
+                     finite_growth_constants, gamma, global_bound, growth_data,
+                     local_bound, local_factors, mglob_uniformity_check,
+                     tail_mass)
 from .transport import (LipschitzEstimate, RadialMap, SecondVariationReport,
                         default_grid, lipschitz_empirical, quantile_map_1d,
                         radial_map, second_variation_check)
@@ -29,11 +29,10 @@ __all__ = [
     "DivergentIntegral", "DomainError", "EmptyWindow", "InvalidOrder",
     "MFrakOverflow", "NoConvergence", "VoidBound",
     "INF", "ExtParam", "ThetaEval", "theta", "unnormalized_density",
-    "EXT_INF", "EXT_ZERO", "ExtReal", "bound_from_terms", "ext_min",
     "NormConstant", "PotentialSpec", "normalization", "reference_integral",
     "unit_ball_volume",
     "GlobalAggregates", "StructuralConstants", "aggregates", "structural",
-    "BoundReport", "GrowthData", "UniformityReport",
+    "BoundReport", "GrowthData", "UniformityReport", "bound_from_terms",
     "finite_global_sharp_bound", "finite_growth_constants", "gamma",
     "global_bound", "growth_data", "local_bound", "local_factors",
     "mglob_uniformity_check", "tail_mass",

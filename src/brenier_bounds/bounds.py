@@ -1,5 +1,10 @@
 """Assembly of every theorem-level constant and the four bound regimes.
 
+Every constant is a plain float: B and the bound sqrt(A + B) + sqrt(B) are
+always finite (a void bound raises :class:`VoidBound`), and the only
+infinite value is gamma(d, D) = math.inf at d = D < inf, where the min in
+xi takes its other, finite branch.
+
 All products of many large/small factors (the K/M growth chains, the
 ball-mass lower bound) are computed in log space and exponentiated once:
 (5/4)^d * 10^(2d) alone overflows 64-bit floats near d ~ 150.
@@ -18,7 +23,6 @@ from .constants import StructuralConstants, aggregates, structural
 from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
                      VoidBound)
 from .extparam import ExtParam, _as_extparam
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, bound_from_terms, ext_min
 from .potentials import (PotentialSpec, log_reference_integral, mass_table,
                          normalization, unit_ball_volume)
 
@@ -30,17 +34,24 @@ def _param_float(p) -> float:
     return float(p)
 
 
-def gamma(d, D) -> ExtReal:
-    """Tail-interaction exponent: +inf at D = d finite, ((2d-D)/(D-d))_+ for d < D finite, 0 at D = inf."""
+def gamma(d, D) -> float:
+    """Tail-interaction exponent: math.inf at D = d finite, ((2d-D)/(D-d))_+ for d < D finite, 0 at D = inf."""
     d, D = _as_extparam(d), _as_extparam(D)
     if d > D:
         raise InvalidOrder(f"requires d <= D, got d={d}, D={D}")
     if not D.is_finite:
-        return EXT_ZERO
+        return 0.0
     dd, DD = d.value, D.value
     if dd == DD:
-        return EXT_INF
-    return ExtReal(max(0.0, (2.0 * dd - DD) / (DD - dd)))
+        return math.inf
+    return max(0.0, (2.0 * dd - DD) / (DD - dd))
+
+
+def bound_from_terms(a: float, b: float) -> float:
+    """The optimized maximum-principle bound sqrt(A + B) + sqrt(B)."""
+    if a < 0.0:
+        raise ValueError("A-term must be nonnegative")
+    return math.sqrt(a + b) + math.sqrt(b)
 
 
 def tail_mass(W: PotentialSpec, D: ExtParam, r: float) -> float:
@@ -73,8 +84,7 @@ def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
         raise DomainError("growth data is defined for finite source parameter d only")
     if not (0.0 < R < math.inf):
         raise ValueError("R must be finite and positive")
-    if D.is_finite and d > D.value:
-        raise InvalidOrder(f"requires d <= D, got d={d}, D={D.value}")
+    _check_order(n, d, D)
     s = max(R, math.sqrt(d))
     c0_big = structural(V, ExtParam.finite(d), 10.0 * s).C0
     z = normalization(V, ExtParam.finite(d)).z
@@ -102,26 +112,26 @@ class _LocalFactors:
     growth: Optional[GrowthData]
     C0_W: float
     C1_W: float
-    gamma_dD: ExtReal
+    gamma_dD: float
 
 
 def _local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
                    R: float, n: int, c_W2: float) -> _LocalFactors:
     d, D = _param_float(d), _as_extparam(D)
     if not D.is_finite:
-        return _LocalFactors(1.0, 0.0, None, 1.0, 0.0, EXT_ZERO)
+        return _LocalFactors(1.0, 0.0, None, 1.0, 0.0, 0.0)
     gd = growth_data(V, W, d, D, R, n)
     sw = structural(W, D, gd.fathi_radius)
     lam = sw.C0 * gd.growth_factor
     g = gamma(ExtParam.finite(d), D)
-    xi = ext_min(ExtReal((D.value / d) * sw.C1 / sw.C0),
-                 g.times(c_W2) if g.raw != 0.0 else EXT_ZERO)
-    return _LocalFactors(lam, xi.value, gd, sw.C0, sw.C1, g)
+    xi = min((D.value / d) * sw.C1 / sw.C0, g * c_W2)
+    return _LocalFactors(lam, xi, gd, sw.C0, sw.C1, g)
 
 
 def local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
                   R: float, n: int) -> Tuple[float, float]:
     """(lambda, xi) of the localized estimate; requires the target's declared c(2) > 0."""
+    _check_order(n, d, D)
     c_W2 = _require_hess_lower(W)
     lf = _local_factors(V, W, d, D, R, n, c_W2)
     return lf.lam, lf.xi
@@ -129,12 +139,15 @@ def local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One assembled bound: regime, A/B terms, sqrt(A+B)+sqrt(B), full provenance."""
+    """One assembled bound: regime, A/B terms, sqrt(A+B)+sqrt(B), full provenance.
+
+    A, B and the bound are finite floats; ``constants["gamma"]`` may be math.inf.
+    """
 
     regime: str
     A: float
-    B: ExtReal
-    bound: ExtReal
+    B: float
+    bound: float
     constants: Dict[str, float] = field(default_factory=dict)
     scenario: Dict[str, object] = field(default_factory=dict)
 
@@ -142,8 +155,8 @@ class BoundReport:
         return {
             "regime": self.regime,
             "A": self.A,
-            "B": self.B.as_float(),
-            "bound": self.bound.as_float(),
+            "B": self.B,
+            "bound": self.bound,
             "constants": dict(self.constants),
             "scenario": dict(self.scenario),
         }
@@ -192,22 +205,21 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
         if not d.is_finite:
             # both parameters infinite: the endpoint conventions collapse the bound
             a = C_V2 / c_W2
-            return BoundReport("caffarelli", a, EXT_ZERO, bound_from_terms(a, EXT_ZERO),
+            return BoundReport("caffarelli", a, 0.0, bound_from_terms(a, 0.0),
                                {"C_V2": C_V2, "c_W2": c_W2}, scen)
         c0 = structural(V, d, R).c0
         if not D.is_finite:
             a = C_V2 / (c_W2 * c0)
-            return BoundReport("endpoint_poly_log", a, EXT_ZERO,
-                               bound_from_terms(a, EXT_ZERO),
+            return BoundReport("endpoint_poly_log", a, 0.0, bound_from_terms(a, 0.0),
                                {"C_V2": C_V2, "c_W2": c_W2, "c0_V": c0,
                                 "lambda": 1.0, "xi": 0.0}, scen)
         lf = _local_factors(V, W, d.value, D, R, n, c_W2)
         C1_V = structural(V, d, math.inf).C1
         a = C_V2 * lf.lam / (c_W2 * c0)
-        b = ExtReal(4.0 * C1_V * lf.lam * lf.xi / (c_W2 * c_W2 * c0 * c0))
+        b = 4.0 * C1_V * lf.lam * lf.xi / (c_W2 * c_W2 * c0 * c0)
         consts = {
             "C_V2": C_V2, "c_W2": c_W2, "c0_V": c0, "C1_V_global": C1_V,
-            "lambda": lf.lam, "xi": lf.xi, "gamma": lf.gamma_dD.as_float(),
+            "lambda": lf.lam, "xi": lf.xi, "gamma": lf.gamma_dD,
             "C0_W_at_fathi_radius": lf.C0_W, "C1_W_at_fathi_radius": lf.C1_W,
             "s": lf.growth.s, "m_frak": lf.growth.m_frak,
             "fathi_radius": lf.growth.fathi_radius,
@@ -231,7 +243,7 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
         raise VoidBound(f"global bound void: {exc}") from exc
     m_glob = 1e6 * av.qU ** 2 * aw.qU ** 2
     a = C_V2 * aw.CU * m_glob / (c_W2 * av.cU)
-    b = ExtReal(8.0 * av.LU * aw.LU * m_glob / (c_W2 * c_W2 * av.cU * av.cU))
+    b = 8.0 * av.LU * aw.LU * m_glob / (c_W2 * c_W2 * av.cU * av.cU)
     consts = {"C_V2": C_V2, "c_W2": c_W2, "q_V": av.qU, "q_W": aw.qU,
               "c_frak_V": av.cU, "C_frak_W": aw.CU, "L_V": av.LU, "L_W": aw.LU,
               "M_glob": m_glob}
@@ -293,15 +305,12 @@ def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     g = gamma(ExtParam.finite(d), ExtParam.finite(D))
     one_m = 1.0 + m
     a = C_V2 * sw.C0 * one_m / (c_W2 * sv.c0)
-    first = ExtReal(sw.C1 * (D / d) * one_m)
-    second = g.times(c_W2 * sw.C0 * one_m) if g.raw != 0.0 else EXT_ZERO
     pref = 4.0 * sv.C1 / (c_W2 * c_W2 * sv.c0 * sv.c0)
-    chosen = ext_min(first, second)
-    b = ExtReal(pref * chosen.value) if chosen.is_finite else EXT_INF
+    b = pref * min(sw.C1 * (D / d) * one_m, g * (c_W2 * sw.C0 * one_m))
     consts = {"C_V2": C_V2, "c_W2": c_W2, "K": k, "M": m,
               "c0_V": sv.c0, "C0_V": sv.C0, "C1_V": sv.C1,
               "c0_W": sw.c0, "C0_W": sw.C0, "C1_W": sw.C1,
-              "gamma": g.as_float()}
+              "gamma": g}
     return BoundReport("finite_global_sharp", a, b, bound_from_terms(a, b), consts,
                        _scenario_stub(n, ExtParam.finite(d), ExtParam.finite(D)))
 

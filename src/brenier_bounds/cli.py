@@ -380,10 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InvalidOrder as exc:
+    except (ConfigError, InvalidOrder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrenierBoundsError as exc:

@@ -201,8 +201,8 @@ def run_scenario(s: Scenario) -> VerifyReport:
     for b in rep.bounds:
         emp = rep.empirical if b.regime in ("local", "endpoint_poly_log", "caffarelli") \
             else rep.empirical_proxy
-        if emp is not None and b.bound.is_finite:
-            rep.margins[b.regime] = b.bound.value - emp.value
+        if emp is not None:
+            rep.margins[b.regime] = b.bound - emp.value
 
     rep.passed, rep.reason = _judge(s, rep)
     rep.wall_time = time.perf_counter() - t0
@@ -245,7 +245,7 @@ def _judge(s: Scenario, rep: VerifyReport) -> Tuple[bool, str]:
         if not match:
             return False, f"expected a bound in regime {regime!r}"
         want, tol = exp["bound"]["value"], exp["bound"]["tol"]
-        got = match[0].bound.as_float()
+        got = match[0].bound
         if abs(got - want) > tol:
             return False, f"bound {got!r} not within {tol:g} of {want!r}"
     return True, "ok"
@@ -286,8 +286,8 @@ def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
         c = rep.constants
         rows.append({"D": Dv, "fathi_radius": c["fathi_radius"],
                      "growth_factor": c["growth_factor"], "lambda": c["lambda"],
-                     "xi": c["xi"], "bound": rep.bound.as_float()})
-    endpoint = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
+                     "xi": c["xi"], "bound": rep.bound})
+    endpoint = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound
 
     radii = [r["fathi_radius"] for r in rows]
     last = rows[-1]
@@ -330,7 +330,7 @@ def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
     d_list = sorted(float(x) for x in d_list)
     R_list = sorted(float(x) for x in R_list)
     sharp = math.sqrt(V.hess_upper / W.hess_lower)
-    bound = {(R, d): local_bound(V, W, n, ExtParam.finite(d), INF, R).bound.value
+    bound = {(R, d): local_bound(V, W, n, ExtParam.finite(d), INF, R).bound
              for R in R_list for d in d_list}
     rows = [{"R": R, "d": d, "bound": bound[R, d], "gap": bound[R, d] - sharp}
             for R in R_list for d in d_list]

@@ -13,7 +13,7 @@ import pytest
 
 from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario,
                             finite_global_sharp_bound, finite_growth_constants,
-                            bound_from_terms, ExtReal, global_bound,
+                            bound_from_terms, global_bound,
                             growth_data, limit_sweep_D, limit_sweep_caffarelli,
                             lipschitz_empirical, local_bound,
                             mglob_uniformity_check,
@@ -50,10 +50,9 @@ def identity_reports(sweep_maps):
             emp = lipschitz_empirical(m, R)
             reports.append({
                 "d": dv, "R": R, "m": m, "empirical": emp,
-                "global": global_bound(QUAD, QUAD, 1, d, d).bound.as_float(),
-                "local": local_bound(QUAD, QUAD, 1, d, d, R).bound.as_float(),
-                "sharp": finite_global_sharp_bound(
-                    QUAD, QUAD, 1, dv, dv).bound.as_float(),
+                "global": global_bound(QUAD, QUAD, 1, d, d).bound,
+                "local": local_bound(QUAD, QUAD, 1, d, d, R).bound,
+                "sharp": finite_global_sharp_bound(QUAD, QUAD, 1, dv, dv).bound,
             })
     return {"reports": reports, "elapsed": time.perf_counter() - t0}
 
@@ -79,8 +78,8 @@ def test_criterion_02_caffarelli_sharpness(caffarelli_map):
     assert emp.value == pytest.approx(2.0, abs=1e-7)
     rep = local_bound(QUAD, QUAD_QUARTER, 1, INF, INF, math.inf)
     assert rep.regime == "caffarelli"
-    assert rep.bound.as_float() == 2.0  # sqrt(C_V2 / c_W2), exact in floats
-    margin = rep.bound.as_float() - emp.value
+    assert rep.bound == 2.0  # sqrt(C_V2 / c_W2), exact in floats
+    margin = rep.bound - emp.value
     assert MARGIN_GUARD <= margin <= 1e-6
     _announce(2, "Caffarelli sharpness")
 
@@ -164,23 +163,21 @@ def test_criterion_07_limit_regimes():
 
 
 def test_criterion_08_bound_relation_sanity():
-    glob = global_bound(QUAD, QUAD, 1, ExtParam.finite(1),
-                        ExtParam.finite(1)).bound.as_float()
+    glob = global_bound(QUAD, QUAD, 1, ExtParam.finite(1), ExtParam.finite(1)).bound
     for n in (1, 2, 3):
         U = PotentialSpec.quadratic(1.0, n)
         g = global_bound(U, U, n, ExtParam.finite(n), ExtParam.finite(n))
         for d in range(n, 51):
             for D in range(d, 51):
                 sharp = finite_global_sharp_bound(U, U, n, float(d), float(D))
-                if sharp.bound.is_finite:
-                    assert sharp.bound.value <= g.bound.as_float(), (n, d, D)
+                assert math.isfinite(sharp.bound), (n, d, D)
+                assert sharp.bound <= g.bound, (n, d, D)
     rng = np.random.default_rng(20260826)
     a = rng.uniform(0.0, 1e6, 1000)
     b1 = rng.uniform(0.0, 1e6, 1000)
     b2 = b1 + rng.uniform(1e-9, 1e6, 1000)
     for ai, lo, hi in zip(a, b1, b2):
-        assert (bound_from_terms(ai, ExtReal(float(hi))).value
-                >= bound_from_terms(ai, ExtReal(float(lo))).value)
+        assert bound_from_terms(ai, float(hi)) >= bound_from_terms(ai, float(lo))
     assert glob == pytest.approx(11401.4169, rel=1e-5)
     _announce(8, "sharp bound below global bound; B-monotonicity")
 
@@ -203,8 +200,7 @@ def test_criterion_09_second_variation_slack(identity_reports, caffarelli_map):
 def test_criterion_10_regression_freeze():
     # independent oracles: plain arithmetic and closed forms, no library calls
     frozen_global = math.sqrt(33e6) + math.sqrt(32e6)     # = 11401.41689...
-    got = global_bound(QUAD, QUAD, 1, ExtParam.finite(1),
-                       ExtParam.finite(1)).bound.as_float()
+    got = global_bound(QUAD, QUAD, 1, ExtParam.finite(1), ExtParam.finite(1)).bound
     assert got == pytest.approx(frozen_global, rel=1e-5)
 
     # K = 3 * (5/4 * 100 / 3)^(1/(2-1)) = 125; M = (d/D) K^2 = 15625

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import brenier_bounds.bounds as bounds_mod
-from brenier_bounds import (DomainError, EXT_INF, EXT_ZERO, ExtParam, ExtReal,
-                            INF, InvalidOrder, PotentialSpec, VoidBound,
-                            bound_from_terms, ext_min, finite_global_sharp_bound,
+from brenier_bounds import (DomainError, ExtParam, INF, InvalidOrder,
+                            PotentialSpec, VoidBound, bound_from_terms,
+                            finite_global_sharp_bound,
                             finite_growth_constants, gamma, global_bound,
                             growth_data, local_bound, local_factors,
                             mglob_uniformity_check, tail_mass)
@@ -33,12 +33,12 @@ def shifted_gaussian_tail(r, s):
 
 class TestGamma:
     def test_cases(self):
-        assert gamma(1, 2).as_float() == 0.0          # 2d - D = 0
-        assert gamma(2, 3).as_float() == 1.0          # (4-3)/(3-2)
-        assert gamma(3, 4).as_float() == 2.0
-        assert gamma(1, 3).as_float() == 0.0          # negative part clipped
-        assert not gamma(2, 2).is_finite              # equal finite parameters
-        assert gamma(1, INF).as_float() == 0.0
+        assert gamma(1, 2) == 0.0          # 2d - D = 0
+        assert gamma(2, 3) == 1.0          # (4-3)/(3-2)
+        assert gamma(3, 4) == 2.0
+        assert gamma(1, 3) == 0.0          # negative part clipped
+        assert gamma(2, 2) == math.inf     # equal finite parameters
+        assert gamma(1, INF) == 0.0
 
     def test_rejects_inverted_order(self):
         with pytest.raises(InvalidOrder):
@@ -47,28 +47,20 @@ class TestGamma:
     def test_nonincreasing_in_D(self):
         d = 3.0
         vals = [gamma(d, D) for D in (3.0, 4.0, 5.0, 10.0)]
-        assert not vals[0].is_finite
-        floats = [v.as_float() for v in vals[1:]] + [gamma(d, INF).as_float()]
-        assert all(b <= a for a, b in zip(floats, floats[1:]))
+        assert vals[0] == math.inf
+        vals = vals[1:] + [gamma(d, INF)]
+        assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
-class TestExtReal:
-    def test_min_and_times_conventions(self):
-        assert ext_min(ExtReal(2.0), EXT_INF).value == 2.0
-        assert ext_min(EXT_INF, ExtReal(3.0)).value == 3.0
-        assert EXT_INF.times(5.0) == EXT_INF
-        assert ExtReal(2.0).times(3.0).value == 6.0
-
+class TestBoundFromTerms:
     def test_bound_assembly(self):
-        b = bound_from_terms(3.0, ExtReal(1.0))
-        assert b.value == pytest.approx(3.0)  # sqrt(4) + sqrt(1)
-        assert not bound_from_terms(1.0, EXT_INF).is_finite
+        assert bound_from_terms(3.0, 1.0) == pytest.approx(3.0)  # sqrt(4) + sqrt(1)
+        with pytest.raises(ValueError):
+            bound_from_terms(-1.0, 1.0)
 
     @given(st.floats(0.0, 1e8), st.floats(0.0, 1e8), st.floats(1e-12, 1e8))
     def test_increasing_in_b(self, a, b, delta):
-        lo = bound_from_terms(a, ExtReal(b))
-        hi = bound_from_terms(a, ExtReal(b + delta))
-        assert hi.value >= lo.value
+        assert bound_from_terms(a, b + delta) >= bound_from_terms(a, b)
 
 
 class TestTailMass:
@@ -128,21 +120,20 @@ class TestLocalBound:
     def test_caffarelli_regime_is_the_sharp_ratio(self, quad1, quad_quarter):
         rep = local_bound(quad1, quad_quarter, 1, INF, INF, 1.0)
         assert rep.regime == "caffarelli"
-        assert rep.bound.as_float() == math.sqrt(2.0 / 0.5) == 2.0
-        assert rep.B is EXT_ZERO or rep.B.as_float() == 0.0
+        assert rep.bound == math.sqrt(2.0 / 0.5) == 2.0
+        assert rep.B == 0.0
 
     def test_endpoint_regime_formula(self, quad1):
         rep = local_bound(quad(0.5), quad1, 1, ExtParam.finite(2), INF, 3.0)
         assert rep.regime == "endpoint_poly_log"
         c0 = rep.constants["c0_V"]
-        assert rep.bound.as_float() == pytest.approx(
-            math.sqrt(1.0 / (2.0 * c0)), rel=1e-12)
+        assert rep.bound == pytest.approx(math.sqrt(1.0 / (2.0 * c0)), rel=1e-12)
 
     def test_local_regime_uses_growth_factors(self, quad1):
         rep = local_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1), 1.0)
         assert rep.regime == "local"
         assert rep.constants["xi"] > 0.0  # gamma = +inf picks the first branch
-        assert rep.bound.as_float() > 1.0
+        assert rep.bound > 1.0
 
     def test_void_without_declared_hessian_bounds(self, quad1):
         r = np.linspace(0.0, 30.0, 3000)
@@ -160,13 +151,13 @@ class TestGlobalBounds:
         rep = global_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1))
         # sqrt(1e6 * 2 / 2 * ... ) = sqrt(33e6) + sqrt(32e6) with unit aggregates
         assert rep.A == pytest.approx(1e6, rel=1e-12)
-        assert rep.B.as_float() == pytest.approx(3.2e7, rel=1e-12)
-        assert rep.bound.as_float() == pytest.approx(11401.416896030409, rel=1e-12)
+        assert rep.B == pytest.approx(3.2e7, rel=1e-12)
+        assert rep.bound == pytest.approx(11401.416896030409, rel=1e-12)
 
     def test_independent_of_the_tail_parameters(self, quad1):
         b1 = global_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1))
         b2 = global_bound(quad1, quad1, 1, ExtParam.finite(7), INF)
-        assert b1.bound.as_float() == b2.bound.as_float()
+        assert b1.bound == b2.bound
 
     def test_growth_constants_unit_case(self, quad1):
         k, m = finite_growth_constants(quad1, quad1, 1, 1, 1)
@@ -176,8 +167,8 @@ class TestGlobalBounds:
     def test_sharp_bound_unit_case(self, quad1):
         rep = finite_global_sharp_bound(quad1, quad1, 1, 1, 1)
         assert rep.A == pytest.approx(15626.0, rel=1e-12)
-        assert rep.B.as_float() == pytest.approx(16.0 * 15626.0, rel=1e-12)
-        assert rep.bound.as_float() == pytest.approx(
+        assert rep.B == pytest.approx(16.0 * 15626.0, rel=1e-12)
+        assert rep.bound == pytest.approx(
             math.sqrt(15626.0 + 250016.0) + math.sqrt(250016.0), rel=1e-12)
 
     def test_growth_constants_no_overflow_at_large_d(self, quad1):
@@ -204,7 +195,10 @@ class TestGlobalBounds:
         # d < n: the same class and text from every entry point
         V = quad(1.0, 2)
         for call in (lambda: finite_global_sharp_bound(V, V, 2, 1.0, 3.0),
-                     lambda: global_bound(V, V, 2, ExtParam.finite(1), ExtParam.finite(3))):
+                     lambda: global_bound(V, V, 2, ExtParam.finite(1), ExtParam.finite(3)),
+                     lambda: growth_data(V, V, 1.0, ExtParam.finite(3), 1.0, 2),
+                     lambda: local_factors(V, V, 1.0, ExtParam.finite(3), 1.0, 2),
+                     lambda: local_factors(V, V, 1.0, INF, 1.0, 2)):
             with pytest.raises(InvalidOrder, match=r"^requires n <= d, got n=2, d=1\.0$"):
                 call()
         with pytest.raises(DomainError, match="D < inf"):

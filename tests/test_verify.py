@@ -3,12 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brenier_bounds.constants as constants_mod
 import brenier_bounds.verify as verify_mod
-from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario, lipschitz_empirical,
-                            limit_sweep_D, limit_sweep_caffarelli, radial_map,
-                            run_scenario, second_variation_check)
+from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario, bound_from_terms,
+                            gamma, lipschitz_empirical, limit_sweep_D,
+                            limit_sweep_caffarelli, radial_map, run_scenario,
+                            second_variation_check)
 
 
 def quad(a, n=1):
@@ -34,6 +36,31 @@ def window_scans(monkeypatch):
         return real(U, q, p)
     monkeypatch.setattr(constants_mod, "_structural_window", counting)
     return scans
+
+
+@st.composite
+def quadratic_scenarios(draw):
+    """Quadratic V and W, n in {1, 2, 3}, d in [n, 40] or inf, D in {d, d + k, inf}, finite R."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    aV, aW = draw(st.floats(0.2, 4.0)), draw(st.floats(0.2, 4.0))
+    d = math.inf if draw(st.integers(0, 3)) == 0 else draw(st.floats(float(n), 40.0))
+    D = draw(st.sampled_from([d, d + draw(st.floats(0.5, 40.0)), math.inf]))
+    R = draw(st.floats(0.5, 20.0))
+    ext = lambda p: INF if math.isinf(p) else ExtParam.finite(p)  # noqa: E731
+    return scenario(V=quad(aV, n), W=quad(aW, n), n=n, d=ext(d), D=ext(D), R=R)
+
+
+class TestBoundFloats:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(quadratic_scenarios())
+    def test_every_applicable_bound_is_a_finite_float(self, s):
+        for label, compute in verify_mod.applicable_bounds(s).items():
+            rep = compute()
+            for x in (rep.B, rep.bound):
+                assert isinstance(x, float) and math.isfinite(x) and x >= 0.0, (label, rep)
+            assert rep.bound == bound_from_terms(rep.A, rep.B), (label, rep)
+        if s.d.is_finite:
+            assert gamma(s.d, s.d) == math.inf
 
 
 class TestRunScenario:
