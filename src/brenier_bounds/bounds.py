@@ -179,8 +179,16 @@ def _check_order(n: int, d, D):
     d, D = _as_extparam(d), _as_extparam(D)
     if d > D:
         raise InvalidOrder(f"requires d <= D, got d={d.label()}, D={D.label()}")
-    if d.is_finite and d.value < n:
-        raise InvalidOrder(f"requires n <= d, got n={n}, d={d.value}")
+    _check_map_order(n, d, D)
+
+
+def _check_map_order(n: int, d, D):
+    """Raise :class:`InvalidOrder` unless n <= d and n <= D, the order every
+    weight (1 + U/p)^(-p) on R^n is taken in; a quadratic U has no finite mass
+    at p <= n/2, so no map. d > D (the counterexample) passes."""
+    for name, p in (("d", _as_extparam(d)), ("D", _as_extparam(D))):
+        if p.is_finite and p.value < n:
+            raise InvalidOrder(f"requires n <= {name}, got n={n}, {name}={p.value}")
 
 
 def _scenario_stub(n, d, D, R=None) -> dict:

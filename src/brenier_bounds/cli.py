@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .bounds import mglob_uniformity_check
+from .bounds import _check_map_order, mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
 from .extparam import ExtParam
 from .potentials import PotentialSpec, Quadratic
@@ -153,13 +154,19 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     d = _convert(scen.get("d", n), ExtParam.parse, "scenario.d")
     D = _convert(scen.get("D", "inf"), ExtParam.parse, "scenario.D")
     R = _scalar(scen, "R", math.inf, float, "scenario")
+    name = str(scen.get("name", "scenario"))
+    try:
+        _check_map_order(n, d, D)
+    except InvalidOrder as exc:
+        # worded as cmd_bounds reports an InvalidOrder, so every command prints one line
+        raise ConfigError(f"{name}: {exc}") from exc
     V, W = _potentials(doc, n, "potentials.", base_dir)
     grid_points = _scalar(solver, "grid_points", 400, int, "solver")
     if grid_points < MIN_MAP_POINTS:
         raise ConfigError(f"solver.grid_points: a map needs at least {MIN_MAP_POINTS} "
                           f"points, got {grid_points}")
     return [Scenario(
-        name=str(scen.get("name", "scenario")),
+        name=name,
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=_check_expected(scen.get("expected")),
         grid_points=grid_points,
@@ -358,7 +365,9 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if payload["pass"] else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (in-process callers run many commands)."""
     parser = argparse.ArgumentParser(
         prog="brenier-bounds",
         description="Lipschitz/Hessian bounds and monotone transport maps for "

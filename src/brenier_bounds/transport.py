@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
+from .bounds import _check_map_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import ExtParam, theta_value, theta_value_array
 from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
@@ -80,6 +80,7 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
     to ~1e-14 relative; the derivative comes from the differentiated
     balance in log space.
     """
+    _check_map_order(n, d, D)
     if r_grid is None:
         r_grid = default_grid(d)
     r_grid = np.asarray(r_grid, dtype=float)
@@ -182,6 +183,9 @@ class _Line:
     """
 
     def __init__(self, U: PotentialSpec, p: ExtParam, mirrored: bool = False):
+        # the oracle's QUADPACK loads scipy on first use, not with the package
+        from scipy.integrate import quad
+        self._quadpack = quad
         value = U.value
         if U.is_radial:
             self.density = lambda x: math.exp(-theta_value(p, float(value(abs(x)))))
@@ -217,7 +221,8 @@ class _Line:
             # below rounding
             return (b - a) * (self.density(a) + 4.0 * self.density(0.5 * (a + b))
                               + self.density(b)) / 6.0
-        return quad(self.density, a, b, epsabs=1e-300, epsrel=1e-12, limit=400)[0]
+        return self._quadpack(self.density, a, b, epsabs=1e-300, epsrel=1e-12,
+                              limit=400)[0]
 
 
 _HI_STEPS = 8.0   # a new hi lies this many predicted steps past the last root

@@ -102,6 +102,11 @@ class TestConfigParsing:
         ("bounds", {"scenario": {"n": 2, "d": 1, "D": 3}}, "n <= d"),
         ("sweep", {"sweep": {"kind": "d_limit", "n": 2, "d": 1}}, "n <= d"),
         ("sweep", {"sweep": {"kind": "caffarelli_limit", "n": 3, "d_list": [1, 10]}}, "n <= d"),
+        # d < n or D < n: no map either, so every command refuses it alike
+        ("transport", {"scenario": {"n": 2, "d": 1, "R": 2}}, "requires n <= d, got n=2, d=1.0"),
+        ("verify", {"scenario": {"n": 2, "d": 1, "R": 2}}, "requires n <= d, got n=2, d=1.0"),
+        ("transport", {"scenario": {"n": 2, "d": 3, "D": 1}}, "requires n <= D, got n=2, D=1.0"),
+        ("verify", {"scenario": {"n": 2, "d": 3, "D": 1}}, "requires n <= D, got n=2, D=1.0"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)

@@ -11,7 +11,8 @@ from scipy.special import betainc, betaln, erf, erfc, gammaincc
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
                             radial_map, reference_integral, unit_ball_volume)
-from brenier_bounds.potentials import mass_table, tail_quadrature, tail_table
+from brenier_bounds.potentials import (log_reference_integral, mass_table,
+                                       tail_quadrature, tail_table)
 
 
 class TestProfiles:
@@ -222,6 +223,19 @@ class TestReferenceIntegral:
             reference_integral(3, ExtParam.finite(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_log_form_against_mpmath(self, n):
+        # the sum of logs and log-gammas cancels: the error is a few ulps of
+        # its largest term
+        mp = pytest.importorskip("mpmath")
+        for p in np.geomspace(n, 1e6, 40).tolist():
+            with mp.workdps(40):
+                want = (mp.mpf(n) / 2 * (mp.log(p) + mp.log(mp.pi))
+                        + mp.loggamma(mp.mpf(p) - mp.mpf(n) / 2) - mp.loggamma(p))
+                err = abs(float(log_reference_integral(n, p) - want))
+            terms = (1.0, math.lgamma(p), math.lgamma(p - n / 2), n / 2 * math.log(math.pi * p))
+            assert err <= 8 * math.ulp(max(map(abs, terms))), p
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_strictly_decreasing_in_p(self, n):
         ps = sorted({n, n + 1, 2 * n, 10 * n, 100 * n})
         vals = [reference_integral(n, ExtParam.finite(p)) for p in ps]
@@ -238,9 +252,18 @@ class TestReferenceIntegral:
 
 class TestGeometry:
     def test_unit_ball_volumes(self):
-        assert unit_ball_volume(1) == pytest.approx(2.0)
-        assert unit_ball_volume(2) == pytest.approx(math.pi)
+        assert unit_ball_volume(1) == 2.0
+        assert unit_ball_volume(2) == math.pi
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+
+    def test_unit_ball_volumes_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        for n in range(1, 201):
+            with mp.workdps(40):
+                half = mp.mpf(n) / 2
+                want = mp.pi ** half / mp.gamma(half + 1)
+                rel = abs(float((unit_ball_volume(n) - want) / want))
+            assert rel <= 20 * np.finfo(float).eps, n
 
     def test_tail_quadrature_handles_slow_and_fast_decay(self):
         val = tail_quadrature(lambda s: 1.0 / (1.0 + s * s), 1e6)

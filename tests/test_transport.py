@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, ExtParam, INF,
-                            PotentialSpec, RadialMap, default_grid, lipschitz_empirical,
-                            quantile_map_1d, radial_map, second_variation_check,
-                            slope_fit, transport)
+                            InvalidOrder, PotentialSpec, RadialMap, default_grid,
+                            lipschitz_empirical, quantile_map_1d, radial_map,
+                            second_variation_check, slope_fit)
 from brenier_bounds.transport import tail_table
 
 
@@ -151,14 +151,16 @@ class TestQuantileOracleClosedForms:
     def test_few_half_line_quadratures(self, monkeypatch):
         # the source tails are summed from grid-interval masses and every
         # root is anchored at a shared far end: the old per-point half-line
-        # tails made about 500 infinite-limit quadratures here
-        calls, real_quad = [], transport.quad
+        # tails made about 500 infinite-limit quadratures here. Each line
+        # binds QUADPACK when it is built, so the counter replaces it there
+        import scipy.integrate
+        calls, real_quad = [], scipy.integrate.quad
 
         def counting_quad(f, a, b, **kw):
             calls.append(math.isinf(a) or math.isinf(b))
             return real_quad(f, a, b, **kw)
 
-        monkeypatch.setattr(transport, "quad", counting_quad)
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         quantile_map_1d(PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.3, 1),
                         INF, INF, self.GRID)
         assert sum(calls) <= 100
@@ -257,6 +259,17 @@ class TestLipschitz:
         est = lipschitz_empirical(m, math.inf)
         assert est.value > 1.0
         assert est.component in ("radial", "tangential")
+
+
+class TestMapOrder:
+    def test_weight_without_finite_mass_is_refused_up_front(self):
+        # before any table is built: d = 1 < n = 2 used to search out to 1e10
+        V = quad(1.0, 2)
+        with pytest.raises(InvalidOrder, match=r"^requires n <= d, got n=2, d=1\.0$"):
+            radial_map(V, V, ExtParam.finite(1), INF, 2)
+        with pytest.raises(InvalidOrder, match=r"^requires n <= D, got n=2, D=1\.0$"):
+            radial_map(V, V, ExtParam.finite(3), ExtParam.finite(1), 2)
+        assert not V._memo
 
 
 class TestSlopes:
