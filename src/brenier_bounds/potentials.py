@@ -25,9 +25,14 @@ from .extparam import ExtParam, theta_value_array
 _DECAY_FLOOR = 1e-16
 _RADIUS_CAP = 1e10
 
-# Tail-table layout: log-spaced Gauss-Legendre panels from _TABLE_R_LO_FACTOR
-# times the parameter scale; extension toward heavy tails stops at _EXTEND_CAP.
+# Tail-table layout (TailTable._layout): Gauss-Legendre panels from
+# _TABLE_R_LO_FACTOR times the parameter scale, ended on a geometric probe of
+# the weight with _TABLE_POINTS_PER_DECADE points wherever log f has moved by
+# another _PANEL_LOG_DROP, and at least _PANELS_PER_DECADE times per decade,
+# which a power law needs; extension toward heavy tails stops at _EXTEND_CAP.
 _TABLE_POINTS_PER_DECADE = 160
+_PANEL_LOG_DROP = 16.0
+_PANELS_PER_DECADE = 20
 _TABLE_R_LO_FACTOR = 1e-9
 _EXTEND_CAP = 1e30
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(21)
@@ -324,14 +329,19 @@ def reference_integral(n: int, p) -> float:
 
 
 def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
-    """Vectorized integrand r^(n-1) exp(-theta_p(U(r))) on [0, inf)."""
+    """Vectorized integrand r^(n-1) exp(-theta_p(U(r))) on [0, inf).
+
+    Formed as exp((n-1) log r - theta): r^(n-1) alone overflows far out in
+    high dimension, and a denormal exp(-theta) would lose digits to it.
+    """
     value = U.profile.value  # not U.value: tables cached on U must not hold U
     def f(r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         expo = theta_value_array(p, value(r))
         if n == 1:
             return np.exp(-expo)
-        return np.where(r > 0.0, r ** (n - 1) * np.exp(-expo), 0.0)
+        with np.errstate(divide="ignore"):  # log 0 = -inf: the weight is 0 there
+            return np.exp((n - 1) * np.log(r) - expo)
     return f
 
 
@@ -425,37 +435,64 @@ class TailTable:
     integral_0^r f(s) ds, read from the forward sum ``head_cum``, so neither
     loses digits to ``total - other``. ``total`` is the integral over the
     whole half-line. Both take a scalar (float out) or an array, and so does
-    ``invert``. Radii or targets past the last node extend the table toward
-    heavy tails, up to ``_EXTEND_CAP``. ``p`` sets the scale of the panel grid.
+    ``invert``. ``p`` sets the scale where the panels start.
+
+    The panels are laid out by the weight itself (``_layout``): dense where
+    log f falls fast, as in a near-Gaussian tail, sparse along a power law,
+    and with an end at each of ``breaks``, where f is only piecewise smooth
+    (the nodes of a tabulated profile). Radii or targets past the last node
+    extend the table toward heavy tails, up to ``_EXTEND_CAP``: an extension
+    lays out and integrates only the new stretch and appends its panels.
     """
 
-    def __init__(self, f, p: ExtParam):
+    def __init__(self, f, p: ExtParam, breaks=()):
         self.f = f
+        self.breaks = np.asarray(breaks, dtype=float)
         start = math.sqrt(p.value) if p.is_finite else 1.0
         self.r_lo = _TABLE_R_LO_FACTOR * max(1.0, start)
-        self.r_max = truncation_radius(self.f, start)
-        self._build()
+        self.nodes, self._panels = np.zeros(1), np.zeros(0)
+        r_max = truncation_radius(self.f, start)
+        self._append(np.append(self.r_lo, self._layout(self.r_lo, r_max)))
 
-    def _build(self):
-        decades = math.log10(self.r_max) - math.log10(self.r_lo)
-        count = max(64, int(decades * _TABLE_POINTS_PER_DECADE))
-        nodes = np.concatenate((
-            [0.0],
-            np.logspace(math.log10(self.r_lo), math.log10(self.r_max), count + 1)))
-        panels = self._quadrature(nodes[:-1], nodes[1:])
-        tail_inf = tail_quadrature(self.f, self.r_max)
-        self.nodes = nodes
-        self.cum = _compensated_cumsum(np.append(panels, tail_inf)[::-1])[::-1]
-        self.head_cum = _compensated_cumsum(np.append(0.0, panels))
-        self.tail_inf = tail_inf
+    def _layout(self, lo: float, hi: float) -> np.ndarray:
+        """Panel ends in (lo, hi], from one call of f on a geometric probe.
+
+        A probe point ends a panel where the running sum of |delta log f|
+        along the probe crosses a multiple of ``_PANEL_LOG_DROP``, or where
+        the panel would otherwise span more than 1/``_PANELS_PER_DECADE`` of
+        a decade; the breaks inside (lo, hi) are ends too.
+        """
+        count = max(1, math.ceil(math.log10(hi / lo) * _TABLE_POINTS_PER_DECADE))
+        probe = np.exp(np.linspace(math.log(lo), math.log(hi), count + 1))
+        probe[0], probe[-1] = lo, hi  # the table ends at hi exactly; nothing below lo
+        # an underflowed weight counts as the least subnormal, not log 0
+        log_f = np.log(np.maximum(self.f(probe), np.finfo(float).smallest_subnormal))
+        level = np.floor(np.cumsum(np.abs(np.diff(log_f))) / _PANEL_LOG_DROP)
+        keep = np.diff(level, prepend=0.0) > 0.0
+        stride = _TABLE_POINTS_PER_DECADE // _PANELS_PER_DECADE
+        keep[stride - 1::stride] = True
+        keep[-1] = True
+        inside = self.breaks[(self.breaks > lo) & (self.breaks < hi)]
+        return np.union1d(probe[1:][keep], inside)
+
+    def _append(self, ends: np.ndarray):
+        """Integrate the panels from the last node through ``ends`` (increasing)
+        and refresh the far tail past the new end and both cumulative sums."""
+        starts = np.append(self.nodes[-1], ends[:-1])
+        self._panels = np.append(self._panels, self._quadrature(starts, ends))
+        self.nodes = np.append(self.nodes, ends)
+        self.r_max = float(ends[-1])
+        self.tail_inf = tail_quadrature(self.f, self.r_max)
+        self.cum = _compensated_cumsum(np.append(self._panels, self.tail_inf)[::-1])[::-1]
+        self.head_cum = _compensated_cumsum(np.append(0.0, self._panels))
 
     def _extend(self) -> bool:
-        """Grow r_max one step toward ``_EXTEND_CAP`` and rebuild; False at the cap."""
+        """Grow r_max one step toward ``_EXTEND_CAP``, appending panels; False at the cap."""
         if self.r_max >= _EXTEND_CAP:
             return False
-        self.r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
-                         _EXTEND_CAP)
-        self._build()
+        r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
+                    _EXTEND_CAP)
+        self._append(self._layout(self.r_max, r_max))
         return True
 
     def _quadrature(self, a, b):
@@ -554,7 +591,9 @@ class TailTable:
 def _cached_table(U: PotentialSpec, key: tuple, f, p: ExtParam) -> TailTable:
     table = U._memo.get(key)
     if table is None:
-        table = U._memo[key] = TailTable(f, p)
+        # PCHIP is only C^1 at a tabulated profile's nodes: panels end there
+        breaks = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else ()
+        table = U._memo[key] = TailTable(f, p, breaks)
     return table
 
 

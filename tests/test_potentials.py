@@ -1,12 +1,13 @@
 import functools
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betainc, betaln, erf, erfc, gammaincc
+from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammaincc
 
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
@@ -302,3 +303,113 @@ class TestFarTail:
         n = 20
         table = tail_table(PotentialSpec.quadratic(1.0, n), ExtParam.finite(n), n)
         assert table.tail_inf == pytest.approx(quadratic_tail(n, 1.0, n, table.r_max), rel=1e-12)
+
+
+def mass_fractions(n, a, p, r):
+    """(head, tail): the shares of integral_0^inf s^(n-1) (1 + a s^2/p)^(-p) ds
+    (p = inf: e^(-a s^2)) below and above r. The smaller share comes from the
+    incomplete function that keeps it to full relative precision, however
+    small it is, and the larger is one minus it."""
+    x = a * np.square(np.asarray(r, dtype=float))
+    if math.isinf(p):
+        # Q(s + 1, x) = Q(s, x) + x^s e^-x / Gamma(s + 1) from Q(1/2) = erfc or
+        # Q(1) = e^-x: gammaincc is off by up to ~4e-14 here
+        s, tail = (0.5, erfc(np.sqrt(x))) if n % 2 else (0.0, np.zeros_like(x))
+        while s < 0.5 * n:
+            tail = tail + np.exp(s * np.log(x) - x - math.lgamma(s + 1.0))
+            s += 1.0
+        head = gammainc(0.5 * n, x)
+    else:
+        u, v = x / (p + x), p / (p + x)
+        lo, hi = 0.5 * n, p - 0.5 * n
+        head = np.where(u < 0.5, betainc(lo, hi, u), betaincc(hi, lo, v))
+        tail = np.where(u < 0.5, betaincc(lo, hi, u), betainc(hi, lo, v))
+    return np.where(head <= tail, head, 1.0 - tail), np.where(tail <= head, tail, 1.0 - head)
+
+
+def _param(p):
+    return INF if math.isinf(p) else ExtParam.finite(p)
+
+
+class TestTableAccuracy:
+    """Table masses and radii against the quadratic family's closed forms."""
+
+    RADII = np.logspace(-6, 25, 125)
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3)
+                                     for p in (1.0, 2.0, 3.0, 6.0, 4000.0, math.inf) if p >= n])
+    def test_tail_head_and_inverses(self, n, p, a):
+        table = tail_table(PotentialSpec.quadratic(a, n), _param(p), n)
+        r = self.RADII
+        head, tail = mass_fractions(n, a, p, r)
+        # tail fractions down to 1e-270: Gaussian fractions of 1e-257 and
+        # power tails out to r = 1e25, past several extensions
+        seen = tail >= 1e-270
+        np.testing.assert_allclose(table.tail(r[seen]) / table.total, tail[seen],
+                                   rtol=3e-13, atol=0)
+        np.testing.assert_allclose(table.head(r) / table.total, head, rtol=2e-14, atol=0)
+        # each side is inverted where its mass is the smaller one
+        side = seen & (tail <= head)
+        np.testing.assert_allclose(table.invert(tail[side] * table.total), r[side],
+                                   rtol=1e-14, atol=0)
+        side = head <= tail
+        np.testing.assert_allclose(table.invert(head[side] * table.total, head=True), r[side],
+                                   rtol=1e-14, atol=0)
+
+    def test_a_tail_below_the_normal_range_keeps_its_digits(self):
+        # e^(-theta) alone is denormal at r = 1e27 (n = 3, p = 6): the weight
+        # keeps its digits there only when r^2 e^(-theta) is formed in log space
+        table = tail_table(PotentialSpec.quadratic(1.0, 3), ExtParam.finite(6.0), 3)
+        _, tail = mass_fractions(3, 1.0, 6.0, 1e27)
+        assert table.tail(1e27) / table.total == pytest.approx(float(tail), rel=3e-13)
+        assert table.invert(float(tail) * table.total) == pytest.approx(1e27, rel=1e-14)
+
+    @pytest.mark.parametrize("n,p", [(30, 30.0), (34, 51.0), (40, 40.0), (40, math.inf)])
+    def test_high_dimensional_weights_do_not_overflow(self, n, p):
+        # r^(n-1) overflows at r = 1e6 for n >= 30, where the weight is far
+        # below the normal range or zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = tail_table(PotentialSpec.quadratic(1.0, n), _param(p), n)
+            r = np.array([2.0, 5.0, 10.0, 1e3, 1e6])
+            got = table.tail(r) / table.total
+        _, want = mass_fractions(n, 1.0, p, r)
+        np.testing.assert_allclose(got, want, rtol=3e-13, atol=1e-300)
+
+
+def recording(f, calls):
+    """f, appending every array it is evaluated at to ``calls``."""
+    def wrapped(r):
+        calls.append(np.atleast_1d(np.asarray(r, dtype=float)).copy())
+        return f(r)
+    return wrapped
+
+
+class TestTableWork:
+    """The node rule and append-only extension, by what they evaluate."""
+
+    def test_extension_evaluates_only_past_the_old_end(self):
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        nodes, panels = table.nodes.copy(), table._panels.copy()
+        calls = []
+        table.f = recording(table.f, calls)
+        table.tail(1e20)
+        assert table.nodes[-1] > 1e20 and calls
+        assert min(float(c.min()) for c in calls) >= nodes[-1]
+        # the old panels are kept as they were, the new ones appended
+        np.testing.assert_array_equal(table.nodes[:nodes.size], nodes)
+        np.testing.assert_array_equal(table._panels[:panels.size], panels)
+
+    def test_a_power_law_needs_few_panels(self):
+        cauchy = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        cauchy.invert(1e-27)  # extends to r_max ~ 2.7e27
+        assert cauchy.r_max > 1e27
+        assert cauchy.nodes.size <= 1000
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(2), 1)
+        assert table.nodes.size <= 400
+
+    def test_panels_end_at_the_nodes_of_a_tabulated_profile(self):
+        r = 0.25 * np.arange(81)
+        table = tail_table(PotentialSpec.tabulated(r, r * r), ExtParam.finite(3), 1)
+        assert np.all(np.isin(r[1:], table.nodes))

@@ -147,6 +147,17 @@ class TestQuantileOracleClosedForms:
         b = quantile_map_1d(V, quad(0.5), d, D, x)
         assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("d,D", [(3.0, 5.0), (2.0, 2.0)])
+    def test_tabulated_profile_matches_radial_map_closely(self, d, D):
+        # the table's panels end at the profile's nodes too, so both maps
+        # integrate only smooth pieces: they agree to the oracle's accuracy
+        r = 0.25 * np.arange(81)
+        V = PotentialSpec.tabulated(r, r * r)
+        x = self.GRID[::4]
+        a = radial_map(V, quad(0.5), ExtParam.finite(d), ExtParam.finite(D), 1, x)
+        b = quantile_map_1d(V, quad(0.5), ExtParam.finite(d), ExtParam.finite(D), x)
+        assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-12
+
 
     def test_few_half_line_quadratures(self, monkeypatch):
         # the source tails are summed from grid-interval masses and every
