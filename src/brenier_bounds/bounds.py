@@ -8,6 +8,9 @@ xi takes its other, finite branch.
 All products of many large/small factors (the K/M growth chains, the
 ball-mass lower bound) are computed in log space and exponentiated once:
 (5/4)^d * 10^(2d) alone overflows 64-bit floats near d ~ 150.
+
+The tail parameters d and D are ExtParam values throughout; the public
+functions also take them as plain numbers.
 """
 
 from __future__ import annotations
@@ -25,13 +28,6 @@ from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
 from .extparam import ExtParam, _as_extparam
 from .potentials import (PotentialSpec, log_reference_integral, mass_table,
                          normalization, unit_ball_volume)
-
-
-def _param_float(p) -> float:
-    """Accept a finite parameter as an ExtParam or a plain number."""
-    if isinstance(p, ExtParam):
-        return p.value if p.is_finite else math.inf
-    return float(p)
 
 
 def gamma(d, D) -> float:
@@ -76,21 +72,21 @@ class GrowthData:
             raise ValueError("growth factor below 1")
 
 
-def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
+def growth_data(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                 R: float, n: int) -> GrowthData:
     """Growth data for the localized estimate (finite source parameter only)."""
-    d, D = _param_float(d), _as_extparam(D)
-    if not math.isfinite(d):
+    d, D = _as_extparam(d), _as_extparam(D)
+    if not d.is_finite:
         raise DomainError("growth data is defined for finite source parameter d only")
     if not (0.0 < R < math.inf):
         raise ValueError("R must be finite and positive")
     _check_order(n, d, D)
-    s = max(R, math.sqrt(d))
-    c0_big = structural(V, ExtParam.finite(d), 10.0 * s).C0
-    z = normalization(V, ExtParam.finite(d)).z
+    s = max(R, math.sqrt(d.value))
+    c0_big = structural(V, d, 10.0 * s).C0
+    z = normalization(V, d).z
     log_m = (math.log(unit_ball_volume(n)) + n * math.log(3.0 * s)
-             - math.log(z) - d * math.log(c0_big)
-             - d * math.log1p(100.0 * s * s / d))
+             - math.log(z) - d.value * math.log(c0_big)
+             - d.value * math.log1p(100.0 * s * s / d.value))
     m_frak = math.exp(log_m)
     if m_frak > 1.0:
         warnings.warn(
@@ -115,22 +111,22 @@ class _LocalFactors:
     gamma_dD: float
 
 
-def _local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
+def _local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                    R: float, n: int, c_W2: float) -> _LocalFactors:
-    d, D = _param_float(d), _as_extparam(D)
     if not D.is_finite:
         return _LocalFactors(1.0, 0.0, None, 1.0, 0.0, 0.0)
     gd = growth_data(V, W, d, D, R, n)
     sw = structural(W, D, gd.fathi_radius)
     lam = sw.C0 * gd.growth_factor
-    g = gamma(ExtParam.finite(d), D)
-    xi = min((D.value / d) * sw.C1 / sw.C0, g * c_W2)
+    g = gamma(d, D)
+    xi = min((D.value / d.value) * sw.C1 / sw.C0, g * c_W2)
     return _LocalFactors(lam, xi, gd, sw.C0, sw.C1, g)
 
 
-def local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: ExtParam,
+def local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                   R: float, n: int) -> Tuple[float, float]:
     """(lambda, xi) of the localized estimate; requires the target's declared c(2) > 0."""
+    d, D = _as_extparam(d), _as_extparam(D)
     _check_order(n, d, D)
     c_W2 = _require_hess_lower(W)
     lf = _local_factors(V, W, d, D, R, n, c_W2)
@@ -221,7 +217,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
             return BoundReport("endpoint_poly_log", a, 0.0, bound_from_terms(a, 0.0),
                                {"C_V2": C_V2, "c_W2": c_W2, "c0_V": c0,
                                 "lambda": 1.0, "xi": 0.0}, scen)
-        lf = _local_factors(V, W, d.value, D, R, n, c_W2)
+        lf = _local_factors(V, W, d, D, R, n, c_W2)
         C1_V = structural(V, d, math.inf).C1
         a = C_V2 * lf.lam / (c_W2 * c0)
         b = 4.0 * C1_V * lf.lam * lf.xi / (c_W2 * c_W2 * c0 * c0)
@@ -259,20 +255,22 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                        _scenario_stub(n, d, D))
 
 
-def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
-                      D: float) -> Tuple[StructuralConstants, StructuralConstants]:
-    """Global structural constants of V at d and of W at D, for n <= d <= D < inf."""
+def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: ExtParam, D: ExtParam
+                      ) -> Tuple[StructuralConstants, StructuralConstants, float, float]:
+    """Global structural constants of V at d and of W at D, for n <= d <= D < inf,
+    and the growth constants (K, M) they give."""
     _check_order(n, d, D)
-    if math.isinf(D):
-        raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d}, D={D}")
+    if not D.is_finite:
+        raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d.label()}, D=inf")
     try:
-        return (structural(V, ExtParam.finite(d), math.inf),
-                structural(W, ExtParam.finite(D), math.inf))
+        sv, sw = structural(V, d, math.inf), structural(W, D, math.inf)
     except NoConvergence as exc:
         raise VoidBound(f"growth constants void: {exc}") from exc
+    k, m = _growth_chain(n, d.value, D.value, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
+    return sv, sw, float(k), float(m)
 
 
-def _chain_terms(sc: StructuralConstants, n: int, p: float) -> Tuple[float, float]:
+def _chain_terms(sc: StructuralConstants, n: int, p) -> Tuple[float, float]:
     """(log(C0/c0), log I_p): what the growth chain reads of one potential's
     global constants at parameter p."""
     return math.log(sc.C0) - math.log(sc.c0), log_reference_integral(n, p)
@@ -294,33 +292,29 @@ def _growth_chain(n: int, d, D, v, w):
 
 
 def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
-                            d: float, D: float) -> Tuple[float, float]:
+                            d: ExtParam, D: ExtParam) -> Tuple[float, float]:
     """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
-    d, D = _param_float(d), _param_float(D)
-    sv, sw = _global_constants(V, W, n, d, D)
-    k, m = _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
-    return float(k), float(m)
+    return _global_constants(V, W, n, _as_extparam(d), _as_extparam(D))[2:]
 
 
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
-                              d: float, D: float) -> BoundReport:
+                              d: ExtParam, D: ExtParam) -> BoundReport:
     """Sharper finite-parameter global bound built on the (K, M) growth chain."""
-    d, D = _param_float(d), _param_float(D)
+    d, D = _as_extparam(d), _as_extparam(D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
-    sv, sw = _global_constants(V, W, n, d, D)
-    k, m = map(float, _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D)))
-    g = gamma(ExtParam.finite(d), ExtParam.finite(D))
+    sv, sw, k, m = _global_constants(V, W, n, d, D)
+    g = gamma(d, D)
     one_m = 1.0 + m
     a = C_V2 * sw.C0 * one_m / (c_W2 * sv.c0)
     pref = 4.0 * sv.C1 / (c_W2 * c_W2 * sv.c0 * sv.c0)
-    b = pref * min(sw.C1 * (D / d) * one_m, g * (c_W2 * sw.C0 * one_m))
+    b = pref * min(sw.C1 * (D.value / d.value) * one_m, g * (c_W2 * sw.C0 * one_m))
     consts = {"C_V2": C_V2, "c_W2": c_W2, "K": k, "M": m,
               "c0_V": sv.c0, "C0_V": sv.C0, "C1_V": sv.C1,
               "c0_W": sw.c0, "C0_W": sw.C0, "C1_W": sw.C1,
               "gamma": g}
     return BoundReport("finite_global_sharp", a, b, bound_from_terms(a, b), consts,
-                       _scenario_stub(n, ExtParam.finite(d), ExtParam.finite(D)))
+                       _scenario_stub(n, d, D))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Subcommands: bounds, transport, verify, sweep. Exit codes are a stable
 contract: 0 pass, 1 input error, 2 void-bound/solver error, 3 verification
 failure. Config files are strict JSON: unknown keys are rejected at every
-level so sweep definitions cannot silently misconfigure tolerances.
+level, and a sweep takes only the keys its kind reads, so sweep definitions
+cannot silently misconfigure tolerances.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import math
-import numbers
 import operator
 import sys
 from pathlib import Path
@@ -214,31 +213,19 @@ def _write_json(path: Path, payload: dict):
     path.write_text(_json_text(payload) + "\n")
 
 
-def _cell(v) -> str:
-    """CSV cell text: the round-trip repr of a real number, numpy scalars
-    included (their own repr reads np.float64(...)); "" for None."""
-    if isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral):
-        return repr(float(v))
-    return "" if v is None else str(v)
-
-
-# the cell types csv.writer writes as _cell does (a float by its repr)
-_PLAIN = {str, int, float, bool, type(None)}
-
-
 def _rows_csv(path: Path, rows: List[dict], keys: Optional[List[str]] = None):
-    """An RFC 4180 table of the columns ``keys`` (default: the first row's keys)."""
+    """An RFC 4180 table of the columns ``keys`` (default: the first row's keys).
+
+    csv.writer writes a float, numpy's float64 included, by its shortest
+    round-trip repr and None as an empty cell.
+    """
     keys = list(rows[0]) if keys is None else keys
     get = operator.itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
-    table = list(map(get, rows))
-    # the uniformity table has thousands of rows: convert only if a cell needs it
-    if not set(map(type, itertools.chain.from_iterable(table))) <= _PLAIN:
-        table = [list(map(_cell, cells)) for cells in table]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerows(table)
+        writer.writerows(map(get, rows))
 
 
 def cmd_bounds(args) -> int:
@@ -314,16 +301,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-_SWEEP_KEYS = {"kind", "n", "n_list", "d", "d_max", "d_list", "D_list", "D_max",
-               "R", "R_list", "qV", "qW"}
+# the keys each sweep kind reads
+_SWEEP_KEYS = {"uniformity": {"n_list", "d_max", "D_max", "qV", "qW"},
+               "d_limit": {"n", "d", "R", "D_list"},
+               "caffarelli_limit": {"n", "d_list", "R_list"}}
 
 
 def cmd_sweep(args) -> int:
     p = Path(args.config)
-    doc = _block(_read_json(p), {"sweep", "potentials"}, "config")
-    block = _block(doc.get("sweep"), _SWEEP_KEYS, "sweep")
-    _block(doc.get("potentials", {}), {"V", "W"}, "potentials")  # strict for every kind
-    kind = block.get("kind")
+    doc = _read_json(p)
+    block = doc.get("sweep") if isinstance(doc, dict) else None
+    kind = block.get("kind") if isinstance(block, dict) else None
+    # only the limit sweeps read potentials
+    _block(doc, {"sweep"} if kind == "uniformity" else {"sweep", "potentials"}, "config")
+    if not (isinstance(kind, str) and kind in _SWEEP_KEYS):
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    _block(block, {"kind"} | _SWEEP_KEYS[kind], "sweep")
     out_dir = Path(args.out) if args.out else Path(".")
     if kind == "uniformity":
         n_list = _positive_list(block, "n_list", [1, 2, 3], int, "sweep")
@@ -342,7 +335,7 @@ def cmd_sweep(args) -> int:
                    "tau_endpoint_target": rep.tau_endpoint_target,
                    "max_one_plus_M": rep.max_one_plus_m,
                    "triples": len(rep.rows)}
-    elif kind in ("d_limit", "caffarelli_limit"):
+    else:
         n = _scalar(block, "n", 1, int, "sweep")
         V, W = _potentials(doc, n, "", p.parent)
         if kind == "d_limit":
@@ -358,8 +351,6 @@ def cmd_sweep(args) -> int:
                 _positive_list(block, "R_list", [1, 2, 5, 10], float, "sweep"))
         _rows_csv(out_dir / f"{kind}.csv", rep.rows)
         payload = rep.to_dict() | {"kind": kind}
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
     _write_json(out_dir / "sweep_report.json", payload)
     print(_json_text({k: v for k, v in payload.items() if k != "rows"}))
     return EXIT_OK if payload["pass"] else EXIT_VERIFY

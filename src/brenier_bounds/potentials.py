@@ -357,9 +357,18 @@ def _folded_weight(U: PotentialSpec, p: ExtParam):
 
 def truncation_radius(f, start: float = 1.0) -> float:
     """Smallest doubling radius past the probe's argmax where f drops below the
-    decay floor times its peak (a weight can still be rising at max(start, 1))."""
-    probe = np.concatenate(([0.0], np.logspace(-6, math.log10(max(start, 1.0)) + 1.0, 256)))
+    decay floor times its peak (a weight can still be rising at max(start, 1)).
+
+    The probe spans [0, 10 max(start, 1)]; while f reads only zeros on it, as
+    a weight centred far out does, it moves one decade further out.
+    """
+    top = math.log10(max(start, 1.0)) + 1.0
+    probe = np.concatenate(([0.0], np.logspace(-6, top, 256)))
     values = f(probe)
+    while np.all(values == 0.0) and 10.0 ** top < _RADIUS_CAP:
+        probe = np.logspace(top, top + 1.0, 256)
+        top += 1.0
+        values = f(probe)
     peak, r_peak = float(np.max(values)), float(probe[np.argmax(values)])
     if peak <= 0.0 or not math.isfinite(peak):
         raise DivergentIntegral("integrand peak is zero or non-finite")
@@ -460,7 +469,10 @@ class TailTable:
         A probe point ends a panel where the running sum of |delta log f|
         along the probe crosses a multiple of ``_PANEL_LOG_DROP``, or where
         the panel would otherwise span more than 1/``_PANELS_PER_DECADE`` of
-        a decade; the breaks inside (lo, hi) are ends too.
+        a decade; the breaks inside (lo, hi) are ends too. So are each
+        interior local maximum of log f and the 4 probe points on each side
+        of it: a peak about as narrow as the probe spacing moves log f too
+        little between probe points for the drop rule to fire.
         """
         count = max(1, math.ceil(math.log10(hi / lo) * _TABLE_POINTS_PER_DECADE))
         probe = np.exp(np.linspace(math.log(lo), math.log(hi), count + 1))
@@ -472,6 +484,8 @@ class TailTable:
         stride = _TABLE_POINTS_PER_DECADE // _PANELS_PER_DECADE
         keep[stride - 1::stride] = True
         keep[-1] = True
+        peaks = np.flatnonzero((log_f[1:-1] > log_f[:-2]) & (log_f[1:-1] >= log_f[2:])) + 1
+        keep[np.clip(peaks[:, None] + np.arange(-4, 5), 1, count).ravel() - 1] = True
         inside = self.breaks[(self.breaks > lo) & (self.breaks < hi)]
         return np.union1d(probe[1:][keep], inside)
 

@@ -50,8 +50,7 @@ class RadialMap:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["r", "t", "t_prime", "residual"])
-            for row in zip(self.r_grid, self.t, self.t_prime, self.residuals):
-                writer.writerow([repr(float(v)) for v in row])
+            writer.writerows(zip(self.r_grid, self.t, self.t_prime, self.residuals))
 
 
 def default_grid(d: ExtParam, points: int = 400,

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import (BoundReport, _check_order, finite_global_sharp_bound,
                      global_bound, local_bound)
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
-from .extparam import INF, ExtParam
+from .extparam import INF, ExtParam, _as_extparam
 from .potentials import PotentialSpec
 from .transport import (RadialMap, LipschitzEstimate, default_grid,
                         lipschitz_empirical, radial_map, second_variation_check)
@@ -150,7 +150,7 @@ def applicable_bounds(s: Scenario) -> Dict[str, Callable[[], BoundReport]]:
         out["local"] = lambda: local_bound(s.V, s.W, s.n, s.d, s.D, s.R)
     if s.d.is_finite and s.D.is_finite:
         out["finite_global_sharp"] = lambda: finite_global_sharp_bound(
-            s.V, s.W, s.n, s.d.value, s.D.value)
+            s.V, s.W, s.n, s.d, s.D)
     return out
 
 
@@ -162,18 +162,12 @@ def run_scenario(s: Scenario) -> VerifyReport:
     if not order_ok:
         rep.inapplicable["bounds"] = "InvalidOrder: d > D (or d < n)"
     else:
-        for label, compute in applicable_bounds(s).items():
-            _try(rep, label, lambda: rep.bounds.append(compute()))
+        reports = [_try(rep, label, compute) for label, compute in applicable_bounds(s).items()]
+        rep.bounds = [b for b in reports if b is not None]
 
     # transport map and empirical quantities
     grid = s.grid()
-    m = None
-
-    def build():
-        nonlocal m
-        m = radial_map(s.V, s.W, s.d, s.D, s.n, grid)
-    _try(rep, "map", build)
-
+    m = _try(rep, "map", lambda: radial_map(s.V, s.W, s.d, s.D, s.n, grid))
     if m is not None:
         rep.residual_max = float(np.max(np.abs(m.residuals)))
         # the map stops where the source tail underflows; say how far it got
@@ -182,20 +176,17 @@ def run_scenario(s: Scenario) -> VerifyReport:
                          "points": int(m.r_grid.size),
                          "requested_points": int(grid.size)}
         window = s.window()
-        _try(rep, "lipschitz", lambda: setattr(
-            rep, "empirical", lipschitz_empirical(m, window)))
-        _try(rep, "lipschitz_proxy", lambda: setattr(
-            rep, "empirical_proxy", lipschitz_empirical(m, s.proxy_radius())))
+        rep.empirical = _try(rep, "lipschitz", lambda: lipschitz_empirical(m, window))
+        rep.empirical_proxy = _try(rep, "lipschitz_proxy",
+                                   lambda: lipschitz_empirical(m, s.proxy_radius()))
         if order_ok:
-            def slacks():
-                sv = second_variation_check(m, s.V, s.W, s.d, s.D, window)
-                for e in sv.entries:
-                    rep.slacks.append({"inequality": e.inequality,
-                                       "epsilon": e.epsilon, "slack": e.slack})
-            _try(rep, "second_variation", slacks)
+            sv = _try(rep, "second_variation",
+                      lambda: second_variation_check(m, s.V, s.W, s.d, s.D, window))
+            rep.slacks = [{"inequality": e.inequality, "epsilon": e.epsilon, "slack": e.slack}
+                          for e in (sv.entries if sv else ())]
         slope_window = s.slope_window()
         if slope_window is not None:
-            _try(rep, "slope", lambda: setattr(rep, "slope", slope_fit(m, *slope_window)))
+            rep.slope = _try(rep, "slope", lambda: slope_fit(m, *slope_window))
 
     # dominance margins
     for b in rep.bounds:
@@ -210,10 +201,12 @@ def run_scenario(s: Scenario) -> VerifyReport:
 
 
 def _try(rep: VerifyReport, label: str, thunk):
+    """thunk(), or None after recording its error under ``label``."""
     try:
-        thunk()
+        return thunk()
     except BrenierBoundsError as exc:
         rep.errors[label] = f"{type(exc).__name__}: {exc}"
+        return None
 
 
 def _judge(s: Scenario, rep: VerifyReport) -> Tuple[bool, str]:
@@ -278,23 +271,23 @@ def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
     to 1, xi vanishes once D >= 2d, and the local bound approaches the
     D = infinity endpoint bound.
     """
-    d = d.value if isinstance(d, ExtParam) else float(d)
+    d = _as_extparam(d)
     D_list = sorted(float(x) for x in D_list)
     rows = []
     for Dv in D_list:
-        rep = local_bound(V, W, n, ExtParam.finite(d), ExtParam.finite(Dv), R)
+        rep = local_bound(V, W, n, d, ExtParam.finite(Dv), R)
         c = rep.constants
         rows.append({"D": Dv, "fathi_radius": c["fathi_radius"],
                      "growth_factor": c["growth_factor"], "lambda": c["lambda"],
                      "xi": c["xi"], "bound": rep.bound})
-    endpoint = local_bound(V, W, n, ExtParam.finite(d), INF, R).bound
+    endpoint = local_bound(V, W, n, d, INF, R).bound
 
     radii = [r["fathi_radius"] for r in rows]
     last = rows[-1]
     checks = [
-        (max(radii) <= max(3.0 * last["fathi_radius"], 10.0 * max(R, math.sqrt(d))),
+        (max(radii) <= max(3.0 * last["fathi_radius"], 10.0 * max(R, math.sqrt(d.value))),
          "fathi radius unbounded along the sweep"),
-        (all(r["xi"] == 0.0 for r in rows if r["D"] >= 2.0 * d),
+        (all(r["xi"] == 0.0 for r in rows if r["D"] >= 2.0 * d.value),
          "xi nonzero at some D >= 2d"),
         (abs(last["growth_factor"] - 1.0) <= 0.5,
          "growth factor did not head to 1"),

@@ -107,6 +107,11 @@ class TestConfigParsing:
         ("verify", {"scenario": {"n": 2, "d": 1, "R": 2}}, "requires n <= d, got n=2, d=1.0"),
         ("transport", {"scenario": {"n": 2, "d": 3, "D": 1}}, "requires n <= D, got n=2, D=1.0"),
         ("verify", {"scenario": {"n": 2, "d": 3, "D": 1}}, "requires n <= D, got n=2, D=1.0"),
+        # a sweep takes only its own kind's keys, and a uniformity sweep no potentials
+        ("sweep", {"sweep": {"kind": "uniformity", "D_list": [5, 7], "R": 2}}, "D_list"),
+        ("sweep", {"sweep": {"kind": "caffarelli_limit", "qV": 2, "D_max": 3}}, "qV"),
+        ("sweep", {"sweep": {"kind": "uniformity"},
+                   "potentials": {"V": {"family": "bogus", "coefficient": -7}}}, "potentials"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)

@@ -116,6 +116,28 @@ class TestNormalization:
         # shift invariance: same mass as the centered Gaussian
         assert normalization(U, INF).z == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0, 30.0, math.inf])
+    @pytest.mark.parametrize("a", [0.3, 1.0, 3.37, 10.0])
+    def test_shifted_quadratic_matches_closed_form(self, a, p):
+        """a (x + s)^2 for s = 0..40: sqrt(p/a) B(1/2, p - 1/2), sqrt(pi/a) at p = inf.
+
+        At finite p the peak far out is about as narrow as the layout probe's
+        spacing (p = 3, a = 10, s = 36 was off by 1.3e-3); at p = inf and
+        a = 10 the weight underflows on the whole first truncation probe
+        from s = 19 on.
+        """
+        if math.isinf(p):
+            param, want = INF, math.sqrt(math.pi / a)
+        else:
+            param = ExtParam.finite(p)
+            want = math.sqrt(p / a) * math.gamma(0.5) * math.gamma(p - 0.5) / math.gamma(p)
+        errors = {}
+        for s in range(41):
+            U = PotentialSpec.one_dim(lambda x, s=s: a * (x + s) ** 2,
+                                      lambda x, s=s: 2.0 * a * (x + s))
+            errors[s] = abs(normalization(U, param).z / want - 1.0)
+        assert {s: e for s, e in errors.items() if not e <= 1e-13} == {}
+
 
 class TestTailTables:
     def test_one_table_per_potential_parameter_and_dimension(self):
