@@ -5,9 +5,9 @@ construction and empirical verification."""
 from .errors import (BracketFailure, BrenierBoundsError, ConventionUndefined,
                      DivergentIntegral, DomainError, EmptyWindow, InvalidOrder,
                      MFrakOverflow, NoConvergence, VoidBound)
-from .extparam import INF, ExtParam, ThetaEval, theta, unnormalized_density
-from .potentials import (NormConstant, PotentialSpec, normalization,
-                         reference_integral, unit_ball_volume)
+from .extparam import INF, ExtParam
+from .potentials import (NormConstant, PotentialSpec, log_reference_integral,
+                         normalization, unit_ball_volume)
 from .constants import (GlobalAggregates, StructuralConstants, aggregates,
                         structural)
 from .bounds import (BoundReport, GrowthData, UniformityReport,
@@ -28,8 +28,8 @@ __all__ = [
     "BracketFailure", "BrenierBoundsError", "ConventionUndefined",
     "DivergentIntegral", "DomainError", "EmptyWindow", "InvalidOrder",
     "MFrakOverflow", "NoConvergence", "VoidBound",
-    "INF", "ExtParam", "ThetaEval", "theta", "unnormalized_density",
-    "NormConstant", "PotentialSpec", "normalization", "reference_integral",
+    "INF", "ExtParam",
+    "NormConstant", "PotentialSpec", "log_reference_integral", "normalization",
     "unit_ball_volume",
     "GlobalAggregates", "StructuralConstants", "aggregates", "structural",
     "BoundReport", "GrowthData", "UniformityReport", "bound_from_terms",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,15 +32,27 @@ from .potentials import (PotentialSpec, log_reference_integral, mass_table,
 
 def gamma(d, D) -> float:
     """Tail-interaction exponent: math.inf at D = d finite, ((2d-D)/(D-d))_+ for d < D finite, 0 at D = inf."""
-    d, D = _as_extparam(d), _as_extparam(D)
-    if d > D:
-        raise InvalidOrder(f"requires d <= D, got d={d}, D={D}")
+    d, D = _check_order(0, d, D)  # n = 0: the order d <= D alone
     if not D.is_finite:
         return 0.0
     dd, DD = d.value, D.value
     if dd == DD:
         return math.inf
     return max(0.0, (2.0 * dd - DD) / (DD - dd))
+
+
+def _as_dict(x):
+    """The JSON form of a report: its dataclasses as dicts of their fields in
+    order (``passed`` as "pass"), lists and dicts copied. dataclasses.asdict
+    also deep-copies each float, which takes 4x as long on a verify report."""
+    if isinstance(x, (float, int, str)) or x is None:  # most values: test them first
+        return x
+    if isinstance(x, (list, tuple)):
+        return [_as_dict(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _as_dict(v) for k, v in x.items()}
+    return {"pass" if f.name == "passed" else f.name: _as_dict(getattr(x, f.name))
+            for f in fields(x)}
 
 
 def bound_from_terms(a: float, b: float) -> float:
@@ -54,7 +66,7 @@ def tail_mass(W: PotentialSpec, D: ExtParam, r: float) -> float:
     """Mass of the target density outside the ball of radius r."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    table = mass_table(W, D)
+    table = mass_table(W, _as_extparam(D))
     return table.tail(r) / table.total
 
 
@@ -126,8 +138,7 @@ def _local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
 def local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
                   R: float, n: int) -> Tuple[float, float]:
     """(lambda, xi) of the localized estimate; requires the target's declared c(2) > 0."""
-    d, D = _as_extparam(d), _as_extparam(D)
-    _check_order(n, d, D)
+    d, D = _check_order(n, d, D)
     c_W2 = _require_hess_lower(W)
     lf = _local_factors(V, W, d, D, R, n, c_W2)
     return lf.lam, lf.xi
@@ -148,14 +159,7 @@ class BoundReport:
     scenario: Dict[str, object] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "A": self.A,
-            "B": self.B,
-            "bound": self.bound,
-            "constants": dict(self.constants),
-            "scenario": dict(self.scenario),
-        }
+        return _as_dict(self)
 
 
 def _require_hess_upper(V: PotentialSpec) -> float:
@@ -170,21 +174,25 @@ def _require_hess_lower(W: PotentialSpec) -> float:
     return float(W.hess_lower)
 
 
-def _check_order(n: int, d, D):
-    """Raise :class:`InvalidOrder` unless n <= d <= D (d, D as ExtParam or number)."""
+def _check_order(n: int, d, D) -> Tuple[ExtParam, ExtParam]:
+    """(d, D) as ExtParam (each given as one or as a number); raises
+    :class:`InvalidOrder` unless n <= d <= D."""
     d, D = _as_extparam(d), _as_extparam(D)
     if d > D:
         raise InvalidOrder(f"requires d <= D, got d={d.label()}, D={D.label()}")
-    _check_map_order(n, d, D)
+    return _check_map_order(n, d, D)
 
 
-def _check_map_order(n: int, d, D):
-    """Raise :class:`InvalidOrder` unless n <= d and n <= D, the order every
-    weight (1 + U/p)^(-p) on R^n is taken in; a quadratic U has no finite mass
-    at p <= n/2, so no map. d > D (the counterexample) passes."""
-    for name, p in (("d", _as_extparam(d)), ("D", _as_extparam(D))):
+def _check_map_order(n: int, d, D) -> Tuple[ExtParam, ExtParam]:
+    """(d, D) as ExtParam; raises :class:`InvalidOrder` unless n <= d and
+    n <= D, the order every weight (1 + U/p)^(-p) on R^n is taken in; a
+    quadratic U has no finite mass at p <= n/2, so no map. d > D (the
+    counterexample) passes."""
+    d, D = _as_extparam(d), _as_extparam(D)
+    for name, p in (("d", d), ("D", D)):
         if p.is_finite and p.value < n:
             raise InvalidOrder(f"requires n <= {name}, got n={n}, {name}={p.value}")
+    return d, D
 
 
 def _scenario_stub(n, d, D, R=None) -> dict:
@@ -197,7 +205,7 @@ def _scenario_stub(n, d, D, R=None) -> dict:
 def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                 d: ExtParam, D: ExtParam, R: float) -> BoundReport:
     """Localized Hessian bound on the ball B_R (endpoint/Caffarelli branches included)."""
-    _check_order(n, d, D)
+    d, D = _check_order(n, d, D)
     if not R > 0.0:
         raise ValueError("local bound needs positive R")
     if D.is_finite and not math.isfinite(R):
@@ -225,9 +233,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
             "C_V2": C_V2, "c_W2": c_W2, "c0_V": c0, "C1_V_global": C1_V,
             "lambda": lf.lam, "xi": lf.xi, "gamma": lf.gamma_dD,
             "C0_W_at_fathi_radius": lf.C0_W, "C1_W_at_fathi_radius": lf.C1_W,
-            "s": lf.growth.s, "m_frak": lf.growth.m_frak,
-            "fathi_radius": lf.growth.fathi_radius,
-            "growth_factor": lf.growth.growth_factor,
+            **_as_dict(lf.growth),
         }
         return BoundReport("local", a, b, bound_from_terms(a, b), consts, scen)
     except NoConvergence as exc:
@@ -237,7 +243,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
 def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                  d: ExtParam, D: ExtParam) -> BoundReport:
     """Parameter-uniform global Hessian bound (independent of d, D; only n enters)."""
-    _check_order(n, d, D)
+    d, D = _check_order(n, d, D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     try:
@@ -259,7 +265,7 @@ def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: ExtParam, D
                       ) -> Tuple[StructuralConstants, StructuralConstants, float, float]:
     """Global structural constants of V at d and of W at D, for n <= d <= D < inf,
     and the growth constants (K, M) they give."""
-    _check_order(n, d, D)
+    d, D = _check_order(n, d, D)
     if not D.is_finite:
         raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d.label()}, D=inf")
     try:
@@ -294,7 +300,7 @@ def _growth_chain(n: int, d, D, v, w):
 def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
                             d: ExtParam, D: ExtParam) -> Tuple[float, float]:
     """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
-    return _global_constants(V, W, n, _as_extparam(d), _as_extparam(D))[2:]
+    return _global_constants(V, W, n, d, D)[2:]
 
 
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,

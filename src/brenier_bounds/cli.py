@@ -267,7 +267,7 @@ def cmd_transport(args) -> int:
         m.write_csv(csv_path)
         payload = {"scenario": s.name, "lipschitz": lip.value,
                    "argmax_r": lip.argmax_r, "component": lip.component,
-                   "window_R": "inf" if math.isinf(s.R) else s.R,
+                   "window_R": s.R,
                    "max_residual": float(max(abs(x) for x in m.residuals)),
                    "map_csv": str(csv_path)}
         _write_json(out_dir / f"{s.name}_lipschitz.json", payload)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionUndefined, DomainError, NoConvergence
-from .extparam import ExtParam
+from .extparam import ExtParam, _as_extparam
 from .potentials import PotentialSpec, Quadratic
 
 _SCAN_POINTS = 2048
@@ -43,8 +43,6 @@ class StructuralConstants:
     c0: float
     C0: float
     C1: float
-    p: ExtParam
-    radius: float  # math.inf for the global constants
 
     def __post_init__(self):
         if not (self.c0 > 0.0):
@@ -182,6 +180,7 @@ def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
     :class:`NoConvergence` when an expanding-window supremum does not
     stabilize (the constant is infinite and any bound using it is void).
     """
+    p = _as_extparam(p)
     key = ("structural", p.raw, R)
     if key not in U._memo:
         try:
@@ -201,20 +200,20 @@ def _structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
         if math.isinf(R):
             raise ConventionUndefined(
                 "zeroth-order constants at p = infinity are defined for finite R only")
-        return StructuralConstants(1.0, 1.0, 0.0, p, R)
+        return StructuralConstants(1.0, 1.0, 0.0)
     q = p.value
 
     if math.isinf(R):
         if isinstance(U.profile, Quadratic):
             a = U.profile.a
-            return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a, p, R)
-        return _structural_window(U, q, p)
+            return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a)
+        return _structural_window(U, q)
 
     sup_up, sup_dn, sup_g2 = _scan(U, q, _scan_grid(q, R)).tolist()
-    return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, R)
+    return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
 
 
-def _structural_window(U: PotentialSpec, q: float, p: ExtParam) -> StructuralConstants:
+def _structural_window(U: PotentialSpec, q: float) -> StructuralConstants:
     """Expanding-window scan for R = infinity with three-doubling convergence."""
     base = max(1.0, math.sqrt(q))
     prev = _scan(U, q, _scan_grid(q, base))
@@ -226,7 +225,7 @@ def _structural_window(U: PotentialSpec, q: float, p: ExtParam) -> StructuralCon
             stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
             if stable >= 3:
                 sup_up, sup_dn, sup_g2 = cur.tolist()
-                return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2, p, math.inf)
+                return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
             prev = cur
     raise NoConvergence(
         "expanding-window supremum did not stabilize; a global structural "

@@ -100,31 +100,6 @@ def _as_extparam(value) -> "ExtParam":
 INF = ExtParam.infinite()
 
 
-@dataclass(frozen=True)
-class ThetaEval:
-    """Value and first two derivatives of theta_p at a point."""
-
-    value: float
-    first: float
-    second: float
-
-
-def theta(p: ExtParam, t: float) -> ThetaEval:
-    """Evaluate theta_p(t) with its first two derivatives.
-
-    Finite p: requires t > -p (the density exponent must stay real);
-    violations raise :class:`DomainError`. The infinite branch is exact,
-    with no float-infinity arithmetic.
-    """
-    t = float(t)
-    value = theta_value(p, t)
-    if not p.is_finite:
-        return ThetaEval(value, 1.0, 0.0)
-    q = p.value
-    denom = q + t
-    return ThetaEval(value, q / denom, -q / (denom * denom))
-
-
 def _domain_error(q: float, t: float) -> DomainError:
     return DomainError(f"theta_p requires t > -p: t={t}, p={q}")
 
@@ -149,10 +124,3 @@ def theta_value_array(p: ExtParam, t: np.ndarray) -> np.ndarray:
     if np.any(bad):
         raise _domain_error(q, float(t[bad].flat[0]))
     return q * np.log1p(t / q)
-
-
-def unnormalized_density(U, p: ExtParam, x_norm: float) -> float:
-    """Unnormalized density factor exp(-theta_p(U(|x|))) at radius |x| = x_norm."""
-    if x_norm < 0:
-        raise ValueError("x_norm must be nonnegative")
-    return math.exp(-theta_value(p, float(U.value(x_norm))))

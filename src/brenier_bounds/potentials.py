@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BracketFailure, DivergentIntegral, DomainError
-from .extparam import ExtParam, theta_value_array
+from .extparam import ExtParam, _as_extparam, theta_value_array
 
 # Truncation-search policy: an integrand counts as decayed once it falls
 # below _DECAY_FLOOR times its peak; no decay by _RADIUS_CAP is divergence.
@@ -85,7 +85,6 @@ class RadialTabulated:
     """
 
     r_nodes: np.ndarray
-    u_values: np.ndarray
     u_interp: PchipInterpolator = field(repr=False)
     du_interp: Callable = field(repr=False)
     # u and u' at the first and last node, the linear extensions' constants
@@ -113,7 +112,7 @@ class RadialTabulated:
             du_interp = PchipInterpolator(r, np.asarray(du, dtype=float), extrapolate=False)
         else:
             du_interp = u_interp.derivative()
-        return cls(r, u, u_interp, du_interp)
+        return cls(r, u_interp, du_interp)
 
     def _split(self, r):
         r = np.asarray(r, dtype=float)
@@ -308,7 +307,13 @@ def unit_ball_volume(n: int) -> float:
 
 
 def log_reference_integral(n: int, p) -> float:
-    """log of I_p = integral over R^n of (1 + |z|^2/p)^(-p) dz, closed form."""
+    """log of I_p = integral over R^n of (1 + |z|^2/p)^(-p) dz, closed form.
+
+    log Gamma(p - n/2) - log Gamma(p) is the log of a gamma ratio up to
+    p = 171, where Gamma(p) still fits a float: there the difference of two
+    log-gammas of a few hundred is off by up to 3e-13, the ratio's log
+    (n <= 3) by 2.3e-15.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(p, ExtParam):
@@ -319,13 +324,11 @@ def log_reference_integral(n: int, p) -> float:
         return 0.5 * n * math.log(math.pi)
     if p < n:
         raise DomainError(f"reference integral requires p >= n, got p={p}, n={n}")
-    return (0.5 * n * (math.log(p) + math.log(math.pi))
-            + math.lgamma(p - 0.5 * n) - math.lgamma(p))
-
-
-def reference_integral(n: int, p) -> float:
-    """I_p via log-gamma; the integral converges since 2p > n."""
-    return math.exp(log_reference_integral(n, p))
+    if p <= 171.0:
+        log_ratio = math.log(math.gamma(p - 0.5 * n) / math.gamma(p))
+    else:
+        log_ratio = math.lgamma(p - 0.5 * n) - math.lgamma(p)
+    return 0.5 * n * (math.log(p) + math.log(math.pi)) + log_ratio
 
 
 def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
@@ -631,4 +634,4 @@ def normalization(U: PotentialSpec, p: ExtParam) -> NormConstant:
     """Total mass of exp(-theta_p(U)) over R^n: sphere area times the table total."""
     n = U.dimension
     area = n * unit_ball_volume(n) if U.is_radial else 1.0
-    return NormConstant(area * mass_table(U, p).total)
+    return NormConstant(area * mass_table(U, _as_extparam(p)).total)

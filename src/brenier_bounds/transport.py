@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import _check_map_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
-from .extparam import ExtParam, theta_value, theta_value_array
+from .extparam import ExtParam, _as_extparam, theta_value, theta_value_array
 from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
                          _compensated_cumsum, tail_table)
 from .potentials import TailTable  # noqa: F401  (re-exported)
@@ -57,6 +57,7 @@ def default_grid(d: ExtParam, points: int = 400,
                  r_min: Optional[float] = None,
                  r_max: Optional[float] = None) -> np.ndarray:
     """Log-spaced grid over [1e-3 * max{1, sqrt(d)}, 50 * max{1, sqrt(d)}] by default."""
+    d = _as_extparam(d)
     scale = max(1.0, math.sqrt(d.value)) if d.is_finite else 1.0
     lo = 1e-3 * scale if r_min is None else r_min
     hi = 50.0 * scale if r_max is None else r_max
@@ -79,7 +80,7 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
     to ~1e-14 relative; the derivative comes from the differentiated
     balance in log space.
     """
-    _check_map_order(n, d, D)
+    d, D = _check_map_order(n, d, D)
     if r_grid is None:
         r_grid = default_grid(d)
     r_grid = np.asarray(r_grid, dtype=float)
@@ -106,7 +107,8 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
         t_tail = tw.invert(targets)
     if usable < MIN_MAP_POINTS:
         raise DivergentIntegral(
-            "tail masses underflow on nearly the whole grid; shrink r_grid")
+            f"fewer than {MIN_MAP_POINTS} grid points left: past them the source tail "
+            f"mass underflows or the map passes the radius cap {_EXTEND_CAP:g}; shrink r_grid")
     head_frac = tv.head(r_grid[:split]) / zv
     t_head = tw.invert(head_frac * zw, head=True)
     r = r_grid[:usable]
@@ -137,6 +139,7 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     the radial solver on even potentials and handles general (non-even)
     1D potentials.
     """
+    d, D = _as_extparam(d), _as_extparam(D)
     if x_grid is None:
         x_grid = default_grid(d)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -399,6 +402,7 @@ def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
     (with V/d = 0 when d = inf as well). Report-only; the caller judges
     the slacks against its tolerance.
     """
+    d, D = _as_extparam(d), _as_extparam(D)
     est = lipschitz_empirical(m, R)
     x_bar, lam, comp = est.argmax_r, est.value, est.component
     y_bar = float(m.t[np.searchsorted(m.r_grid, x_bar)])

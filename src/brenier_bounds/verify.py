@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import (BoundReport, _check_order, finite_global_sharp_bound,
+from .bounds import (BoundReport, _as_dict, _check_order, finite_global_sharp_bound,
                      global_bound, local_bound)
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
 from .extparam import INF, ExtParam, _as_extparam
@@ -46,6 +46,9 @@ class Scenario:
     grid_points: int = 400
     grid_min: Optional[float] = None
     grid_max: Optional[float] = None
+
+    def __post_init__(self):
+        self.d, self.D = _as_extparam(self.d), _as_extparam(self.D)
 
     def order_valid(self) -> bool:
         try:
@@ -88,40 +91,25 @@ class Scenario:
 
 @dataclass
 class VerifyReport:
+    """One scenario's results; the fields carry the names its JSON report uses."""
+
     scenario: str
     bounds: List[BoundReport] = field(default_factory=list)
     empirical: Optional[LipschitzEstimate] = None
-    empirical_proxy: Optional[LipschitzEstimate] = None
+    empirical_global_proxy: Optional[LipschitzEstimate] = None
     margins: Dict[str, float] = field(default_factory=dict)
     slacks: List[dict] = field(default_factory=list)
     residual_max: Optional[float] = None
     map_range: Optional[dict] = None
-    slope: Optional[Tuple[float, float]] = None
+    slope: Optional[Dict[str, float]] = None  # {"slope", "r2"} of the fit
     errors: Dict[str, str] = field(default_factory=dict)
     inapplicable: Dict[str, str] = field(default_factory=dict)
     passed: bool = False
     reason: str = ""
-    wall_time: float = 0.0
+    wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "bounds": [b.to_dict() for b in self.bounds],
-            "empirical": None if self.empirical is None else asdict(self.empirical),
-            "empirical_global_proxy":
-                None if self.empirical_proxy is None else asdict(self.empirical_proxy),
-            "margins": dict(self.margins),
-            "slacks": list(self.slacks),
-            "residual_max": self.residual_max,
-            "map_range": None if self.map_range is None else dict(self.map_range),
-            "slope": None if self.slope is None else
-                {"slope": self.slope[0], "r2": self.slope[1]},
-            "errors": dict(self.errors),
-            "inapplicable": dict(self.inapplicable),
-            "pass": self.passed,
-            "reason": self.reason,
-            "wall_time_s": self.wall_time,
-        }
+        return _as_dict(self)
 
 
 def slope_fit(m: RadialMap, r_min: float, r_max: float) -> Tuple[float, float]:
@@ -177,8 +165,8 @@ def run_scenario(s: Scenario) -> VerifyReport:
                          "requested_points": int(grid.size)}
         window = s.window()
         rep.empirical = _try(rep, "lipschitz", lambda: lipschitz_empirical(m, window))
-        rep.empirical_proxy = _try(rep, "lipschitz_proxy",
-                                   lambda: lipschitz_empirical(m, s.proxy_radius()))
+        rep.empirical_global_proxy = _try(rep, "lipschitz_proxy",
+                                          lambda: lipschitz_empirical(m, s.proxy_radius()))
         if order_ok:
             sv = _try(rep, "second_variation",
                       lambda: second_variation_check(m, s.V, s.W, s.d, s.D, window))
@@ -186,17 +174,18 @@ def run_scenario(s: Scenario) -> VerifyReport:
                           for e in (sv.entries if sv else ())]
         slope_window = s.slope_window()
         if slope_window is not None:
-            rep.slope = _try(rep, "slope", lambda: slope_fit(m, *slope_window))
+            fit = _try(rep, "slope", lambda: slope_fit(m, *slope_window))
+            rep.slope = None if fit is None else {"slope": fit[0], "r2": fit[1]}
 
     # dominance margins
     for b in rep.bounds:
         emp = rep.empirical if b.regime in ("local", "endpoint_poly_log", "caffarelli") \
-            else rep.empirical_proxy
+            else rep.empirical_global_proxy
         if emp is not None:
             rep.margins[b.regime] = b.bound - emp.value
 
     rep.passed, rep.reason = _judge(s, rep)
-    rep.wall_time = time.perf_counter() - t0
+    rep.wall_time_s = time.perf_counter() - t0
     return rep
 
 
@@ -230,8 +219,8 @@ def _judge(s: Scenario, rep: VerifyReport) -> Tuple[bool, str]:
         if rep.slope is None:
             return False, "expected slope but none was fitted"
         want, tol = exp["slope"]["value"], exp["slope"].get("tol", 0.05)
-        if abs(rep.slope[0] - want) > tol:
-            return False, f"slope {rep.slope[0]:g} not within {tol:g} of {want:g}"
+        if abs(rep.slope["slope"] - want) > tol:
+            return False, f"slope {rep.slope['slope']:g} not within {tol:g} of {want:g}"
     if "bound" in exp:
         regime = exp["bound"].get("regime")
         match = [b for b in rep.bounds if regime is None or b.regime == regime]
@@ -258,8 +247,7 @@ class DSweepReport:
     reason: str
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "endpoint_bound": self.endpoint_bound,
-                "pass": self.passed, "reason": self.reason}
+        return _as_dict(self)
 
 
 def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
@@ -312,9 +300,7 @@ class CaffarelliSweepReport:
     reason: str
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "wrong_order_rows": self.wrong_order_rows,
-                "sharp_value": self.sharp_value, "final_gap": self.final_gap,
-                "pass": self.passed, "reason": self.reason}
+        return _as_dict(self)
 
 
 def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
@@ -322,32 +308,22 @@ def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
     """Sweep the D = infinity endpoint bound over (d, R) in the sharp limit order."""
     d_list = sorted(float(x) for x in d_list)
     R_list = sorted(float(x) for x in R_list)
-    sharp = math.sqrt(V.hess_upper / W.hess_lower)
     bound = {(R, d): local_bound(V, W, n, ExtParam.finite(d), INF, R).bound
              for R in R_list for d in d_list}
+    # formed after the bounds, which raise VoidBound on an undeclared Hessian bound
+    sharp = math.sqrt(V.hess_upper / W.hess_lower)
     rows = [{"R": R, "d": d, "bound": bound[R, d], "gap": bound[R, d] - sharp}
             for R in R_list for d in d_list]
     wrong = [{"d": d, "R": R, "bound": bound[R, d], "gap": bound[R, d] - sharp}
              for d in d_list for R in R_list]
-    final = [r for r in rows if r["R"] == R_list[-1] and r["d"] == d_list[-1]][0]
-    gap = final["gap"] / sharp
+    gap = (bound[R_list[-1], d_list[-1]] - sharp) / sharp
+    monotone = not any(bound[R, d2] > bound[R, d1] + 1e-9 * max(1.0, bound[R, d1])
+                       for R in R_list for d1, d2 in zip(d_list, d_list[1:]))
     checks = [
         (all(r["gap"] >= -1e-9 for r in rows), "endpoint bound below the sharp value"),
-        (_monotone_in_d(rows), "bound not monotone toward the sharp value in d"),
+        (monotone, "bound not monotone toward the sharp value in d"),
         (gap < 0.01, f"final relative gap {gap:g} not below 1%"),
     ]
     failed = [msg for ok, msg in checks if not ok]
     return CaffarelliSweepReport(rows, wrong, sharp, gap, not failed,
                                  "; ".join(failed) or "ok")
-
-
-def _monotone_in_d(rows) -> bool:
-    by_R: Dict[float, List[Tuple[float, float]]] = {}
-    for r in rows:
-        by_R.setdefault(r["R"], []).append((r["d"], r["bound"]))
-    for seq in by_R.values():
-        seq.sort()
-        vals = [b for _, b in seq]
-        if any(b2 > b1 + 1e-9 * max(1.0, b1) for b1, b2 in zip(vals, vals[1:])):
-            return False
-    return True

@@ -249,6 +249,15 @@ class TestTransportCommand:
         assert float(last.split(",")[0]) == report["map_range"]["effective_max"]
         assert report["map_range"]["effective_max"] == pytest.approx(200.0, rel=1e-12)
 
+    def test_failed_map_exits_two(self, tmp_path, capsys):
+        # d = 3 > D = 1: past r = 10^6.1 the map runs into the radius cap at once
+        doc = identity_doc(d=3, D=1)
+        doc["solver"] = {"grid_points": 300, "grid_min": 10 ** 6.1, "grid_max": 1e9}
+        path = write(tmp_path / "c.json", doc)
+        assert main(["transport", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: identity: DivergentIntegral: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_passing_scenario_exits_zero(self, tmp_path, capsys):
@@ -312,6 +321,18 @@ class TestSweepCommand:
         path = write(tmp_path / "c.json", {"sweep": {"kind": "d_limit", "d": "x"}})
         assert main(["sweep", "--config", path]) == 1
         assert capsys.readouterr().err.startswith("error: sweep.d:")
+
+    @pytest.mark.parametrize("kind,role,key", [("caffarelli_limit", "W", "hess_lower"),
+                                               ("caffarelli_limit", "V", "hess_upper"),
+                                               ("d_limit", "W", "hess_lower")])
+    def test_undeclared_hessian_bound_exits_two(self, tmp_path, capsys, kind, role, key):
+        # the first bound raises VoidBound, which main reports in one line
+        doc = {"sweep": {"kind": kind, "n": 1},
+               "potentials": {role: {"family": "quadratic", key: None}}}
+        path = write(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: VoidBound: ") and err.count("\n") == 1
 
     def test_d_limit_sweep(self, tmp_path):
         path = write(tmp_path / "c.json",

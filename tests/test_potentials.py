@@ -1,8 +1,10 @@
+import decimal
 import functools
 import gc
 import math
 import warnings
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammai
 
 from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
-                            radial_map, reference_integral, unit_ball_volume)
+                            radial_map, unit_ball_volume)
 from brenier_bounds.potentials import (log_reference_integral, mass_table,
                                        tail_quadrature, tail_table)
 
@@ -108,7 +110,8 @@ class TestNormalization:
         U = PotentialSpec.quadratic(1.0, n)
         for p in (n, n + 1, 2 * n, 10 * n):
             z = normalization(U, ExtParam.finite(p)).z
-            assert z == pytest.approx(reference_integral(n, ExtParam.finite(p)), rel=1e-8)
+            i_p = math.exp(log_reference_integral(n, ExtParam.finite(p)))
+            assert z == pytest.approx(i_p, rel=1e-8)
 
     def test_one_dim_uses_both_half_lines(self):
         U = PotentialSpec.one_dim(lambda x: (x - 1.0) ** 2,
@@ -234,16 +237,20 @@ class TestTailEngine:
         assert t.nodes[-1] > 1e3 * end
 
 
+_PI_60 = "3.14159265358979323846264338327950288419716939937510582097494459"
+
+
 class TestReferenceIntegral:
     def test_closed_form_anchors(self):
-        assert reference_integral(1, ExtParam.finite(1)) == pytest.approx(math.pi, rel=1e-12)
-        assert reference_integral(2, ExtParam.finite(2)) == pytest.approx(2 * math.pi, rel=1e-12)
-        assert reference_integral(1, ExtParam.finite(1e6)) == pytest.approx(
+        i_p = lambda n, p: math.exp(log_reference_integral(n, ExtParam.finite(p)))  # noqa: E731
+        assert i_p(1, 1) == pytest.approx(math.pi, rel=1e-12)
+        assert i_p(2, 2) == pytest.approx(2 * math.pi, rel=1e-12)
+        assert i_p(1, 1e6) == pytest.approx(
             math.sqrt(math.pi), rel=1e-5)
 
     def test_domain_error_below_n(self):
         with pytest.raises(DomainError):
-            reference_integral(3, ExtParam.finite(2))
+            log_reference_integral(3, ExtParam.finite(2))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_log_form_against_mpmath(self, n):
@@ -259,18 +266,41 @@ class TestReferenceIntegral:
             assert err <= 8 * math.ulp(max(map(abs, terms))), p
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_at_half_integers(self, n):
+        # Gamma at an integer or half-integer is a rational, times sqrt(pi)
+        # for a half-integer, so log I_p has a 50-digit reference in the
+        # standard library; up to p = 170 no two large log-gammas cancel
+        def gamma_half(k):  # Gamma(k/2) as (rational, power of sqrt(pi))
+            if k % 2 == 0:
+                return Fraction(math.factorial(k // 2 - 1)), 0
+            m = k // 2
+            return Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m)), 1
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            log_pi = decimal.Decimal(_PI_60).ln()
+            for k in range(2 * n, 341):
+                (a, ea), (b, eb) = gamma_half(k - n), gamma_half(k)
+                ratio = decimal.Decimal((a / b).numerator) / (a / b).denominator
+                p = decimal.Decimal(k) / 2
+                want = (n * (p.ln() + log_pi) + (ea - eb) * log_pi) / 2 + ratio.ln()
+                got = log_reference_integral(n, k / 2)
+                assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("3e-15"), k / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_strictly_decreasing_in_p(self, n):
         ps = sorted({n, n + 1, 2 * n, 10 * n, 100 * n})
-        vals = [reference_integral(n, ExtParam.finite(p)) for p in ps]
+        vals = [math.exp(log_reference_integral(n, ExtParam.finite(p))) for p in ps]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_two_sided_envelope(self, n):
         w = unit_ball_volume(n)
-        assert reference_integral(n, ExtParam.finite(n)) <= 2.0 * w * n ** (n / 2.0)
+        i_n = math.exp(log_reference_integral(n, ExtParam.finite(n)))
+        assert i_n <= 2.0 * w * n ** (n / 2.0)
         floor = math.exp(-n) * w * n ** (n / 2.0)
         for p in np.linspace(n, 200, 40):
-            assert reference_integral(n, ExtParam.finite(float(p))) >= floor
+            assert math.exp(log_reference_integral(n, ExtParam.finite(float(p)))) >= floor
 
 
 class TestGeometry:

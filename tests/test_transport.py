@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc
 
 from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, ExtParam, INF,
                             InvalidOrder, PotentialSpec, RadialMap, default_grid,
@@ -79,6 +80,27 @@ class TestRadialMap:
         assert len(rows) == len(m.r_grid) + 1
         assert float(rows[1][0]) == m.r_grid[0]
         assert float(rows[-1][1]) == m.t[-1]
+
+
+class TestRadialMapRadiusCap:
+    """d = 3 > D = 1 at n = 1: t grows like r^5, so the map reaches the target
+    table's radius cap 1e30 long before the source tail underflows."""
+
+    def test_stops_below_the_cap(self, quad1):
+        r = np.logspace(1.5, 7.0, 300)
+        m = radial_map(quad1, quad1, ExtParam.finite(3), ExtParam.finite(1), 1, r)
+        assert len(m.r_grid) == 255 and np.array_equal(m.r_grid, r[:255])
+        assert 1e29 < m.t[-1] < 1e30
+        # source tail fraction I_x(5/2, 1/2) at x = 3/(3 + r^2) (Student t, five
+        # degrees of freedom); the Cauchy target's is 1 - (2/pi) atan(t)
+        t = 1.0 / np.tan(0.5 * math.pi * betainc(2.5, 0.5, 3.0 / (3.0 + m.r_grid ** 2)))
+        assert np.max(np.abs(m.t / t - 1.0)) < 1e-13
+        assert np.max(np.abs(m.residuals)) < 1e-20
+
+    def test_too_few_points_below_the_cap(self, quad1):
+        r = np.logspace(6.1, 9.0, 300)
+        with pytest.raises(DivergentIntegral, match="radius cap 1e[+]30"):
+            radial_map(quad1, quad1, ExtParam.finite(3), ExtParam.finite(1), 1, r)
 
 
 class TestQuantileOracle:

@@ -31,9 +31,9 @@ def window_scans(monkeypatch):
     scans = Counter()
     real = constants_mod._structural_window
 
-    def counting(U, q, p):
+    def counting(U, q):
         scans[id(U), q] += 1
-        return real(U, q, p)
+        return real(U, q)
     monkeypatch.setattr(constants_mod, "_structural_window", counting)
     return scans
 
@@ -84,7 +84,27 @@ class TestRunScenario:
         assert rep.passed
         assert "bounds" in rep.inapplicable
         assert not rep.bounds and not rep.margins
-        assert rep.slope[0] == pytest.approx(5.0, abs=0.05)
+        assert rep.slope["slope"] == pytest.approx(5.0, abs=0.05)
+
+    def test_slope_off_its_expected_value_fails(self):
+        rep = run_scenario(scenario(
+            d=3.0, D=1.0, grid_min=10 ** 1.5, grid_max=10 ** 4.2, grid_points=300,
+            expected={"slope": {"value": 3.0, "window": (1e2, 1e4)}}))
+        assert not rep.passed
+        assert rep.reason == f"slope {rep.slope['slope']:g} not within 0.05 of 3"
+
+    def test_expected_regime_missing_fails(self):
+        rep = run_scenario(scenario(R=10.0, expected={
+            "bound": {"regime": "caffarelli", "value": 1.0, "tol": 1.0}}))
+        assert not rep.passed
+        assert rep.reason == "expected a bound in regime 'caffarelli'"
+
+    def test_bound_off_its_expected_value_fails(self):
+        rep = run_scenario(scenario(R=10.0, expected={
+            "bound": {"regime": "local", "value": 1.0, "tol": 0.5}}))
+        got = [b.bound for b in rep.bounds if b.regime == "local"][0]
+        assert not rep.passed and got > 1.5
+        assert rep.reason == f"bound {got!r} not within 0.5 of 1.0"
 
     def test_negative_control_dishonest_constant_fails_dominance(self):
         # declaring a Hessian lower bound far above the truth shrinks the
