@@ -8,12 +8,12 @@ For a potential U at parameter p, on the ball of radius R:
 
 computed by a log-spaced grid scan (U, U' once per point) plus a zoom around
 each argmax. R = inf adds one annulus [R/2, R] per doubling to running sups
-until they converge (closed form for quadratic profiles). The annuli of a
-block of doublings are evaluated in one U call, and their zooms share one U
-call per round, each annulus stopping on its own; a replay then takes the
-annuli in order under the one-annulus-at-a-time rules, so the constants are
-bit-identical to scanning the doublings one by one. At p = infinity the
-values are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
+until they converge (closed form for quadratic profiles). One routine scans
+the ball and each block of doublings, whose annuli share one U call and one
+per zoom round; U is evaluated on every annulus of a block the window starts,
+so a violation of U > -p, an error of U or an overflow there surfaces even
+past the doubling where the sups settle. At p = infinity the values are
+conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
 
 from __future__ import annotations
@@ -74,42 +74,6 @@ def _scan_grid(q: float, R: float) -> np.ndarray:
     return np.concatenate(([0.0], grid))
 
 
-def _zoom_max(U: PotentialSpec, q: float, X: np.ndarray, j, i, y, group=None):
-    """Refine maxima of the ``_objectives`` rows j sampled on the rows of X; returns them.
-
-    Row r samples objective j[r] at the increasing abscissae X[r], with grid
-    argmax i[r] and maximum y[r]. Each round resamples the two cells around
-    every argmax, one ``_objectives`` call for all rows. The rows of a group
-    (one annulus of a block scan; all rows when ``group`` is None) stop early
-    together, once all their maxima stay on their grid end X[r, -1]. So each
-    row's result depends only on the rows of its own group: a block's zooms
-    give each annulus what zooming that annulus alone gives, which is what the
-    replay in ``_annulus_sups`` relies on.
-    """
-    rows = np.arange(len(i))
-    x, end, out, live = X[rows, i], X[:, -1], y.copy(), rows
-    for _ in range(_ZOOM_ROUNDS):
-        lo = X[rows, np.maximum(i - 1, 0)]
-        hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
-        X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
-        X[:, -1] = hi
-        Y = _objectives(U, q, X.ravel()).reshape(3, *X.shape)[j, rows]
-        i = Y.argmax(axis=-1)
-        top = Y[rows, i]
-        x = np.where(top > y, X[rows, i], x)
-        y = np.maximum(top, y)
-        pending = x != end
-        keep = pending.any() if group is None else np.bincount(group, weights=pending)[group] > 0
-        if not keep.all():
-            out[live] = y
-            if not keep.any():
-                return out
-            live, rows = live[keep], rows[:np.count_nonzero(keep)]
-            X, i, j, x, y, end, group = (a[keep] for a in (X, i, j, x, y, end, group))
-    out[live] = y
-    return out
-
-
 def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
     """Rows (up, dn = 1/up, grad2) at the radii r from one U and one U' call.
 
@@ -125,50 +89,38 @@ def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
     return vals if U.is_radial else np.maximum(vals[:, :r.size], vals[:, r.size:])
 
 
-def _scan(U: PotentialSpec, q: float, r: np.ndarray, best=-np.inf) -> np.ndarray:
-    """Sups (up, dn, grad2) over the increasing radii r and the running sups ``best``;
-    only rows whose grid maximum reaches ``best`` are zoomed."""
-    vals = _objectives(U, q, r)
-    i = np.argmax(vals, axis=1)
-    top = vals[np.arange(3), i]
-    rows = np.flatnonzero(top >= best)
-    if rows.size:
-        X = np.broadcast_to(r, (rows.size, r.size))
-        top[rows] = _zoom_max(U, q, X, rows, i[rows], top[rows])
-    return np.maximum(best, top)
+def _sups(U: PotentialSpec, q: float, grids: np.ndarray, best=-np.inf) -> np.ndarray:
+    """Zoomed sups (up, dn, grad2) of each grid (row of ``grids``), shape (3, rows).
 
-
-def _annulus_sups(U: PotentialSpec, q: float, radii: np.ndarray, best: np.ndarray):
-    """Yield the running sups after each annulus (row of ``radii``), starting from ``best``.
-
-    The values are those of chaining ``_scan`` over the annuli, from one
-    ``_objectives`` call for all grids and one per zoom round. The rows zoomed
-    are those whose grid maximum reaches the running sup of the grid maxima;
-    that running sup is at most the zoomed one, so they include every row the
-    chained scans zoom. An annulus whose chained zoom set differs is rescanned
-    alone with ``_scan``.
+    One ``_objectives`` call covers every grid. An (objective, grid) pair is
+    zoomed only where its grid maximum reaches the running maximum before it:
+    ``best``, then the grid maxima of the earlier rows. Each zoom round
+    resamples the two cells around every zoomed argmax in one more call, and
+    the rounds stop early once every zoomed maximum stays on its grid end.
     """
-    try:
-        # the block reaches past the doubling where the window may stop: a
-        # floating-point exception or a failure there sends the block to the
-        # chained scans, which raise (or warn) only where they evaluate
-        with np.errstate(all="raise"):
-            vals = _objectives(U, q, radii.ravel()).reshape(3, *radii.shape)
-            i = vals.argmax(axis=-1)
-            top = np.take_along_axis(vals, i[..., None], axis=-1)[..., 0]
-            zoom = top >= np.maximum.accumulate(np.column_stack((best, top[:, :-1])), axis=1)
-            j, k = np.nonzero(zoom)
-            sups = top.copy()
-            if j.size:
-                sups[j, k] = _zoom_max(U, q, radii[k], j, i[j, k], top[j, k], group=k)
-    except Exception:
-        sups = None
-    for k, r in enumerate(radii):
-        if sups is not None and np.array_equal(top[:, k] >= best, zoom[:, k]):
-            best = np.maximum(best, sups[:, k])
-        else:
-            best = _scan(U, q, r, best)
-        yield best
+    vals = _objectives(U, q, grids.ravel()).reshape(3, *grids.shape)
+    i, sups = vals.argmax(axis=-1), vals.max(axis=-1)
+    # a grid maximum reaches the running maximum before it when it is >= best
+    # and equals the running maximum through its own row
+    j, k = np.nonzero((sups >= np.asarray(best)[..., None])
+                      & (sups == np.maximum.accumulate(sups, axis=1)))
+    if j.size:
+        rows, X, i, y = np.arange(j.size), grids[k], i[j, k], sups[j, k]
+        x, end = X[rows, i], X[:, -1]
+        for _ in range(_ZOOM_ROUNDS):
+            lo = X[rows, np.maximum(i - 1, 0)]
+            hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
+            X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+            X[:, -1] = hi
+            Y = _objectives(U, q, X.ravel()).reshape(3, *X.shape)[j, rows]
+            i = Y.argmax(axis=-1)
+            top = Y[rows, i]
+            x = np.where(top > y, X[rows, i], x)
+            y = np.maximum(top, y)
+            if (x == end).all():
+                break
+        sups[j, k] = y
+    return sups
 
 
 def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
@@ -209,18 +161,21 @@ def _structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
             return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a)
         return _structural_window(U, q)
 
-    sup_up, sup_dn, sup_g2 = _scan(U, q, _scan_grid(q, R)).tolist()
+    sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, R)[None])[:, 0].tolist()
     return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
 
 
 def _structural_window(U: PotentialSpec, q: float) -> StructuralConstants:
-    """Expanding-window scan for R = infinity with three-doubling convergence."""
+    """Expanding-window scan for R = infinity: ``_sups`` of the annuli of
+    ``_BLOCK`` doublings at a time, whose running sups stop at the third
+    consecutive doubling that moves none by ``_WINDOW_REL_TOL`` relative."""
     base = max(1.0, math.sqrt(q))
-    prev = _scan(U, q, _scan_grid(q, base))
+    prev = _sups(U, q, _scan_grid(q, base)[None])[:, 0]
     stable = 0
     for k in range(1, _MAX_DOUBLINGS, _BLOCK):
         R = base * 2.0 ** np.arange(k, min(k + _BLOCK, _MAX_DOUBLINGS))
-        for cur in _annulus_sups(U, q, R[:, None] * _ANNULUS, prev):
+        for sup in _sups(U, q, R[:, None] * _ANNULUS, prev).T:
+            cur = np.maximum(prev, sup)
             rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
             stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
             if stable >= 3:

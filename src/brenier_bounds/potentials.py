@@ -306,13 +306,19 @@ def unit_ball_volume(n: int) -> float:
     return v
 
 
+def _stirling_tail(z: float) -> float:
+    """log Gamma(z) - [(z - 1/2) log z - z + log(2 pi)/2], to z^-7 (z > 85)."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
+
+
 def log_reference_integral(n: int, p) -> float:
     """log of I_p = integral over R^n of (1 + |z|^2/p)^(-p) dz, closed form.
 
     log Gamma(p - n/2) - log Gamma(p) is the log of a gamma ratio up to
-    p = 171, where Gamma(p) still fits a float: there the difference of two
-    log-gammas of a few hundred is off by up to 3e-13, the ratio's log
-    (n <= 3) by 2.3e-15.
+    p = 171, where Gamma(p) still fits a float (n <= 3: within 2.3e-15).
+    Past it, Stirling's series differenced term by term keeps that log
+    within a few ulps, where two log-gammas of a few hundred would cancel.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -324,11 +330,13 @@ def log_reference_integral(n: int, p) -> float:
         return 0.5 * n * math.log(math.pi)
     if p < n:
         raise DomainError(f"reference integral requires p >= n, got p={p}, n={n}")
+    h = 0.5 * n
     if p <= 171.0:
-        log_ratio = math.log(math.gamma(p - 0.5 * n) / math.gamma(p))
+        log_ratio = math.log(math.gamma(p - h) / math.gamma(p))
     else:
-        log_ratio = math.lgamma(p - 0.5 * n) - math.lgamma(p)
-    return 0.5 * n * (math.log(p) + math.log(math.pi)) + log_ratio
+        log_ratio = ((p - 0.5) * math.log1p(-h / p) + h - h * math.log(p - h)
+                     + _stirling_tail(p - h) - _stirling_tail(p))
+    return h * (math.log(p) + math.log(math.pi)) + log_ratio
 
 
 def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
@@ -363,7 +371,8 @@ def truncation_radius(f, start: float = 1.0) -> float:
     decay floor times its peak (a weight can still be rising at max(start, 1)).
 
     The probe spans [0, 10 max(start, 1)]; while f reads only zeros on it, as
-    a weight centred far out does, it moves one decade further out.
+    a weight centred far out does, it moves one decade further out. The
+    doublings max(start, 1) 2^k up to ``_RADIUS_CAP`` are read off one call of f.
     """
     top = math.log10(max(start, 1.0)) + 1.0
     probe = np.concatenate(([0.0], np.logspace(-6, top, 256)))
@@ -375,13 +384,13 @@ def truncation_radius(f, start: float = 1.0) -> float:
     peak, r_peak = float(np.max(values)), float(probe[np.argmax(values)])
     if peak <= 0.0 or not math.isfinite(peak):
         raise DivergentIntegral("integrand peak is zero or non-finite")
-    r = max(start, 1.0)
-    while r < r_peak or float(f(np.array([r]))[0]) > _DECAY_FLOOR * peak:
-        r *= 2.0
-        if r > _RADIUS_CAP:
-            raise DivergentIntegral(
-                f"no decay below {_DECAY_FLOOR} x peak by radius {_RADIUS_CAP:g}")
-    return r
+    radii = max(start, 1.0) * 2.0 ** np.arange(math.ceil(math.log2(_RADIUS_CAP)) + 1)
+    radii = radii[:max(1, np.count_nonzero(radii <= _RADIUS_CAP))]
+    decayed = np.flatnonzero((radii >= r_peak) & ~(f(radii) > _DECAY_FLOOR * peak))
+    if not decayed.size:
+        raise DivergentIntegral(
+            f"no decay below {_DECAY_FLOOR} x peak by radius {_RADIUS_CAP:g}")
+    return float(radii[decayed[0]])
 
 
 # a far-tail sum stops once its outermost panel is below this share of it

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +151,16 @@ def window_potentials():
     return pots
 
 
+def window_cases():
+    """(q, U) pairs for the window checks, with ids "q-name"."""
+    cases = [pytest.param(q, U, id=f"{q}-{name}")
+             for q in (1, 2, 3, 6, 30) for name, U in window_potentials().items()]
+    # an annulus peaking in its last grid cell: the block zooms the next
+    # annulus, where the one-doubling-at-a-time scan does not
+    return cases + [pytest.param(q, one_dim_shifted(a, s), id=f"{q}-{a}(x-{s})^2")
+                    for a, s, q in ((2.9, 0.5, 2), (0.9, -2.0, 2), (0.31, 3.0, 1))]
+
+
 def window_constants(U, q):
     s = structural(U, ExtParam.finite(q), math.inf)
     return s.c0, s.C0, s.C1
@@ -165,28 +174,17 @@ def outcome(fn):
 
 
 class TestBlockWindowScan:
-    @pytest.mark.parametrize("name", list(window_potentials()))
-    @pytest.mark.parametrize("q", [1, 2, 3, 6, 30])
-    def test_bit_identical_to_the_sequential_scan(self, name, q):
-        U = window_potentials()[name]
+    @pytest.mark.parametrize("q,U", window_cases())
+    def test_bit_identical_to_the_sequential_scan(self, q, U):
+        # within 1e-15 relative of the one-doubling-at-a-time scan, far inside
+        # the error its stop rule (1e-8 relative over three doublings) leaves;
+        # an exception is the same class with the same text
         got = outcome(lambda: window_constants(U, float(q)))
-        assert got == outcome(lambda: sequential_window(U, float(q)))
-
-    @pytest.mark.parametrize("a,s,q", [(2.9, 0.5, 2.0), (0.9, -2.0, 2.0), (0.31, 3.0, 1.0)])
-    def test_rescanned_annulus_is_bit_identical(self, monkeypatch, a, s, q):
-        # an annulus whose peak lies in its last grid cell: the next annulus's
-        # grid max equals the grid-only running sup, so the block zooms it where
-        # the sequential scan does not, and that annulus is scanned again alone
-        scans = []
-        real = constants_mod._scan
-
-        def counting(*args, **kw):
-            scans.append(args[2].size)
-            return real(*args, **kw)
-        monkeypatch.setattr(constants_mod, "_scan", counting)
-        got = window_constants(one_dim_shifted(a, s), q)
-        assert scans[1:] == [constants_mod._ANNULUS.size]
-        assert got == sequential_window(one_dim_shifted(a, s), q)
+        want = outcome(lambda: sequential_window(U, float(q)))
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def counted(f, fprime):
@@ -234,6 +232,9 @@ class TestScanCost:
 
 
 class TestWindowDomain:
+    """The window evaluates U on every annulus of each block of doublings it
+    starts, past the doubling where its sups settle: a violation, failure or
+    overflow there surfaces, and nothing beyond the block is evaluated."""
     q = 2.0
 
     @staticmethod
@@ -245,7 +246,14 @@ class TestWindowDomain:
         return 3.0 * x
 
     def reach(self):
-        return sequential_reach(self.quadratic, self.slope, self.q)
+        """The window's reach: the end of its first block, where its sups settle."""
+        return max(1.0, math.sqrt(self.q)) * 2.0 ** constants_mod._BLOCK
+
+    def past_the_stop(self):
+        """A radius inside the block, past the sequential scan's reach."""
+        stop = sequential_reach(self.quadratic, self.slope, self.q)
+        assert stop < self.reach()
+        return math.sqrt(stop * self.reach())
 
     def want(self):
         U = PotentialSpec.one_dim(self.quadratic, self.slope)
@@ -255,30 +263,22 @@ class TestWindowDomain:
         return window_constants(PotentialSpec.one_dim(f, self.slope), self.q)
 
     def test_violation_beyond_the_reach_does_not_raise(self):
-        far = 4.0 * self.reach()
+        U, calls = counted(self.quadratic, self.slope)
+        window_constants(U, self.q)
+        assert max(float(np.max(np.abs(x))) for x in calls) == self.reach()
+        far = self.reach()
         got = self.window(lambda x: np.where(np.abs(x) > far, -10.0, self.quadratic(x)))
         assert got == self.want()
 
-    def test_violation_inside_the_reach_raises_the_scan_error(self):
-        near = self.reach() / 3.0
-        f = lambda x: np.where(np.abs(x) > near, -10.0, self.quadratic(x))
-        with pytest.raises(DomainError) as got:
-            self.window(f)
-        with pytest.raises(DomainError) as want:
-            sequential_window(PotentialSpec.one_dim(f, self.slope), self.q)
-        assert str(got.value) == str(want.value) == (
-            "potential violates U > -p on the scan grid (p=2.0)")
-
-    def test_overflow_past_the_stop_does_not_raise(self):
-        # RuntimeWarning is an error in this suite, so an overflow that only
-        # the block's evaluation past the stop meets must not surface
-        far = 4.0 * self.reach()
+    def test_overflow_beyond_the_reach_does_not_raise(self):
+        # RuntimeWarning is an error in this suite
+        far = self.reach()
         got = self.window(lambda x: self.quadratic(x)
                           + np.square(np.where(np.abs(x) > far, 1e200, 0.0)))
         assert got == self.want()
 
-    def test_failure_past_the_stop_does_not_raise(self):
-        far = 4.0 * self.reach()
+    def test_failure_beyond_the_reach_does_not_raise(self):
+        far = self.reach()
 
         def f(x):
             if np.max(np.abs(x)) > far:
@@ -286,18 +286,28 @@ class TestWindowDomain:
             return self.quadratic(x)
         assert self.window(f) == self.want()
 
+    def test_violation_inside_the_reach_raises_the_scan_error(self):
+        near = self.past_the_stop()
+        with pytest.raises(DomainError,
+                           match=r"^potential violates U > -p on the scan grid \(p=2.0\)$"):
+            self.window(lambda x: np.where(np.abs(x) > near, -10.0, self.quadratic(x)))
+
+    def test_failure_inside_the_reach_raises(self):
+        near = self.past_the_stop()
+
+        def f(x):
+            if np.max(np.abs(x)) > near:
+                raise ValueError("evaluated past the stop")
+            return self.quadratic(x)
+        with pytest.raises(ValueError, match="evaluated past the stop"):
+            self.window(f)
+
     def test_overflow_inside_the_reach_warns_as_the_scan_does(self):
-        near = self.reach() / 3.0
+        near = self.past_the_stop()
         f = lambda x: self.quadratic(x) + np.square(np.where(np.abs(x) > near, 1e200, 0.0))
-        seen = []
-        for run in (lambda: self.window(f),
-                    lambda: sequential_window(PotentialSpec.one_dim(f, self.slope), self.q)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                got = outcome(run)
-            seen.append((repr(got), [(w.category, str(w.message)) for w in caught]))
-        assert seen[0] == seen[1]
-        assert (RuntimeWarning, "overflow encountered in square") in seen[0][1]
+        with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
+            got = self.window(f)
+        assert got == self.want()
 
 
 class TestEndpointConventions:

@@ -15,7 +15,7 @@ from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
                             PotentialSpec, growth_data, normalization,
                             radial_map, unit_ball_volume)
 from brenier_bounds.potentials import (log_reference_integral, mass_table,
-                                       tail_quadrature, tail_table)
+                                       tail_quadrature, tail_table, truncation_radius)
 
 
 class TestProfiles:
@@ -185,6 +185,20 @@ class TestTruncation:
         assert t.r_max > math.sqrt(19.5)
         assert t.total == pytest.approx(math.gamma(20) / 2, rel=1e-13)
 
+    @pytest.mark.parametrize("n,p,r_max", [
+        (1, 1.0, 2.0 ** 27), (1, 2.0, math.sqrt(2.0) * 2.0 ** 14),
+        (3, 6.0, math.sqrt(6.0) * 2.0 ** 6), (1, math.inf, 8.0)])
+    def test_first_doubling_below_the_decay_floor(self, n, p, r_max):
+        # the doublings of max(sqrt(p), 1): the first past the weight's peak
+        # where it is at most 1e-16 of that peak
+        U = PotentialSpec.quadratic(1.0, n)
+        assert tail_table(U, INF if math.isinf(p) else ExtParam.finite(p), n).r_max == r_max
+
+    def test_no_decay_by_the_radius_cap_is_divergence(self):
+        with pytest.raises(DivergentIntegral,
+                           match=r"^no decay below 1e-16 x peak by radius 1e\+10$"):
+            truncation_radius(lambda r: np.ones(np.size(r)), 3.0)
+
 
 class TestTailEngine:
     @pytest.mark.parametrize("n,p", ENGINE_CASES)
@@ -252,18 +266,18 @@ class TestReferenceIntegral:
         with pytest.raises(DomainError):
             log_reference_integral(3, ExtParam.finite(2))
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
     def test_log_form_against_mpmath(self, n):
-        # the sum of logs and log-gammas cancels: the error is a few ulps of
-        # its largest term
+        # no two large log-gammas cancel, below p = 171 or above it: the error
+        # is a few ulps of the larger of n/2 log(pi p) and the result
         mp = pytest.importorskip("mpmath")
-        for p in np.geomspace(n, 1e6, 40).tolist():
-            with mp.workdps(40):
+        for p in np.geomspace(n, 1e6, 40).tolist() + [171.5, 334.5, 1e5]:
+            got = log_reference_integral(n, p)
+            with mp.workdps(50):
                 want = (mp.mpf(n) / 2 * (mp.log(p) + mp.log(mp.pi))
                         + mp.loggamma(mp.mpf(p) - mp.mpf(n) / 2) - mp.loggamma(p))
-                err = abs(float(log_reference_integral(n, p) - want))
-            terms = (1.0, math.lgamma(p), math.lgamma(p - n / 2), n / 2 * math.log(math.pi * p))
-            assert err <= 8 * math.ulp(max(map(abs, terms))), p
+                err = abs(float(got - want))
+            assert err <= 4 * math.ulp(max(abs(n / 2 * math.log(math.pi * p)), abs(got))), p
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exact_at_half_integers(self, n):

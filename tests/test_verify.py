@@ -93,6 +93,14 @@ class TestRunScenario:
         assert not rep.passed
         assert rep.reason == f"slope {rep.slope['slope']:g} not within 0.05 of 3"
 
+    def test_slope_window_with_too_few_grid_points_fails(self):
+        rep = run_scenario(scenario(
+            d=3.0, D=1.0, grid_min=10 ** 1.5, grid_max=10 ** 4.2, grid_points=300,
+            expected={"slope": {"value": 5.0, "window": (1e2, 1.05e2)}}))
+        assert not rep.passed and rep.slope is None
+        assert rep.reason == "component errors: ['slope']"
+        assert rep.errors["slope"].startswith("EmptyWindow: need >= 20 grid points")
+
     def test_expected_regime_missing_fails(self):
         rep = run_scenario(scenario(R=10.0, expected={
             "bound": {"regime": "caffarelli", "value": 1.0, "tol": 1.0}}))
