@@ -100,20 +100,6 @@ def _as_extparam(value) -> "ExtParam":
 INF = ExtParam.infinite()
 
 
-def _domain_error(q: float, t: float) -> DomainError:
-    return DomainError(f"theta_p requires t > -p: t={t}, p={q}")
-
-
-def theta_value(p: ExtParam, t: float) -> float:
-    """theta_p(t) of a float in scalar math; raises DomainError if t <= -p."""
-    q = p.raw
-    if q is None:
-        return t
-    if t <= -q + _NEG_GUARD:
-        raise _domain_error(q, t)
-    return q * math.log1p(t / q)
-
-
 def theta_value_array(p: ExtParam, t: np.ndarray) -> np.ndarray:
     """Vectorized theta_p(t); raises DomainError if any entry hits t <= -p."""
     t = np.asarray(t, dtype=float)
@@ -122,5 +108,5 @@ def theta_value_array(p: ExtParam, t: np.ndarray) -> np.ndarray:
     q = p.value
     bad = t <= -q + _NEG_GUARD
     if np.any(bad):
-        raise _domain_error(q, float(t[bad].flat[0]))
+        raise DomainError(f"theta_p requires t > -p: t={float(t[bad].flat[0])}, p={q}")
     return q * np.log1p(t / q)

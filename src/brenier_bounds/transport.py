@@ -9,7 +9,7 @@ a whole grid of radii at once.
 
 from __future__ import annotations
 
-import bisect
+import copy
 import csv
 import math
 from dataclasses import dataclass, field
@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import _check_map_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
-from .extparam import ExtParam, _as_extparam, theta_value, theta_value_array
+from .extparam import ExtParam, _as_extparam, theta_value_array
 from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
                          _compensated_cumsum, tail_table)
 from .potentials import TailTable  # noqa: F401  (re-exported)
@@ -126,204 +126,314 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
                     x_grid: Optional[np.ndarray] = None) -> RadialMap:
     """Independent 1D oracle: T = G^(-1) o F by adaptive-quadrature masses.
 
-    Never touches the tail tables. The densities are evaluated in scalar
-    math and every mass by QUADPACK to 1e-12 relative. The source's tails
-    come from one quadrature per grid interval and one half-line at each
-    end, summed with compensation (``potentials._compensated_cumsum``). As in
-    radial_map, the grid is split at the source median: above it T
-    balances upper tails, below it lower tails, solved as the upper tails
-    of the mirrored densities, so no fraction is formed as 1 - tail. Each
-    T(x) is a safeguarded Newton root (:func:`_invert_upper_tail`), and the map
-    agrees with closed forms to ~1e-13 relative. The grid stops where a
-    tail fraction reaches 1e-280, as in radial_map. The oracle cross-checks
-    the radial solver on even potentials and handles general (non-even)
-    1D potentials.
+    Never touches the tail tables. Every mass is an adaptive Gauss-Kronrod
+    quadrature to 1e-12 relative (:meth:`_Line.masses`) of a density
+    evaluated in array calls. The source's masses at all grid points come
+    from one call over every grid interval and the half-line at each end,
+    summed with compensation (``potentials._compensated_cumsum``). T
+    balances masses on the side of the median that keeps its digits, so no
+    fraction is formed as 1 - tail: upper tails above the source median,
+    lower tails below it, solved as upper tails of the mirrored target. When
+    both potentials are even, both medians sit at the origin, and between
+    the source's quartiles T balances the heads mass(0, |x|) instead. All
+    roots on a line are solved together (:func:`_invert`), and the map
+    agrees with closed forms to ~1e-14 relative. The grid stops where a tail
+    fraction reaches 1e-280, as in radial_map. The oracle cross-checks the
+    radial solver on even potentials and handles general (non-even) 1D
+    potentials.
     """
     d, D = _as_extparam(d), _as_extparam(D)
     if x_grid is None:
         x_grid = default_grid(d)
-    x_grid = np.asarray(x_grid, dtype=float)
-    if x_grid.size == 0 or np.any(np.diff(x_grid) <= 0):
+    x = np.asarray(x_grid, dtype=float)
+    if x.size == 0 or np.any(np.diff(x) <= 0):
         raise ValueError("x_grid must be non-empty and strictly increasing")
 
     src, dst = _Line(V, d), _Line(W, D)
-    x = x_grid.tolist()
-    gaps = [src.mass(a, b) for a, b in zip(x, x[1:])]
-    right = gaps + [src.mass(x[-1], math.inf)]
-    upper = _compensated_cumsum(np.array(right[::-1]))[::-1] / src.total
-    split = _first(upper <= 0.5)
-    left = [src.mass(-math.inf, x[0])] + gaps[:split - 1] if split else []
-    lower = _compensated_cumsum(np.array(left, dtype=float)) / src.total
+    # the grid intervals, then the half-lines beyond the last and the first point
+    m = src.masses(np.append(x[:-1], [x[-1], -math.inf]), np.append(x[1:], [math.inf, x[0]]))
+    upper = _compensated_cumsum(m[-2::-1])[::-1]
+    lower = _compensated_cumsum(np.append(m[-1], m[:-2]))
+    frac = upper / src.total
     # at the floor the fractions near denormal range, where the roots lose
     # all relative precision, so the grid stops there, on either side
-    lo, hi = _first(lower > _TAIL_FLOOR), _first(upper <= _TAIL_FLOOR)
-    if hi - lo < min(MIN_MAP_POINTS, len(x)):
+    lo, hi = _first(lower / src.total > _TAIL_FLOOR), _first(frac <= _TAIL_FLOOR)
+    if hi - lo < min(MIN_MAP_POINTS, x.size):
         raise DivergentIntegral(
             "tail masses underflow on nearly the whole grid; shrink x_grid")
-    rho = [src.density(v) / src.total for v in x]
-    t, t_prime, resid = _invert_upper_tail(dst, x[split:hi], upper[split:hi].tolist(),
-                                           rho[split:hi])
-    if lo < split:
-        mirror = dst if W.is_radial else _Line(W, D, mirrored=True)
-        side = _invert_upper_tail(mirror, [-v for v in x[lo:split][::-1]],
-                                  lower[lo:][::-1].tolist(), rho[lo:split][::-1])
-        t = [-v for v in side[0][::-1]] + t
-        t_prime, resid = side[1][::-1] + t_prime, side[2][::-1] + resid
-    return RadialMap(x_grid[lo:hi], np.array(t), np.array(t_prime), 1, np.array(resid))
+    if V.is_radial and W.is_radial:
+        # both medians sit at the origin, and between the quartiles the
+        # heads mass(0, |x|) keep the digits that tails near Z/2 lose
+        s1, s2 = _first(frac <= 0.75), _first(frac <= 0.25)
+    else:
+        s1 = s2 = _first(frac <= 0.5)
+    heads = src.masses(0.0, np.abs(x[s1:s2])) if s2 > s1 else np.empty(0)
+    # the targets in the target's own mass units: where V = W they are the
+    # source's masses bit for bit, and no division rounds them
+    scale = dst.total / src.total
+    problems = [(lower[lo:s1] * scale, math.inf), (heads * scale, 0.0),
+                (upper[s2:hi] * scale, math.inf)]
+    # lower tails are the mirrored line's upper tails
+    below, above = _invert(dst.mirrored(), problems[:1]), _invert(dst, problems[1:])
+    y, u, f = (np.append(p, q) for p, q in zip(below, above))
+    targets = np.concatenate([t for t, _ in problems])
+    # lower tails and heads are solved at -t, or at -|t|
+    sign = np.concatenate((np.full(s1 - lo, -1.0), -np.sign(x[s1:s2]), np.ones(hi - s2)))
+    rho = src.density(x[lo:hi]) / src.total
+    return RadialMap(x[lo:hi], sign * y, rho * dst.total / f, 1, (u - targets) / dst.total)
+
+
+# QUADPACK's 15-point Kronrod rule on [-1, 1] (qk15); its 7-point Gauss rule
+# takes the odd nodes
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649)
+_XK = np.concatenate((np.negative(_XGK), [0.0], _XGK[::-1]))
+_WK = np.concatenate((_WGK, [0.209482141084727828012999174891714], _WGK[::-1]))
+_WG = np.polynomial.legendre.leggauss(7)[1]
+_EPS = np.finfo(float).eps
+_MASS_RTOL = 1e-12
+# the absolute error floor, times the line's total: far below the tail floor,
+# or pieces in the denormal range would bisect without end
+_MASS_ATOL = 1e-300
+_MAX_BISECTIONS = 60
+# the mode of a non-radial line is read off its log-density at these radii, both signs
+_MODE_PROBE = np.geomspace(1e-3, 1e6, 361)
 
 
 class _Line:
-    """The line density exp(-theta_p(U(x))) in scalar math, and its masses.
+    """The line density exp(-theta_p(U(x))) in array calls, and its masses.
 
-    ``mirrored`` reads U at -x, so upper tails of the mirrored line are
-    lower tails of U's. The density is smooth between its breaks: the
-    origin, since a radial profile is read at |x|, and the nodes of a
-    tabulated profile at +-r. QUADPACK cannot reach 1e-12 across kinks, so
-    each mass is split at the breaks, and whole pieces are integrated once.
-    The split at the origin also keeps a half-line quadrature that starts
-    far left of the bulk from stepping over it.
+    The density is smooth between its breaks: the origin, since a radial
+    profile is read at |x|, and the nodes of a tabulated profile at +-r. A
+    non-radial line also breaks at its mode, read off one probe of the
+    log-density (which does not underflow) over +-geometric radii: the
+    probe's argmax and its neighbours, so that no piece steps over a narrow
+    peak far from the origin. The quadrature cannot reach 1e-12 across
+    kinks, so every mass is split at the breaks. :meth:`mirrored` reads U at
+    -x, so upper tails of the mirrored line are lower tails of U's.
     """
 
-    def __init__(self, U: PotentialSpec, p: ExtParam, mirrored: bool = False):
-        # the oracle's QUADPACK loads scipy on first use, not with the package
-        from scipy.integrate import quad
-        self._quadpack = quad
-        value = U.value
-        if U.is_radial:
-            self.density = lambda x: math.exp(-theta_value(p, float(value(abs(x)))))
-        elif mirrored:
-            self.density = lambda x: math.exp(-theta_value(p, float(value(-x))))
-        else:
-            self.density = lambda x: math.exp(-theta_value(p, float(value(x))))
-        nodes = U.profile.r_nodes.tolist() if isinstance(U.profile, RadialTabulated) else []
-        self.breaks = sorted({0.0, *nodes, *(-r for r in nodes)})
-        self._pieces = {}
-        self.total = self.mass(-math.inf, math.inf)
+    def __init__(self, U: PotentialSpec, p: ExtParam):
+        self._value, self._p, self._radial, self._sign = U.value, p, U.is_radial, 1.0
+        nodes = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else []
+        breaks = [np.negative(nodes), [0.0], nodes]
+        self.mode = 0.0
+        if not U.is_radial:
+            probe = np.concatenate((-_MODE_PROBE[::-1], [0.0], _MODE_PROBE))
+            k = int(np.argmax(self.log_density(probe)))
+            self.mode = float(probe[k])
+            breaks.append(probe[max(k - 1, 0):k + 2])
+        self.breaks = np.unique(np.concatenate(breaks))
+        self._atol = _MASS_ATOL
+        self.total = float(self.masses(-math.inf, math.inf))
+        self._atol = _MASS_ATOL * self.total
 
-    def mass(self, a: float, b: float) -> float:
-        i, j = bisect.bisect_right(self.breaks, a), bisect.bisect_left(self.breaks, b)
-        if i >= j:
-            return self._quad(a, b)
-        inner = sum(self._piece(k) for k in range(i, j - 1))
-        return self._quad(a, self.breaks[i]) + inner + self._quad(self.breaks[j - 1], b)
+    def mirrored(self) -> "_Line":
+        """The same line read at -x."""
+        line = copy.copy(self)
+        line._sign, line.mode, line.breaks = -self._sign, -self.mode, -self.breaks[::-1]
+        return line
 
-    def upper(self, y: float) -> float:
-        """The normalized mass of [y, inf)."""
-        return self.mass(y, math.inf) / self.total
+    def log_density(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return -theta_value_array(self._p, self._value(np.abs(x) if self._radial
+                                                       else self._sign * x))
 
-    def _piece(self, k: int) -> float:
-        if k not in self._pieces:
-            self._pieces[k] = self._quad(self.breaks[k], self.breaks[k + 1])
-        return self._pieces[k]
+    def density(self, x) -> np.ndarray:
+        return np.exp(self.log_density(x))
 
-    def _quad(self, a: float, b: float) -> float:
-        if b - a < 1e-12 * abs(b):
-            # too few floats in [a, b] for QUADPACK to subdivide (it warns of
-            # bad integrand behaviour); at this width Simpson's rule errs far
-            # below rounding
-            return (b - a) * (self.density(a) + 4.0 * self.density(0.5 * (a + b))
-                              + self.density(b)) / 6.0
-        return self._quadpack(self.density, a, b, epsabs=1e-300, epsrel=1e-12,
-                              limit=400)[0]
+    def masses(self, a, b) -> np.ndarray:
+        """Masses of the intervals [a, b], a <= b elementwise; either end may be infinite.
+
+        Each interval is split at the breaks inside it, and its pieces are
+        bisected until each piece's error estimate is within 1e-12 of its
+        interval's mass (or the absolute floor); a piece too narrow to bisect
+        is kept. Every round evaluates the density once, on all pieces still
+        open. A half-line [c, inf) is integrated in t over (0, 1] with
+        x = c + s(1 - t)/t and s = max(1, |c|), so its nodes scale with c and
+        a heavy tail that starts far out still converges; (-inf, c] likewise.
+        """
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        # interval i's pieces end at a[i], the breaks inside it, and b[i];
+        # piece k of its count starts at breaks[first + k - 1] when k > 0
+        first = np.searchsorted(self.breaks, a, side="right")
+        count = np.maximum(np.searchsorted(self.breaks, b, side="left") - first, 0) + 1
+        owner = np.repeat(np.arange(a.size), count)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        ends = np.append(self.breaks, 0.0)      # (the pad is read only to be discarded)
+        lo = np.where(k == 0, a[owner], ends[first[owner] + k - 1])
+        hi = np.where(k == count[owner] - 1, b[owner], ends[first[owner] + k])
+        side = np.isposinf(hi) * 1.0 - np.isneginf(lo)
+        c = np.where(side > 0, lo, hi)
+        # rows: the t range, then a half-line's finite end and signed scale
+        pieces = np.stack((np.where(side != 0, 0.0, lo), np.where(side != 0, 1.0, hi),
+                           c, side * np.maximum(1.0, np.abs(c))))
+        out = np.zeros(a.size)
+        for _ in range(_MAX_BISECTIONS):
+            val, err = self._kronrod(*pieces)
+            est = out + np.bincount(owner, val, a.size)
+            tl, th = pieces[0], pieces[1]
+            bad = ((err > np.maximum(self._atol, _MASS_RTOL * np.abs(est))[owner])
+                   & (th - tl > 16.0 * _EPS * np.maximum(np.abs(tl), np.abs(th))))
+            out += np.bincount(owner, np.where(bad, 0.0, val), a.size)
+            if not bad.any():
+                return out.reshape(shape)
+            pieces, owner, n = np.tile(pieces[:, bad], 2), np.tile(owner[bad], 2), bad.sum()
+            pieces[1, :n] = pieces[0, n:] = 0.5 * (pieces[0, :n] + pieces[1, :n])
+        raise DivergentIntegral("line quadrature did not converge: is the density integrable?")
+
+    def _kronrod(self, tl, th, c, step):
+        """Kronrod integrals over the pieces [tl, th] and QUADPACK's error estimates.
+
+        A piece with a non-zero ``step`` lies on a half-line, x = c + step (1 - t)/t.
+        """
+        half = 0.5 * (th - tl)
+        t = (0.5 * (tl + th))[:, None] + half[:, None] * _XK
+        x, jac = t, 1.0
+        tail = step != 0.0
+        if tail.any():
+            x, jac, tt = t.copy(), np.ones_like(t), t[tail]
+            x[tail] = c[tail, None] + step[tail, None] * ((1.0 - tt) / tt)
+            jac[tail] = np.abs(step[tail, None]) / (tt * tt)
+        g = self.density(x.ravel()).reshape(x.shape) * jac
+        resk = g @ _WK
+        err = np.abs(resk - g[:, 1::2] @ _WG) * half
+        resasc = (np.abs(g - 0.5 * resk[:, None]) @ _WK) * half
+        ratio = np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0.0)
+        err = np.where(resasc > 0.0, resasc * np.minimum(1.0, ratio ** 1.5), err)
+        return resk * half, np.maximum(err, 50.0 * _EPS * (np.abs(g) @ _WK) * half)
 
 
-_HI_STEPS = 8.0   # a new hi lies this many predicted steps past the last root
+def _invert(line: _Line, problems) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots y of mass(y, end) = target on the line, for every (targets, end) problem at once.
 
-
-def _invert_upper_tail(line: _Line, x: List[float], targets: List[float],
-                       rho: List[float]) -> Tuple[List[float], List[float], List[float]]:
-    """Solve line.upper(t_i) = targets[i] along an increasing grid x.
-
-    The targets decrease along x, and rho[i] is the normalized source
-    density at x[i], so t' = rho / (density(t)/Z). Each tail is anchored at
-    a point hi beyond the root, upper(y) = upper(hi) + mass(y, hi)/Z: two
-    positive terms, so nothing cancels however small the target. hi comes
-    from a half-line quadrature and serves the following points for as long
-    as it lies beyond their roots. Newton on g(y) = upper(y) - target, with
-    g' = -density(y)/Z, starts at t[i-1] + t'[i-1] (x[i] - x[i-1]) and
-    bisects whenever a step leaves the bracket; iterates below the target
-    become hi, so the quadratures shrink with the steps. The root's anchored
-    tail gives its residual and is the next point's lower bracket end.
-    Returns the lists t, t' and residuals.
+    ``end`` is inf (upper tails) or a finite point past every root (heads).
+    Returns the roots, their anchored masses and their densities, in the
+    problems' order.
     """
-    t, t_prime, resid = [], [], []
-    lo = hi = None                        # (y, upper(y)) pairs
-    for i, target in enumerate(targets):
-        start, step = None, 1.0
-        if t:
-            start = t[-1] + t_prime[-1] * (x[i] - x[i - 1])
-            step = _HI_STEPS * (start - t[-1])
-        if hi is not None and hi[1] >= target:
-            lo, hi = hi, None
-        elif lo is not None and lo[1] < target:
-            # the targets tie to rounding: the previous root is past this one
-            lo, hi = None, lo
-        lo, hi = _widen(line, target, lo, hi, step)
-        y, u, f = _newton(line, target, lo, hi, start)
-        lo = (y, u)
-        t.append(y)
-        t_prime.append(rho[i] / f)
-        resid.append(u - target)
-    return t, t_prime, resid
+    target = np.concatenate([t for t, _ in problems])
+    if target.size == 0:
+        return target, target, target
+    brackets = [_ladder(line, t, end) for t, end in problems if t.size]
+    return _newton(line, target, *(np.concatenate(v) for v in zip(*brackets)))
 
 
-def _widen(line: _Line, target: float, lo, hi, step: float):
-    """Half-line tails move (lo, hi) out until upper(lo) >= target > upper(hi).
+# the ladder's radii from the mode: 2^(k/2) from 2^-20 out to 2^16, squared
+# while the ladder is short of a target, up to 2^99 (below _EXTEND_CAP)
+_LADDER_FROM, _LADDER_TO, _LADDER_CAP = -20, 16, 99
+# a bracket whose tail falls by more than e^16 is cut in 8
+_STEEP = math.exp(16.0)
+_CUTS = np.arange(1, 8) / 8.0
 
-    With neither end known the first trial is the origin. Each trial lies
-    ``step`` past the known end, and the step grows fourfold per trial.
+
+def _ladder(line: _Line, targets: np.ndarray, end: float):
+    """Brackets a < b with mass(a, end) >= target > mass(b, end), and those masses.
+
+    The ladder steps out from the line's mode on both sides by geometric
+    radii (ratio sqrt 2), up to ``end``. Its masses are summed from the end,
+    with compensation, over the masses of its gaps and of its last point's
+    interval to the end. A target's bracket is a ladder gap. Where the mass
+    falls by more than e^16 across a bracket, or underflows at its upper end,
+    log-mass interpolation cannot start Newton, so the bracket is cut in 8,
+    each new point's mass anchored at the bracket's upper end, until no
+    bracket is that steep. A target of zero (a head at the origin) gets the
+    bracket (end, end).
     """
-    if lo is None and hi is None:
-        lo = (0.0, line.upper(0.0))
-        if lo[1] < target:
-            lo, hi = None, lo
-    while lo is None or hi is None:
-        y = hi[0] - step if lo is None else lo[0] + step
-        if abs(y) > _EXTEND_CAP:
+    top = _LADDER_TO
+    while True:
+        r = 2.0 ** (np.arange(2 * _LADDER_FROM, 2 * top + 1) / 2.0)
+        y = line.mode + np.concatenate((-r[::-1], [0.0], r))
+        y = y[y < end]
+        u = _compensated_cumsum(line.masses(y, np.append(y[1:], end))[::-1])[::-1]
+        if u[0] >= targets.max() and (end < math.inf or u[-1] < targets.min()):
+            break
+        if top == _LADDER_CAP:
             raise BracketFailure("quantile bracket ran past the radius cap")
-        u = line.upper(y)
-        if u >= target:
-            lo = (y, u)
-        else:
-            hi = (y, u)
-        step *= 4.0
-    return lo, hi
+        top = min(2 * top, _LADDER_CAP)
+    if end < math.inf:
+        y, u = np.append(y, end), np.append(u, 0.0)
+    while True:
+        k = np.minimum(np.searchsorted(-u, -targets, side="right"), u.size - 1)
+        zero = targets == 0.0
+        a, ua = np.where(zero, end, y[k - 1]), np.where(zero, 0.0, u[k - 1])
+        b, ub = y[k], u[k]
+        steep = (ua > _STEEP * ub) & (b - a > 1e-15 * np.maximum(np.abs(a), np.abs(b)))
+        if not steep.any():
+            return a, ua, b, ub
+        g = np.unique(k[steep])
+        cut = y[g - 1, None] + (y[g] - y[g - 1])[:, None] * _CUTS
+        u_cut = u[g, None] + line.masses(cut, y[g, None])
+        order = np.argsort(np.append(y, cut), kind="stable")
+        y, u = np.append(y, cut)[order], np.append(u, u_cut)[order]
 
 
-def _newton(line: _Line, target: float, lo, hi, y: Optional[float]):
-    """Safeguarded Newton root of upper(y) = target in the bracket (lo, hi).
+def _log_interpolate(a, ua, b, ub, target):
+    """Where log u, linear between (a, ua) and (b, ub), meets the target; the midpoint if ub = 0."""
+    w = np.full(a.shape, 0.5)
+    pos = ub > 0.0
+    w[pos] = np.log(ua[pos] / target[pos]) / np.log(ua[pos] / ub[pos])
+    return a + w * (b - a)
 
-    Stops once the step or the bracket is below 1e-15 relative, the
+
+def _newton(line: _Line, target: np.ndarray, a, ua, b, ub):
+    """Safeguarded Newton roots of u(y) = target in the brackets (a, b), all at once.
+
+    u(y) is the mass from y to the problem's end, ub that from b. Each round
+    anchors every open root's mass at its bracket's upper end,
+    u = ub + mass(y, b): two positive terms, so nothing cancels however
+    small the target. One masses call serves all open roots, and one
+    density call gives f = -u'(y). Iterates below the target become b, so
+    the masses shrink with the steps. The step is Newton's on log u,
+    y + log(u/target) u/f, which converges on Gaussian tails as on power
+    laws. The first iterate, and a step that leaves the bracket,
+    interpolate log u between the bracket's ends; a second such step in a
+    row bisects.
+
+    A root stops once the step or the bracket is below 1e-15 relative, the
     bracket holds less than 1e-16 of the target's mass by its ends'
-    anchored tails (a root on a bracket end, as at the origin), or the
+    anchored masses (a root on a bracket end, as at the origin), or the
     residual is below 1e-12 of the target and the step no longer halves
-    (the quadratures' rounding floor). The bracket's mass is read from its
-    ends because the density at the iterate underflows where a wide first
-    bracket puts its midpoint far out in a tail. Returns the
-    last iterate with its anchored tail and normalized density.
+    (the quadratures' rounding floor). Returns the last iterates with their
+    anchored masses and densities.
     """
-    z = line.total
-    (a, ua), (b, ub) = lo, hi
-    last = math.inf
+    n = target.size
+    y_out, u_out, f_out = np.empty(n), np.empty(n), np.empty(n)
+    open_ = np.arange(n)
+    y = _log_interpolate(a, ua, b, ub, target)
+    last, fell_back = np.full(n, np.inf), np.zeros(n, dtype=bool)
     for _ in range(200):
-        if y is None or y >= b:
-            y, last = 0.5 * (a + b), math.inf
-        elif y < a:
-            y = a               # restart from the lower end
-        u = ub + line.mass(y, b) / z
-        f = line.density(y) / z
-        if u >= target:
-            a, ua = y, u
-        else:
-            b, ub = y, u
-        step = (u - target) / f if f > 0.0 else math.inf
-        if (abs(step) <= 1e-15 * abs(y) or b - a <= 1e-15 * max(abs(a), abs(b))
-                or ua - ub <= 1e-16 * target
-                or (abs(u - target) <= 1e-12 * target and abs(step) >= 0.5 * last)):
-            return y, u, f
-        last = abs(step)
-        y += step
-    raise RuntimeError(f"quantile Newton did not converge for target {target!r}")
+        u = ub + line.masses(y, b)
+        f = line.density(y)
+        below = u < target
+        a, ua = np.where(below, a, y), np.where(below, ua, u)
+        b, ub = np.where(below, y, b), np.where(below, u, ub)
+        # a density far below the tail leaves no usable Newton step
+        newton = (u > 0.0) & (f > 1e-300 * u)
+        step = np.full(y.shape, np.inf)
+        step[newton] = np.log(u[newton] / target[newton]) * (u[newton] / f[newton])
+        size = np.abs(step)
+        done = ((size <= 1e-15 * np.abs(y)) | (b - a <= 1e-15 * np.maximum(np.abs(a), np.abs(b)))
+                | (ua - ub <= 1e-16 * target)
+                | (newton & (np.abs(u - target) <= 1e-12 * target) & (size >= 0.5 * last)))
+        y_out[open_[done]], u_out[open_[done]], f_out[open_[done]] = y[done], u[done], f[done]
+        keep = ~done
+        if not keep.any():
+            return y_out, u_out, f_out
+        open_, target, a, ua, b, ub, y, step, size, fell_back = (
+            v[keep] for v in (open_, target, a, ua, b, ub, y, step, size, fell_back))
+        y = y + step
+        out = ~((y > a) & (y < b))
+        y = np.where(out & ~fell_back, _log_interpolate(a, ua, b, ub, target), y)
+        y = np.where(out & fell_back, 0.5 * (a + b), y)
+        last, fell_back = np.where(out, np.inf, size), out
+    raise RuntimeError("quantile Newton did not converge")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from brenier_bounds import (DomainError, ExtParam, INF, InvalidOrder, PotentialS
                             Scenario, default_grid, gamma, global_bound, local_bound,
                             normalization, quantile_map_1d, radial_map, run_scenario,
                             second_variation_check, structural, tail_mass)
-from brenier_bounds.extparam import theta_value, theta_value_array
+from brenier_bounds.extparam import theta_value_array
 
 
 class TestExtParam:
@@ -41,19 +41,19 @@ class TestExtParam:
 class TestTheta:
     def test_zero_maps_to_zero(self):
         for p in (ExtParam.finite(1), ExtParam.finite(7.5), INF):
-            assert theta_value(p, 0.0) == 0.0
+            assert theta_value_array(p, 0.0) == 0.0
 
     def test_finite_value(self):
-        assert theta_value(ExtParam.finite(2), 2.0) == pytest.approx(2.0 * math.log(2.0),
-                                                                      rel=1e-15)
+        assert theta_value_array(ExtParam.finite(2), 2.0) == pytest.approx(
+            2.0 * math.log(2.0), rel=1e-15)
 
     def test_infinite_variant_is_identity(self):
-        assert theta_value(INF, 3.7) == 3.7
+        assert theta_value_array(INF, 3.7) == 3.7
 
     @given(st.floats(0.01, 1e3))
     def test_monotone_in_p_and_approaches_identity(self, t):
         ps = [1.0, 2.0, 10.0, 1e3, 1e6]
-        vals = [theta_value(ExtParam.finite(p), t) for p in ps]
+        vals = [float(theta_value_array(ExtParam.finite(p), t)) for p in ps]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-12
         assert all(v <= t + 1e-12 for v in vals)
@@ -62,29 +62,24 @@ class TestTheta:
 
     def test_domain_guard_below_minus_p(self):
         with pytest.raises(DomainError):
-            theta_value(ExtParam.finite(2), -2.0)
-        with pytest.raises(DomainError):
-            theta_value(ExtParam.finite(2), -2.5)
-        # the scalar and array paths share the guard and the message
-        p = ExtParam.finite(2)
-        for call in (lambda: theta_value(p, -2.0),
-                     lambda: theta_value_array(p, np.array([1.0, -2.0]))):
-            with pytest.raises(DomainError, match=r"t > -p: t=-2\.0, p=2\.0"):
-                call()
+            theta_value_array(ExtParam.finite(2), -2.5)
+        # the first offending entry is named
+        with pytest.raises(DomainError, match=r"t > -p: t=-2\.0, p=2\.0"):
+            theta_value_array(ExtParam.finite(2), np.array([1.0, -2.0]))
 
     def test_vectorized_values_match_scalar(self):
         p = ExtParam.finite(3)
         t = np.array([0.0, 1.0, 10.0])
         got = theta_value_array(p, t)
-        want = [theta_value(p, float(x)) for x in t]
+        want = [3.0 * math.log1p(float(x) / 3.0) for x in t]
         assert np.allclose(got, want, rtol=1e-15)
-        assert theta_value(INF, 7.5) == 7.5
+        assert theta_value_array(INF, 7.5) == 7.5
 
 
 def test_unnormalized_density_interpolates_families():
     # exp(-theta_p(U)) at finite p: (1 + r^2/p)^(-p); infinite: exp(-r^2)
     U = PotentialSpec.quadratic(1.0, 1)
-    density = lambda p: math.exp(-theta_value(p, float(U.value(2.0))))  # noqa: E731
+    density = lambda p: math.exp(-theta_value_array(p, U.value(2.0)))  # noqa: E731
     assert density(ExtParam.finite(1)) == pytest.approx(1.0 / 5.0)
     assert density(INF) == pytest.approx(math.exp(-4.0))
 

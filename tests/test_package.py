@@ -36,7 +36,8 @@ def test_readme_quick_start_runs():
 
 # Runs in a fresh interpreter: pytest's own filterwarnings setting imports
 # scipy.integrate. Prints [command, exit code, scipy loaded] per CLI call,
-# then whether the scipy-backed paths still run once scipy is loaded.
+# then the quantile oracle's error and whether scipy is loaded after it, and
+# whether a tabulated profile, which loads scipy, still runs.
 _COLD_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -66,9 +67,11 @@ for command, path in runs:
     out.append([command, code, "scipy" in sys.modules])
 quad = PotentialSpec.quadratic(1.0, 1)
 m = quantile_map_1d(quad, quad, INF, INF, np.logspace(-2, 1, 20))
+oracle_scipy = "scipy" in sys.modules
 tab = PotentialSpec.tabulated(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9) ** 2)
 print(json.dumps({"runs": out, "oracle": float(np.max(np.abs(m.t / m.r_grid - 1))),
-                  "tabulated": float(tab.value(1.5)), "scipy": "scipy" in sys.modules}))
+                  "oracle_scipy": oracle_scipy, "tabulated": float(tab.value(1.5)),
+                  "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -82,7 +85,9 @@ def test_radial_and_onedim_cli_paths_never_load_scipy(tmp_path):
     for command, code, scipy_loaded in result["runs"]:
         assert code == 0, command
         assert not scipy_loaded, command
-    # the oracle and the tabulated profiles load it on first use
+    # the quantile oracle is numpy only; a tabulated profile (PCHIP) loads
+    # scipy on first use
     assert result["oracle"] < 1e-12
+    assert not result["oracle_scipy"]
     assert result["tabulated"] == pytest.approx(2.25, rel=1e-12)
     assert result["scipy"]

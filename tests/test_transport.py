@@ -10,7 +10,8 @@ from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, ExtPara
                             InvalidOrder, PotentialSpec, RadialMap, default_grid,
                             lipschitz_empirical, quantile_map_1d, radial_map,
                             second_variation_check, slope_fit)
-from brenier_bounds.transport import tail_table
+from brenier_bounds.potentials import Quadratic
+from brenier_bounds.transport import _Line, tail_table
 
 
 def quad(a, n=1):
@@ -181,22 +182,20 @@ class TestQuantileOracleClosedForms:
         assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-12
 
 
-    def test_few_half_line_quadratures(self, monkeypatch):
-        # the source tails are summed from grid-interval masses and every
-        # root is anchored at a shared far end: the old per-point half-line
-        # tails made about 500 infinite-limit quadratures here. Each line
-        # binds QUADPACK when it is built, so the counter replaces it there
-        import scipy.integrate
-        calls, real_quad = [], scipy.integrate.quad
+    def test_density_is_evaluated_in_few_array_calls(self, monkeypatch):
+        # every mass and every root on the grid is batched: the potentials
+        # are evaluated in a few dozen array calls, where a loop over the
+        # 200 grid points would make at least 200
+        calls, real = [], Quadratic.value
 
-        def counting_quad(f, a, b, **kw):
-            calls.append(math.isinf(a) or math.isinf(b))
-            return real_quad(f, a, b, **kw)
+        def counting(self, r):
+            calls.append(np.size(r))
+            return real(self, r)
 
-        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        monkeypatch.setattr(Quadratic, "value", counting)
         quantile_map_1d(PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.3, 1),
                         INF, INF, self.GRID)
-        assert sum(calls) <= 100
+        assert len(calls) <= 100
 
 
 class TestQuantileOracleBothTails:
@@ -208,6 +207,10 @@ class TestQuantileOracleBothTails:
     @pytest.mark.parametrize("V,W,want", [
         (quad(1.8), quad(3.1), lambda x: math.sqrt(1.8 / 3.1) * x),
         (quad(1.0), shifted_quad(0.25, 0.5), lambda x: 2.0 * x + 0.5),
+        # narrow target peaks far from the origin, where no piece of a mass
+        # may step over them
+        (quad(1.98), shifted_quad(3.37, -34.2), lambda x: math.sqrt(1.98 / 3.37) * x - 34.2),
+        (quad(1.0), shifted_quad(3.6, -25.5), lambda x: math.sqrt(1.0 / 3.6) * x - 25.5),
     ])
     def test_gaussian_closed_forms(self, V, W, want):
         m = quantile_map_1d(V, W, INF, INF, self.GRID)
@@ -226,6 +229,35 @@ class TestQuantileOracleBothTails:
         m = quantile_map_1d(quad(1.0), quad(1.0), ExtParam.finite(1), INF, x)
         assert abs(m.t[100]) <= 1e-15
         assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
+
+
+class TestQuantileOracleFarPeaks:
+    """A non-radial line breaks at its mode, however far out its peak lies."""
+
+    def test_total_of_a_narrow_far_peak(self):
+        assert _Line(shifted_quad(3.37, -34.2), INF).total == pytest.approx(
+            math.sqrt(math.pi / 3.37), rel=1e-13)
+
+
+class TestQuantileOracleHeavyTails:
+    """p = 1 (Cauchy) lines whose masses start far out: half-lines from 1e6,
+    and roots near 1e14."""
+
+    def test_cauchy_scaling(self):
+        x = np.logspace(-2.0, 6.0, 200)
+        m = quantile_map_1d(quad(1.0), quad(2.0), ExtParam.finite(1), ExtParam.finite(1), x)
+        assert len(m.t) == len(x)
+        assert np.max(np.abs(m.t / (x / math.sqrt(2.0)) - 1.0)) <= 1e-12
+
+    def test_student_to_cauchy(self):
+        x = np.logspace(-2.0, 3.0, 200)
+        m = quantile_map_1d(quad(1.0), quad(1.0), ExtParam.finite(3), ExtParam.finite(1), x)
+        assert len(m.t) == len(x)
+        # the closed form of TestRadialMapRadiusCap; below x = 1 its head
+        # form keeps the digits, 1 - I_z(5/2, 1/2) = I_(1-z)(1/2, 5/2)
+        t = np.where(x < 1.0, np.tan(0.5 * math.pi * betainc(0.5, 2.5, x ** 2 / (3.0 + x ** 2))),
+                     1.0 / np.tan(0.5 * math.pi * betainc(2.5, 0.5, 3.0 / (3.0 + x ** 2))))
+        assert np.max(np.abs(m.t / t - 1.0)) <= 1e-12
 
 
 class TestQuantileOracleFarRoots:
