@@ -5,7 +5,7 @@ construction and empirical verification."""
 from .errors import (BracketFailure, BrenierBoundsError, ConventionUndefined,
                      DivergentIntegral, DomainError, EmptyWindow, InvalidOrder,
                      MFrakOverflow, NoConvergence, VoidBound)
-from .extparam import INF, ExtParam
+from .extparam import INF, ExtParam  # noqa: F401  (ExtParam.parse only, not in __all__)
 from .potentials import (NormConstant, PotentialSpec, log_reference_integral,
                          normalization, unit_ball_volume)
 from .constants import (GlobalAggregates, StructuralConstants, aggregates,
@@ -28,7 +28,7 @@ __all__ = [
     "BracketFailure", "BrenierBoundsError", "ConventionUndefined",
     "DivergentIntegral", "DomainError", "EmptyWindow", "InvalidOrder",
     "MFrakOverflow", "NoConvergence", "VoidBound",
-    "INF", "ExtParam",
+    "INF",
     "NormConstant", "PotentialSpec", "log_reference_integral", "normalization",
     "unit_ball_volume",
     "GlobalAggregates", "StructuralConstants", "aggregates", "structural",

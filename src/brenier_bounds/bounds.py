@@ -9,8 +9,8 @@ All products of many large/small factors (the K/M growth chains, the
 ball-mass lower bound) are computed in log space and exponentiated once:
 (5/4)^d * 10^(2d) alone overflows 64-bit floats near d ~ 150.
 
-The tail parameters d and D are ExtParam values throughout; the public
-functions also take them as plain numbers.
+The tail parameters d and D are floats in (0, inf], math.inf for the
+endpoint; the public functions check them with :func:`~.extparam.param`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .constants import StructuralConstants, aggregates, structural
 from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
                      VoidBound)
-from .extparam import ExtParam, _as_extparam
+from .extparam import finite_param, param
 from .potentials import (PotentialSpec, log_reference_integral, mass_table,
                          normalization, unit_ball_volume)
 
@@ -33,12 +33,11 @@ from .potentials import (PotentialSpec, log_reference_integral, mass_table,
 def gamma(d, D) -> float:
     """Tail-interaction exponent: math.inf at D = d finite, ((2d-D)/(D-d))_+ for d < D finite, 0 at D = inf."""
     d, D = _check_order(0, d, D)  # n = 0: the order d <= D alone
-    if not D.is_finite:
+    if math.isinf(D):
         return 0.0
-    dd, DD = d.value, D.value
-    if dd == DD:
+    if d == D:
         return math.inf
-    return max(0.0, (2.0 * dd - DD) / (DD - dd))
+    return max(0.0, (2.0 * d - D) / (D - d))
 
 
 def _as_dict(x):
@@ -62,11 +61,11 @@ def bound_from_terms(a: float, b: float) -> float:
     return math.sqrt(a + b) + math.sqrt(b)
 
 
-def tail_mass(W: PotentialSpec, D: ExtParam, r: float) -> float:
+def tail_mass(W: PotentialSpec, D: float, r: float) -> float:
     """Mass of the target density outside the ball of radius r."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    table = mass_table(W, _as_extparam(D))
+    table = mass_table(W, param(D))
     return table.tail(r) / table.total
 
 
@@ -84,21 +83,21 @@ class GrowthData:
             raise ValueError("growth factor below 1")
 
 
-def growth_data(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
+def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                 R: float, n: int) -> GrowthData:
     """Growth data for the localized estimate (finite source parameter only)."""
-    d, D = _as_extparam(d), _as_extparam(D)
-    if not d.is_finite:
+    d, D = param(d), param(D)
+    if math.isinf(d):
         raise DomainError("growth data is defined for finite source parameter d only")
     if not (0.0 < R < math.inf):
         raise ValueError("R must be finite and positive")
     _check_order(n, d, D)
-    s = max(R, math.sqrt(d.value))
+    s = max(R, math.sqrt(d))
     c0_big = structural(V, d, 10.0 * s).C0
     z = normalization(V, d).z
     log_m = (math.log(unit_ball_volume(n)) + n * math.log(3.0 * s)
-             - math.log(z) - d.value * math.log(c0_big)
-             - d.value * math.log1p(100.0 * s * s / d.value))
+             - math.log(z) - d * math.log(c0_big)
+             - d * math.log1p(100.0 * s * s / d))
     m_frak = math.exp(log_m)
     if m_frak > 1.0:
         warnings.warn(
@@ -109,7 +108,7 @@ def growth_data(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
     else:
         table = mass_table(W, D)
         fathi = 3.0 * table.invert(m_frak * table.total)
-    g = 1.0 + fathi * fathi / D.value if D.is_finite else 1.0
+    g = 1.0 if math.isinf(D) else 1.0 + fathi * fathi / D
     return GrowthData(s=s, m_frak=m_frak, fathi_radius=fathi, growth_factor=g)
 
 
@@ -123,19 +122,19 @@ class _LocalFactors:
     gamma_dD: float
 
 
-def _local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
+def _local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                    R: float, n: int, c_W2: float) -> _LocalFactors:
-    if not D.is_finite:
+    if math.isinf(D):
         return _LocalFactors(1.0, 0.0, None, 1.0, 0.0, 0.0)
     gd = growth_data(V, W, d, D, R, n)
     sw = structural(W, D, gd.fathi_radius)
     lam = sw.C0 * gd.growth_factor
     g = gamma(d, D)
-    xi = min((D.value / d.value) * sw.C1 / sw.C0, g * c_W2)
+    xi = min((D / d) * sw.C1 / sw.C0, g * c_W2)
     return _LocalFactors(lam, xi, gd, sw.C0, sw.C1, g)
 
 
-def local_factors(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
+def local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                   R: float, n: int) -> Tuple[float, float]:
     """(lambda, xi) of the localized estimate; requires the target's declared c(2) > 0."""
     d, D = _check_order(n, d, D)
@@ -174,53 +173,53 @@ def _require_hess_lower(W: PotentialSpec) -> float:
     return float(W.hess_lower)
 
 
-def _check_order(n: int, d, D) -> Tuple[ExtParam, ExtParam]:
-    """(d, D) as ExtParam (each given as one or as a number); raises
+def _check_order(n: int, d, D) -> Tuple[float, float]:
+    """(d, D) as floats (see :func:`~.extparam.param`); raises
     :class:`InvalidOrder` unless n <= d <= D."""
-    d, D = _as_extparam(d), _as_extparam(D)
+    d, D = param(d), param(D)
     if d > D:
-        raise InvalidOrder(f"requires d <= D, got d={d.label()}, D={D.label()}")
+        raise InvalidOrder(f"requires d <= D, got d={d!r}, D={D!r}")
     return _check_map_order(n, d, D)
 
 
-def _check_map_order(n: int, d, D) -> Tuple[ExtParam, ExtParam]:
-    """(d, D) as ExtParam; raises :class:`InvalidOrder` unless n <= d and
+def _check_map_order(n: int, d, D) -> Tuple[float, float]:
+    """(d, D) as floats; raises :class:`InvalidOrder` unless n <= d and
     n <= D, the order every weight (1 + U/p)^(-p) on R^n is taken in; a
     quadratic U has no finite mass at p <= n/2, so no map. d > D (the
     counterexample) passes."""
-    d, D = _as_extparam(d), _as_extparam(D)
+    d, D = param(d), param(D)
     for name, p in (("d", d), ("D", D)):
-        if p.is_finite and p.value < n:
-            raise InvalidOrder(f"requires n <= {name}, got n={n}, {name}={p.value}")
+        if p < n:
+            raise InvalidOrder(f"requires n <= {name}, got n={n}, {name}={p}")
     return d, D
 
 
 def _scenario_stub(n, d, D, R=None) -> dict:
-    out = {"n": n, "d": d.label(), "D": D.label()}
+    out = {"n": n, "d": repr(d), "D": repr(D)}
     if R is not None:
         out["R"] = R
     return out
 
 
 def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
-                d: ExtParam, D: ExtParam, R: float) -> BoundReport:
+                d: float, D: float, R: float) -> BoundReport:
     """Localized Hessian bound on the ball B_R (endpoint/Caffarelli branches included)."""
     d, D = _check_order(n, d, D)
     if not R > 0.0:
         raise ValueError("local bound needs positive R")
-    if D.is_finite and not math.isfinite(R):
+    if not math.isinf(D) and not math.isfinite(R):
         raise ValueError("finite target parameter needs a finite ball radius R")
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     scen = _scenario_stub(n, d, D, R)
     try:
-        if not d.is_finite:
+        if math.isinf(d):
             # both parameters infinite: the endpoint conventions collapse the bound
             a = C_V2 / c_W2
             return BoundReport("caffarelli", a, 0.0, bound_from_terms(a, 0.0),
                                {"C_V2": C_V2, "c_W2": c_W2}, scen)
         c0 = structural(V, d, R).c0
-        if not D.is_finite:
+        if math.isinf(D):
             a = C_V2 / (c_W2 * c0)
             return BoundReport("endpoint_poly_log", a, 0.0, bound_from_terms(a, 0.0),
                                {"C_V2": C_V2, "c_W2": c_W2, "c0_V": c0,
@@ -241,7 +240,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
 
 
 def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
-                 d: ExtParam, D: ExtParam) -> BoundReport:
+                 d: float, D: float) -> BoundReport:
     """Parameter-uniform global Hessian bound (independent of d, D; only n enters)."""
     d, D = _check_order(n, d, D)
     C_V2 = _require_hess_upper(V)
@@ -261,18 +260,18 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                        _scenario_stub(n, d, D))
 
 
-def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: ExtParam, D: ExtParam
+def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float, D: float
                       ) -> Tuple[StructuralConstants, StructuralConstants, float, float]:
     """Global structural constants of V at d and of W at D, for n <= d <= D < inf,
     and the growth constants (K, M) they give."""
     d, D = _check_order(n, d, D)
-    if not D.is_finite:
-        raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d.label()}, D=inf")
+    if math.isinf(D):
+        raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d!r}, D=inf")
     try:
         sv, sw = structural(V, d, math.inf), structural(W, D, math.inf)
     except NoConvergence as exc:
         raise VoidBound(f"growth constants void: {exc}") from exc
-    k, m = _growth_chain(n, d.value, D.value, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
+    k, m = _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
     return sv, sw, float(k), float(m)
 
 
@@ -298,15 +297,15 @@ def _growth_chain(n: int, d, D, v, w):
 
 
 def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
-                            d: ExtParam, D: ExtParam) -> Tuple[float, float]:
+                            d: float, D: float) -> Tuple[float, float]:
     """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
     return _global_constants(V, W, n, d, D)[2:]
 
 
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
-                              d: ExtParam, D: ExtParam) -> BoundReport:
+                              d: float, D: float) -> BoundReport:
     """Sharper finite-parameter global bound built on the (K, M) growth chain."""
-    d, D = _as_extparam(d), _as_extparam(D)
+    d, D = param(d), param(D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     sv, sw, k, m = _global_constants(V, W, n, d, D)
@@ -314,7 +313,7 @@ def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     one_m = 1.0 + m
     a = C_V2 * sw.C0 * one_m / (c_W2 * sv.c0)
     pref = 4.0 * sv.C1 / (c_W2 * c_W2 * sv.c0 * sv.c0)
-    b = pref * min(sw.C1 * (D.value / d.value) * one_m, g * (c_W2 * sw.C0 * one_m))
+    b = pref * min(sw.C1 * (D / d) * one_m, g * (c_W2 * sw.C0 * one_m))
     consts = {"C_V2": C_V2, "c_W2": c_W2, "K": k, "M": m,
               "c0_V": sv.c0, "C0_V": sv.C0, "C1_V": sv.C1,
               "c0_W": sw.c0, "C0_W": sw.C0, "C1_W": sw.C1,
@@ -363,7 +362,7 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
         ps, at = np.unique(np.concatenate((d, D)), return_inverse=True)
         iv, iw = at[:d.size], at[d.size:]
         log_ratio, log_i = np.array([
-            _chain_terms(structural(U, ExtParam.finite(float(p)), math.inf), n, float(p))
+            _chain_terms(structural(U, finite_param(p), math.inf), n, float(p))
             for p in ps]).T
         expo = 2.0 / (2.0 * D - n)
         s1 = ((np.exp(d * expo * log_ratio[iv]) <= qV * qV + tol)

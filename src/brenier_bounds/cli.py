@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from .bounds import _check_map_order, mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
-from .extparam import ExtParam
+from .extparam import finite_param, param
 from .potentials import PotentialSpec, Quadratic
 from .transport import MIN_MAP_POINTS, lipschitz_empirical, radial_map
 from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
@@ -63,10 +63,6 @@ def _scalar(block: dict, key: str, default, kind, ctx: str):
 def _optional_float(value) -> Optional[float]:
     """float(value), keeping null as None (undeclared bound, default grid end)."""
     return None if value is None else float(value)
-
-
-def _finite_positive(v) -> float:
-    return ExtParam.finite(v).value
 
 
 def _positive_list(block: dict, key: str, default: list, kind, ctx: str) -> list:
@@ -150,8 +146,8 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     scen = _block(doc.get("scenario"), {"name", "n", "d", "D", "R", "expected"}, "scenario")
     solver = _block(doc.get("solver", {}), {"grid_points", "grid_min", "grid_max"}, "solver")
     n = _scalar(scen, "n", 1, int, "scenario")
-    d = _convert(scen.get("d", n), ExtParam.parse, "scenario.d")
-    D = _convert(scen.get("D", "inf"), ExtParam.parse, "scenario.D")
+    d = _convert(scen.get("d", n), param, "scenario.d")
+    D = _convert(scen.get("D", "inf"), param, "scenario.D")
     R = _scalar(scen, "R", math.inf, float, "scenario")
     name = str(scen.get("name", "scenario"))
     try:
@@ -193,7 +189,7 @@ def load_config(path) -> List[Scenario]:
 
 
 def _strict(obj):
-    """obj with non-finite floats spelled as strings ("inf", as ExtParam.label)."""
+    """obj with non-finite floats spelled as strings ("inf", as repr spells math.inf)."""
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, dict):
@@ -339,14 +335,14 @@ def cmd_sweep(args) -> int:
         n = _scalar(block, "n", 1, int, "sweep")
         V, W = _potentials(doc, n, "", p.parent)
         if kind == "d_limit":
-            rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, _finite_positive, "sweep"),
-                                _scalar(block, "R", 1.0, _finite_positive, "sweep"),
+            rep = limit_sweep_D(V, W, n, _scalar(block, "d", 1.0, finite_param, "sweep"),
+                                _scalar(block, "R", 1.0, finite_param, "sweep"),
                                 _positive_list(block, "D_list", [2, 10, 100, 1000],
-                                               _finite_positive, "sweep"))
+                                               finite_param, "sweep"))
         else:
             rep = limit_sweep_caffarelli(
                 V, W, n,
-                _positive_list(block, "d_list", [1, 10, 100, 1e4, 1e6], _finite_positive,
+                _positive_list(block, "d_list", [1, 10, 100, 1e4, 1e6], finite_param,
                                "sweep"),
                 _positive_list(block, "R_list", [1, 2, 5, 10], float, "sweep"))
         _rows_csv(out_dir / f"{kind}.csv", rep.rows)

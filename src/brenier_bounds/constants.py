@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionUndefined, DomainError, NoConvergence
-from .extparam import ExtParam, _as_extparam
+from .extparam import param
 from .potentials import PotentialSpec, Quadratic
 
 _SCAN_POINTS = 2048
@@ -123,7 +123,7 @@ def _sups(U: PotentialSpec, q: float, grids: np.ndarray, best=-np.inf) -> np.nda
     return sups
 
 
-def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
+def structural(U: PotentialSpec, p: float, R: float) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
     Computed once per (U, p, R) and kept on U, failures too. Raises
@@ -132,8 +132,8 @@ def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
     :class:`NoConvergence` when an expanding-window supremum does not
     stabilize (the constant is infinite and any bound using it is void).
     """
-    p = _as_extparam(p)
-    key = ("structural", p.raw, R)
+    p = param(p)
+    key = ("structural", p, R)
     if key not in U._memo:
         try:
             U._memo[key] = _structural(U, p, R)
@@ -145,15 +145,14 @@ def structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
     return hit
 
 
-def _structural(U: PotentialSpec, p: ExtParam, R: float) -> StructuralConstants:
+def _structural(U: PotentialSpec, q: float, R: float) -> StructuralConstants:
     if R < 0:
         raise ValueError("R must be nonnegative")
-    if not p.is_finite:
+    if math.isinf(q):
         if math.isinf(R):
             raise ConventionUndefined(
                 "zeroth-order constants at p = infinity are defined for finite R only")
         return StructuralConstants(1.0, 1.0, 0.0)
-    q = p.value
 
     if math.isinf(R):
         if isinstance(U.profile, Quadratic):
@@ -192,7 +191,7 @@ def aggregates(U: PotentialSpec, n: int) -> GlobalAggregates:
 
     All four aggregates are computed; only the relevant ones enter each bound.
     """
-    sc = structural(U, ExtParam.finite(float(n)), math.inf)
+    sc = structural(U, float(n), math.inf)
     cU = min(1.0, sc.c0)
     CU = max(1.0, sc.C0)
     return GlobalAggregates(qU=CU / cU, cU=cU, CU=CU, LU=sc.C1)

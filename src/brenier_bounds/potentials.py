@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BracketFailure, DivergentIntegral, DomainError
-from .extparam import ExtParam, _as_extparam, theta_value_array
+from .extparam import param, theta_value_array
 
 # Truncation-search policy: an integrand counts as decayed once it falls
 # below _DECAY_FLOOR times its peak; no decay by _RADIUS_CAP is divergence.
@@ -85,7 +85,7 @@ class RadialTabulated:
     """
 
     r_nodes: np.ndarray
-    u_interp: PchipInterpolator = field(repr=False)
+    u_interp: Callable = field(repr=False)
     du_interp: Callable = field(repr=False)
     # u and u' at the first and last node, the linear extensions' constants
     _ends: tuple = field(init=False, repr=False)
@@ -176,7 +176,7 @@ class PotentialSpec:
     Immutable after construction; all evaluation is reentrant. ``_memo``
     holds what is computed once per spec, so it lives exactly as long as the
     spec: the tail tables (see :func:`tail_table`), keyed by (weight kind,
-    p.raw, n), and the structural constants, keyed by ("structural", p.raw, R).
+    p, n), and the structural constants, keyed by ("structural", p, R).
     """
 
     dimension: int
@@ -322,10 +322,6 @@ def log_reference_integral(n: int, p) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(p, ExtParam):
-        if not p.is_finite:
-            return 0.5 * n * math.log(math.pi)
-        p = p.value
     if math.isinf(p):
         return 0.5 * n * math.log(math.pi)
     if p < n:
@@ -339,7 +335,7 @@ def log_reference_integral(n: int, p) -> float:
     return h * (math.log(p) + math.log(math.pi)) + log_ratio
 
 
-def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
+def _radial_weight(U: PotentialSpec, p: float, n: int):
     """Vectorized integrand r^(n-1) exp(-theta_p(U(r))) on [0, inf).
 
     Formed as exp((n-1) log r - theta): r^(n-1) alone overflows far out in
@@ -356,7 +352,7 @@ def _radial_weight(U: PotentialSpec, p: ExtParam, n: int):
     return f
 
 
-def _folded_weight(U: PotentialSpec, p: ExtParam):
+def _folded_weight(U: PotentialSpec, p: float):
     """Vectorized exp(-theta_p(U(x))) + exp(-theta_p(U(-x))) on [0, inf)."""
     value = U.profile.value
     def f(x):
@@ -466,10 +462,10 @@ class TailTable:
     lays out and integrates only the new stretch and appends its panels.
     """
 
-    def __init__(self, f, p: ExtParam, breaks=()):
+    def __init__(self, f, p: float, breaks=()):
         self.f = f
         self.breaks = np.asarray(breaks, dtype=float)
-        start = math.sqrt(p.value) if p.is_finite else 1.0
+        start = 1.0 if math.isinf(p) else math.sqrt(p)
         self.r_lo = _TABLE_R_LO_FACTOR * max(1.0, start)
         self.nodes, self._panels = np.zeros(1), np.zeros(0)
         r_max = truncation_radius(self.f, start)
@@ -614,7 +610,7 @@ class TailTable:
         return r
 
 
-def _cached_table(U: PotentialSpec, key: tuple, f, p: ExtParam) -> TailTable:
+def _cached_table(U: PotentialSpec, key: tuple, f, p: float) -> TailTable:
     table = U._memo.get(key)
     if table is None:
         # PCHIP is only C^1 at a tabulated profile's nodes: panels end there
@@ -623,12 +619,12 @@ def _cached_table(U: PotentialSpec, key: tuple, f, p: ExtParam) -> TailTable:
     return table
 
 
-def tail_table(U: PotentialSpec, p: ExtParam, n: int) -> TailTable:
+def tail_table(U: PotentialSpec, p: float, n: int) -> TailTable:
     """The table of r^(n-1) exp(-theta_p(U(r))), built once per (U, p, n)."""
-    return _cached_table(U, ("radial", p.raw, n), _radial_weight(U, p, n), p)
+    return _cached_table(U, ("radial", p, n), _radial_weight(U, p, n), p)
 
 
-def mass_table(U: PotentialSpec, p: ExtParam) -> TailTable:
+def mass_table(U: PotentialSpec, p: float) -> TailTable:
     """The table whose tail(r) is the mass of exp(-theta_p(U)) outside B_r, up to area.
 
     Radial potentials use the radial weight in their own dimension; a
@@ -636,11 +632,11 @@ def mass_table(U: PotentialSpec, p: ExtParam) -> TailTable:
     """
     if U.is_radial:
         return tail_table(U, p, U.dimension)
-    return _cached_table(U, ("folded", p.raw, 1), _folded_weight(U, p), p)
+    return _cached_table(U, ("folded", p, 1), _folded_weight(U, p), p)
 
 
-def normalization(U: PotentialSpec, p: ExtParam) -> NormConstant:
+def normalization(U: PotentialSpec, p: float) -> NormConstant:
     """Total mass of exp(-theta_p(U)) over R^n: sphere area times the table total."""
     n = U.dimension
     area = n * unit_ball_volume(n) if U.is_radial else 1.0
-    return NormConstant(area * mass_table(U, _as_extparam(p)).total)
+    return NormConstant(area * mass_table(U, param(p)).total)

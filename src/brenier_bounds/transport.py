@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import _check_map_order
+from .bounds import _check_map_order, _check_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
-from .extparam import ExtParam, _as_extparam, theta_value_array
+from .extparam import param, theta_value_array
 from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
                          _compensated_cumsum, tail_table)
 from .potentials import TailTable  # noqa: F401  (re-exported)
@@ -53,12 +53,12 @@ class RadialMap:
             writer.writerows(zip(self.r_grid, self.t, self.t_prime, self.residuals))
 
 
-def default_grid(d: ExtParam, points: int = 400,
+def default_grid(d: float, points: int = 400,
                  r_min: Optional[float] = None,
                  r_max: Optional[float] = None) -> np.ndarray:
     """Log-spaced grid over [1e-3 * max{1, sqrt(d)}, 50 * max{1, sqrt(d)}] by default."""
-    d = _as_extparam(d)
-    scale = max(1.0, math.sqrt(d.value)) if d.is_finite else 1.0
+    d = param(d)
+    scale = 1.0 if math.isinf(d) else max(1.0, math.sqrt(d))
     lo = 1e-3 * scale if r_min is None else r_min
     hi = 50.0 * scale if r_max is None else r_max
     return np.logspace(math.log10(lo), math.log10(hi), points)
@@ -69,7 +69,7 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask)) if np.any(mask) else mask.size
 
 
-def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
+def radial_map(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                n: int, r_grid: Optional[np.ndarray] = None) -> RadialMap:
     """Monotone radial map from the (V, d) density to the (W, D) density.
 
@@ -122,7 +122,7 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
     return RadialMap(r, t, (zw / zv) * np.exp(log_ratio), n, resid)
 
 
-def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam,
+def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                     x_grid: Optional[np.ndarray] = None) -> RadialMap:
     """Independent 1D oracle: T = G^(-1) o F by adaptive-quadrature masses.
 
@@ -142,7 +142,7 @@ def quantile_map_1d(V: PotentialSpec, W: PotentialSpec, d: ExtParam, D: ExtParam
     radial solver on even potentials and handles general (non-even) 1D
     potentials.
     """
-    d, D = _as_extparam(d), _as_extparam(D)
+    d, D = param(d), param(D)
     if x_grid is None:
         x_grid = default_grid(d)
     x = np.asarray(x_grid, dtype=float)
@@ -219,7 +219,7 @@ class _Line:
     -x, so upper tails of the mirrored line are lower tails of U's.
     """
 
-    def __init__(self, U: PotentialSpec, p: ExtParam):
+    def __init__(self, U: PotentialSpec, p: float):
         self._value, self._p, self._radial, self._sign = U.value, p, U.is_radial, 1.0
         nodes = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else []
         breaks = [np.negative(nodes), [0.0], nodes]
@@ -500,7 +500,7 @@ class SecondVariationReport:
 
 
 def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
-                           d: ExtParam, D: ExtParam, R: float) -> SecondVariationReport:
+                           d: float, D: float, R: float) -> SecondVariationReport:
     """Evaluate the maximum-principle inequalities at the empirical maximizer.
 
     The maximizer is the grid point where :func:`lipschitz_empirical` finds
@@ -510,9 +510,10 @@ def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
     Finite d <= D < inf: the Young-parameter family of inequalities for
     each epsilon. D = inf: the endpoint inequality (1 + V/d) W'' lam^2 <= V''
     (with V/d = 0 when d = inf as well). Report-only; the caller judges
-    the slacks against its tolerance.
+    the slacks against its tolerance. Raises :class:`InvalidOrder` unless
+    n <= d <= D, as the bounds do.
     """
-    d, D = _as_extparam(d), _as_extparam(D)
+    d, D = _check_order(m.n, d, D)
     est = lipschitz_empirical(m, R)
     x_bar, lam, comp = est.argmax_r, est.value, est.component
     y_bar = float(m.t[np.searchsorted(m.r_grid, x_bar)])
@@ -529,16 +530,15 @@ def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
         w11 = float(W.deriv(y_bar)) / y_bar
 
     entries = []
-    if D.is_finite:
-        dd, DD = d.value, D.value
+    if not math.isinf(D):
         lhs = w11 * lam * lam
         for eps in _EPSILONS:
-            rhs = ((1.0 / (1.0 - eps)) * (dd / DD) * (DD + w_val) / (dd + v_val) * v11
+            rhs = ((1.0 / (1.0 - eps)) * (d / D) * (D + w_val) / (d + v_val) * v11
                    + (1.0 / (eps * (1.0 - eps)))
-                   * (v1 * v1 * w1 * w1) / (w11 * (dd + v_val) ** 2))
+                   * (v1 * v1 * w1 * w1) / (w11 * (d + v_val) ** 2))
             entries.append(SlackEntry("young_family", eps, lhs, rhs))
     else:
-        ratio = v_val / d.value if d.is_finite else 0.0
+        ratio = 0.0 if math.isinf(d) else v_val / d
         entries.append(SlackEntry("endpoint", None,
                                   (1.0 + ratio) * w11 * lam * lam, v11))
     return SecondVariationReport(x_bar, y_bar, lam, comp, entries)

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import (BoundReport, _as_dict, _check_order, finite_global_sharp_bound,
                      global_bound, local_bound)
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
-from .extparam import INF, ExtParam, _as_extparam
+from .extparam import finite_param, param
 from .potentials import PotentialSpec
 from .transport import (RadialMap, LipschitzEstimate, default_grid,
                         lipschitz_empirical, radial_map, second_variation_check)
@@ -39,8 +39,8 @@ class Scenario:
     V: PotentialSpec
     W: PotentialSpec
     n: int
-    d: ExtParam
-    D: ExtParam
+    d: float
+    D: float
     R: float = math.inf
     expected: Optional[dict] = None
     grid_points: int = 400
@@ -48,7 +48,7 @@ class Scenario:
     grid_max: Optional[float] = None
 
     def __post_init__(self):
-        self.d, self.D = _as_extparam(self.d), _as_extparam(self.D)
+        self.d, self.D = param(self.d), param(self.D)
 
     def order_valid(self) -> bool:
         try:
@@ -59,7 +59,7 @@ class Scenario:
 
     def proxy_radius(self) -> float:
         """Desk-scale stand-in window for 'global' empirical suprema."""
-        scale = math.sqrt(self.d.value) if self.d.is_finite else 1.0
+        scale = 1.0 if math.isinf(self.d) else math.sqrt(self.d)
         return 50.0 * max(1.0, scale)
 
     def window(self) -> float:
@@ -134,9 +134,9 @@ def applicable_bounds(s: Scenario) -> Dict[str, Callable[[], BoundReport]]:
     R = inf); ``finite_global_sharp`` when d and D are both finite.
     """
     out = {"global": lambda: global_bound(s.V, s.W, s.n, s.d, s.D)}
-    if math.isfinite(s.R) or not s.D.is_finite:
+    if math.isfinite(s.R) or math.isinf(s.D):
         out["local"] = lambda: local_bound(s.V, s.W, s.n, s.d, s.D, s.R)
-    if s.d.is_finite and s.D.is_finite:
+    if math.isfinite(s.d) and math.isfinite(s.D):
         out["finite_global_sharp"] = lambda: finite_global_sharp_bound(
             s.V, s.W, s.n, s.d, s.D)
     return out
@@ -257,23 +257,23 @@ def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
     to 1, xi vanishes once D >= 2d, and the local bound approaches the
     D = infinity endpoint bound.
     """
-    d = _as_extparam(d)
-    D_list = sorted(float(x) for x in D_list)
+    d = param(d)
+    D_list = sorted(finite_param(x) for x in D_list)
     rows = []
     for Dv in D_list:
-        rep = local_bound(V, W, n, d, ExtParam.finite(Dv), R)
+        rep = local_bound(V, W, n, d, Dv, R)
         c = rep.constants
         rows.append({"D": Dv, "fathi_radius": c["fathi_radius"],
                      "growth_factor": c["growth_factor"], "lambda": c["lambda"],
                      "xi": c["xi"], "bound": rep.bound})
-    endpoint = local_bound(V, W, n, d, INF, R).bound
+    endpoint = local_bound(V, W, n, d, math.inf, R).bound
 
     radii = [r["fathi_radius"] for r in rows]
     last = rows[-1]
     checks = [
-        (max(radii) <= max(3.0 * last["fathi_radius"], 10.0 * max(R, math.sqrt(d.value))),
+        (max(radii) <= max(3.0 * last["fathi_radius"], 10.0 * max(R, math.sqrt(d))),
          "fathi radius unbounded along the sweep"),
-        (all(r["xi"] == 0.0 for r in rows if r["D"] >= 2.0 * d.value),
+        (all(r["xi"] == 0.0 for r in rows if r["D"] >= 2.0 * d),
          "xi nonzero at some D >= 2d"),
         (abs(last["growth_factor"] - 1.0) <= 0.5,
          "growth factor did not head to 1"),
@@ -304,9 +304,9 @@ class CaffarelliSweepReport:
 def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
                            d_list, R_list) -> CaffarelliSweepReport:
     """Sweep the D = infinity endpoint bound over (d, R) in the sharp limit order."""
-    d_list = sorted(float(x) for x in d_list)
+    d_list = sorted(finite_param(x) for x in d_list)
     R_list = sorted(float(x) for x in R_list)
-    bound = {(R, d): local_bound(V, W, n, ExtParam.finite(d), INF, R).bound
+    bound = {(R, d): local_bound(V, W, n, d, math.inf, R).bound
              for R in R_list for d in d_list}
     # formed after the bounds, which raise VoidBound on an undeclared Hessian bound
     sharp = math.sqrt(V.hess_upper / W.hess_lower)

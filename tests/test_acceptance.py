@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario,
+from brenier_bounds import (INF, PotentialSpec, Scenario,
                             finite_global_sharp_bound, finite_growth_constants,
                             bound_from_terms, global_bound,
                             growth_data, limit_sweep_D, limit_sweep_caffarelli,
@@ -43,7 +43,7 @@ def identity_reports(sweep_maps):
     t0 = time.perf_counter()
     reports = []
     for dv in (1.0, 2.0, 10.0):
-        d = ExtParam.finite(dv)
+        d = float(dv)
         m = radial_map(QUAD, QUAD, d, d, 1)
         sweep_maps[f"identity_d{dv:g}"] = m
         for R in (1.0, 10.0):
@@ -88,7 +88,7 @@ def test_criterion_03_counterexample_exponent(sweep_maps):
     t0 = time.perf_counter()
     grid = np.logspace(1.2, 4.2, 300)
     for dv, want in ((2.0, 3.0), (3.0, 5.0)):
-        m = radial_map(QUAD, QUAD, ExtParam.finite(dv), ExtParam.finite(1), 1, grid)
+        m = radial_map(QUAD, QUAD, float(dv), 1.0, 1, grid)
         sweep_maps[f"counterexample_d{dv:g}"] = m
         slope, r2 = slope_fit(m, 1e2, 1e4)
         assert slope == pytest.approx(want, abs=0.05)
@@ -127,7 +127,7 @@ def test_criterion_05_oracle_equivalence(sweep_maps):
     t0 = time.perf_counter()
     grid = np.logspace(math.log10(0.01), math.log10(20.0), 200)
     for name, V, W, dd, DD in ORACLE_CASES:
-        d, D = ExtParam.parse(dd), ExtParam.parse(DD)
+        d, D = float(dd), float(DD)
         a = radial_map(V, W, d, D, 1, grid)
         b = quantile_map_1d(V, W, d, D, grid)
         sweep_maps[f"oracle_{name}"] = a
@@ -163,10 +163,10 @@ def test_criterion_07_limit_regimes():
 
 
 def test_criterion_08_bound_relation_sanity():
-    glob = global_bound(QUAD, QUAD, 1, ExtParam.finite(1), ExtParam.finite(1)).bound
+    glob = global_bound(QUAD, QUAD, 1, 1.0, 1.0).bound
     for n in (1, 2, 3):
         U = PotentialSpec.quadratic(1.0, n)
-        g = global_bound(U, U, n, ExtParam.finite(n), ExtParam.finite(n))
+        g = global_bound(U, U, n, float(n), float(n))
         for d in range(n, 51):
             for D in range(d, 51):
                 sharp = finite_global_sharp_bound(U, U, n, float(d), float(D))
@@ -184,7 +184,7 @@ def test_criterion_08_bound_relation_sanity():
 
 def test_criterion_09_second_variation_slack(identity_reports, caffarelli_map):
     for dv in (1.0, 2.0, 10.0):
-        d = ExtParam.finite(dv)
+        d = float(dv)
         m = [r["m"] for r in identity_reports["reports"] if r["d"] == dv][0]
         for R in (1.0, 10.0, math.inf):
             rep = second_variation_check(m, QUAD, QUAD, d, d, R)
@@ -200,7 +200,7 @@ def test_criterion_09_second_variation_slack(identity_reports, caffarelli_map):
 def test_criterion_10_regression_freeze():
     # independent oracles: plain arithmetic and closed forms, no library calls
     frozen_global = math.sqrt(33e6) + math.sqrt(32e6)     # = 11401.41689...
-    got = global_bound(QUAD, QUAD, 1, ExtParam.finite(1), ExtParam.finite(1)).bound
+    got = global_bound(QUAD, QUAD, 1, 1.0, 1.0).bound
     assert got == pytest.approx(frozen_global, rel=1e-5)
 
     # K = 3 * (5/4 * 100 / 3)^(1/(2-1)) = 125; M = (d/D) K^2 = 15625
@@ -212,7 +212,7 @@ def test_criterion_10_regression_freeze():
     # m = 6/(101 pi) and tripling gives the frozen radius ~ 101.0
     m_frak = 6.0 / (101.0 * math.pi)
     frozen_fathi = 3.0 * math.tan(math.pi / 2.0 * (1.0 - m_frak))
-    gd = growth_data(QUAD, QUAD, 1.0, ExtParam.finite(1), 1.0, 1)
+    gd = growth_data(QUAD, QUAD, 1.0, 1.0, 1.0, 1)
     assert gd.m_frak == pytest.approx(m_frak, rel=1e-5)
     assert gd.fathi_radius == pytest.approx(frozen_fathi, rel=1e-5)
     assert gd.fathi_radius == pytest.approx(101.0, abs=0.1)

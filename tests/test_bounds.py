@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import brenier_bounds.bounds as bounds_mod
-from brenier_bounds import (DomainError, ExtParam, INF, InvalidOrder,
+from brenier_bounds import (DomainError, INF, InvalidOrder,
                             PotentialSpec, VoidBound, bound_from_terms,
                             finite_global_sharp_bound,
                             finite_growth_constants, gamma, global_bound,
@@ -39,6 +39,7 @@ class TestGamma:
         assert gamma(1, 3) == 0.0          # negative part clipped
         assert gamma(2, 2) == math.inf     # equal finite parameters
         assert gamma(1, INF) == 0.0
+        assert gamma(INF, INF) == 0.0       # both endpoints: 0, not the d = D value
 
     def test_rejects_inverted_order(self):
         with pytest.raises(InvalidOrder):
@@ -65,11 +66,11 @@ class TestBoundFromTerms:
 
 class TestTailMass:
     def test_zero_radius_is_exactly_one(self, quad1):
-        assert tail_mass(quad1, ExtParam.finite(1), 0.0) == 1.0
+        assert tail_mass(quad1, 1.0, 0.0) == 1.0
 
     def test_gaussian_and_cauchy_closed_forms(self, quad1):
         assert tail_mass(quad1, INF, 1.0) == pytest.approx(math.erfc(1.0), rel=1e-9)
-        assert tail_mass(quad1, ExtParam.finite(1), 2.0) == pytest.approx(
+        assert tail_mass(quad1, 1.0, 2.0) == pytest.approx(
             1.0 - 2.0 / math.pi * math.atan(2.0), rel=1e-9)
 
     @pytest.mark.parametrize("s", [0.5, 2.0])
@@ -80,14 +81,14 @@ class TestTailMass:
                 shifted_gaussian_tail(r, s), rel=1e-9)
 
     def test_decreasing_in_radius(self, quad1):
-        D = ExtParam.finite(2)
+        D = 2.0
         vals = [tail_mass(quad1, D, r) for r in (0.0, 0.5, 1.0, 5.0, 50.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 class TestGrowthData:
     def test_cauchy_anchor_values(self, quad1):
-        gd = growth_data(quad1, quad1, 1.0, ExtParam.finite(1), 1.0, 1)
+        gd = growth_data(quad1, quad1, 1.0, 1.0, 1.0, 1)
         m_want = 6.0 / (101.0 * math.pi)
         assert gd.s == 1.0
         assert gd.m_frak == pytest.approx(m_want, rel=1e-9)
@@ -98,6 +99,7 @@ class TestGrowthData:
     def test_shifted_one_dim_target_inverts_its_tail_mass(self, quad1):
         W = shifted(0.5)
         gd = growth_data(quad1, W, 2.0, INF, 1.0, 1)
+        assert gd.growth_factor == 1.0  # D = inf
         r = gd.fathi_radius / 3.0
         assert r > 0.0
         assert tail_mass(W, INF, r) == pytest.approx(gd.m_frak, rel=1e-9)
@@ -105,12 +107,12 @@ class TestGrowthData:
 
     def test_rejects_infinite_source_parameter_and_radius(self, quad1):
         with pytest.raises(DomainError):
-            growth_data(quad1, quad1, math.inf, ExtParam.finite(2), 1.0, 1)
+            growth_data(quad1, quad1, math.inf, 2.0, 1.0, 1)
         with pytest.raises(ValueError):
-            growth_data(quad1, quad1, 1.0, ExtParam.finite(2), math.inf, 1)
+            growth_data(quad1, quad1, 1.0, 2.0, math.inf, 1)
 
     def test_fathi_radius_nondecreasing_in_R(self, quad1):
-        D = ExtParam.finite(2)
+        D = 2.0
         vals = [growth_data(quad1, quad1, 1.0, D, R, 1).fathi_radius
                 for R in (1.0, 2.0, 4.0, 8.0)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
@@ -124,13 +126,16 @@ class TestLocalBound:
         assert rep.B == 0.0
 
     def test_endpoint_regime_formula(self, quad1):
-        rep = local_bound(quad(0.5), quad1, 1, ExtParam.finite(2), INF, 3.0)
+        # D = inf: sqrt(aV / (aW c0)) with c0 = min{1, (d + aV R^2)/(d + R^2)},
+        # lambda = 1 and xi = 0
+        rep = local_bound(quad(0.5), quad1, 1, 2.0, INF, 3.0)
         assert rep.regime == "endpoint_poly_log"
-        c0 = rep.constants["c0_V"]
-        assert rep.bound == pytest.approx(math.sqrt(1.0 / (2.0 * c0)), rel=1e-12)
+        c0 = min(1.0, (2.0 + 0.5 * 9.0) / (2.0 + 9.0))
+        assert rep.bound == pytest.approx(math.sqrt(0.5 / c0), rel=1e-12)
+        assert local_factors(quad(0.5), quad1, 2.0, INF, 3.0, 1) == (1.0, 0.0)
 
     def test_local_regime_uses_growth_factors(self, quad1):
-        rep = local_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1), 1.0)
+        rep = local_bound(quad1, quad1, 1, 1.0, 1.0, 1.0)
         assert rep.regime == "local"
         assert rep.constants["xi"] > 0.0  # gamma = +inf picks the first branch
         assert rep.bound > 1.0
@@ -142,21 +147,21 @@ class TestLocalBound:
             local_bound(quad1, W, 1, INF, INF, 1.0)
 
     def test_xi_zero_once_target_parameter_doubles_source(self, quad1):
-        lam, xi = local_factors(quad1, quad1, 1.0, ExtParam.finite(2), 1.0, 1)
+        lam, xi = local_factors(quad1, quad1, 1.0, 2.0, 1.0, 1)
         assert xi == 0.0 and lam >= 1.0
 
 
 class TestGlobalBounds:
     def test_global_bound_frozen_value(self, quad1):
-        rep = global_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1))
+        rep = global_bound(quad1, quad1, 1, 1.0, 1.0)
         # sqrt(1e6 * 2 / 2 * ... ) = sqrt(33e6) + sqrt(32e6) with unit aggregates
         assert rep.A == pytest.approx(1e6, rel=1e-12)
         assert rep.B == pytest.approx(3.2e7, rel=1e-12)
         assert rep.bound == pytest.approx(11401.416896030409, rel=1e-12)
 
     def test_independent_of_the_tail_parameters(self, quad1):
-        b1 = global_bound(quad1, quad1, 1, ExtParam.finite(1), ExtParam.finite(1))
-        b2 = global_bound(quad1, quad1, 1, ExtParam.finite(7), INF)
+        b1 = global_bound(quad1, quad1, 1, 1.0, 1.0)
+        b2 = global_bound(quad1, quad1, 1, 7.0, INF)
         assert b1.bound == b2.bound
 
     def test_growth_constants_unit_case(self, quad1):
@@ -180,7 +185,7 @@ class TestGlobalBounds:
         real = bounds_mod.structural
 
         def counting(U, p, R, **kw):
-            calls.append((U, p.value, R))
+            calls.append((U, p, R))
             return real(U, p, R, **kw)
         monkeypatch.setattr(bounds_mod, "structural", counting)
         V, W = shifted(0.0), shifted(0.0, a=0.5)
@@ -191,13 +196,13 @@ class TestGlobalBounds:
         with pytest.raises(InvalidOrder):
             finite_growth_constants(quad1, quad1, 1, 3, 2)
         with pytest.raises(InvalidOrder):
-            global_bound(quad1, quad1, 1, ExtParam.finite(3), ExtParam.finite(2))
+            global_bound(quad1, quad1, 1, 3.0, 2.0)
         # d < n: the same class and text from every entry point
         V = quad(1.0, 2)
         for call in (lambda: finite_global_sharp_bound(V, V, 2, 1.0, 3.0),
-                     lambda: global_bound(V, V, 2, ExtParam.finite(1), ExtParam.finite(3)),
-                     lambda: growth_data(V, V, 1.0, ExtParam.finite(3), 1.0, 2),
-                     lambda: local_factors(V, V, 1.0, ExtParam.finite(3), 1.0, 2),
+                     lambda: global_bound(V, V, 2, 1.0, 3.0),
+                     lambda: growth_data(V, V, 1.0, 3.0, 1.0, 2),
+                     lambda: local_factors(V, V, 1.0, 3.0, 1.0, 2),
                      lambda: local_factors(V, V, 1.0, INF, 1.0, 2)):
             with pytest.raises(InvalidOrder, match=r"^requires n <= d, got n=2, d=1\.0$"):
                 call()
@@ -215,11 +220,11 @@ def scalar_uniformity_rows(n_range, d_range, D_range, qV=1.0, qW=1.0):
         for d in d_range:
             if d < n:
                 continue
-            sv = structural(U, ExtParam.finite(float(d)), math.inf)
+            sv = structural(U, float(d), math.inf)
             for D in D_range:
                 if D < d:
                     continue
-                sw = structural(U, ExtParam.finite(float(D)), math.inf)
+                sw = structural(U, float(D), math.inf)
                 expo = 2.0 / (2.0 * D - n)
                 s1 = ((sv.C0 / sv.c0) ** (d * expo) <= qV * qV + tol
                       and (sw.C0 / sw.c0) ** (D * expo) <= qW * qW + tol)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import brenier_bounds.constants as constants_mod
-from brenier_bounds import (ConventionUndefined, DomainError, ExtParam, INF,
+from brenier_bounds import (ConventionUndefined, DomainError, INF,
                             NoConvergence, PotentialSpec, aggregates, structural)
 
 
@@ -16,22 +16,22 @@ class TestQuadraticClosedForms:
     @pytest.mark.parametrize("a", [0.25, 1.0, 2.0, 7.0])
     @pytest.mark.parametrize("p", [1.0, 4.0, 100.0])
     def test_global_values(self, a, p):
-        s = structural(quad(a), ExtParam.finite(p), math.inf)
+        s = structural(quad(a), float(p), math.inf)
         assert s.c0 == pytest.approx(min(1.0, a), rel=1e-9)
         assert s.C0 == pytest.approx(max(1.0, a), rel=1e-9)
         assert s.C1 == pytest.approx(4.0 * a * a, rel=1e-9)
 
     @pytest.mark.parametrize("a,p,R", [(2.0, 4.0, 3.0), (0.5, 1.0, 10.0)])
     def test_ball_restricted_gradient_constant(self, a, p, R):
-        s = structural(quad(a), ExtParam.finite(p), R)
+        s = structural(quad(a), float(p), R)
         want = (2.0 * a * R / (math.sqrt(p) + R)) ** 2
         assert s.C1 == pytest.approx(want, rel=1e-6)
 
     def test_scan_agrees_with_closed_form(self):
         a, p = 3.0, 2.0
-        closed = structural(quad(a), ExtParam.finite(p), math.inf)
+        closed = structural(quad(a), float(p), math.inf)
         U = PotentialSpec.one_dim(lambda x: a * x ** 2, lambda x: 2.0 * a * x)
-        scanned = structural(U, ExtParam.finite(p), math.inf)
+        scanned = structural(U, float(p), math.inf)
         assert scanned.c0 == pytest.approx(closed.c0, rel=1e-6)
         assert scanned.C0 == pytest.approx(closed.C0, rel=1e-6)
         assert scanned.C1 == pytest.approx(closed.C1, rel=1e-6)
@@ -40,8 +40,8 @@ class TestQuadraticClosedForms:
         r = np.linspace(0.0, 40.0, 4000)
         U = PotentialSpec.tabulated(r, 2.0 * r ** 2, du=4.0 * r, dimension=1,
                                     hess_upper=4.0, hess_lower=4.0)
-        s = structural(U, ExtParam.finite(4), 3.0)
-        want = structural(quad(2.0), ExtParam.finite(4), 3.0)
+        s = structural(U, 4.0, 3.0)
+        want = structural(quad(2.0), 4.0, 3.0)
         assert s.c0 == pytest.approx(want.c0, rel=1e-5)
         assert s.C0 == pytest.approx(want.C0, rel=1e-5)
         assert s.C1 == pytest.approx(want.C1, rel=1e-5)
@@ -75,7 +75,7 @@ class TestExactScans:
         (0.25, 4.0, 9.0, math.inf)])
     def test_shifted_quadratic_closed_form_extremes(self, a, s, q, R):
         U = PotentialSpec.one_dim(lambda x: a * (x - s) ** 2, lambda x: 2.0 * a * (x - s))
-        got = structural(U, ExtParam.finite(q), R)
+        got = structural(U, float(q), R)
         inf_up, sup_up, sup_g2 = shifted_quadratic_extremes(a, s, q, R)
         assert got.c0 == pytest.approx(inf_up, rel=1e-12)
         assert got.C0 == pytest.approx(sup_up, rel=1e-12)
@@ -162,7 +162,7 @@ def window_cases():
 
 
 def window_constants(U, q):
-    s = structural(U, ExtParam.finite(q), math.inf)
+    s = structural(U, float(q), math.inf)
     return s.c0, s.C0, s.C1
 
 
@@ -220,7 +220,7 @@ class TestScanCost:
             return 1.5 * x ** 2
         U = PotentialSpec.one_dim(f, lambda x: 3.0 * x)
         q = 2.0
-        s = structural(U, ExtParam.finite(q), math.inf)
+        s = structural(U, float(q), math.inf)
         assert s.C0 == pytest.approx(1.5, rel=1e-12)
         assert s.C1 == pytest.approx(9.0, rel=1e-6)
         # windows: the ball of radius max(1, sqrt(q)), then one per doubling
@@ -324,7 +324,7 @@ class TestMonotonicity:
     @pytest.mark.parametrize("a", [0.5, 3.0])
     def test_in_radius(self, a):
         U = quad(a)
-        p = ExtParam.finite(2)
+        p = 2.0
         radii = [0.5, 1.0, 2.0, 4.0, 8.0]
         out = [structural(U, p, R) for R in radii]
         for s1, s2 in zip(out, out[1:]):
@@ -341,15 +341,15 @@ class TestMonotonicity:
             r1 = (p1 + a * xs ** 2) / (p1 + xs ** 2)
             r2 = (p2 + a * xs ** 2) / (p2 + xs ** 2)
             assert np.all(np.abs(r2 - 1.0) <= np.abs(r1 - 1.0) + 1e-12)
-        s1 = structural(U, ExtParam.finite(n), math.inf)
-        s2 = structural(U, ExtParam.finite(10 * n), math.inf)
+        s1 = structural(U, float(n), math.inf)
+        s2 = structural(U, float(10 * n), math.inf)
         assert s2.C0 <= max(1.0, s1.C0) + 1e-9
         assert s2.c0 >= min(1.0, s1.c0) - 1e-9
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_gradient_constant_nonincreasing_in_p(self, n):
         U = quad(2.0, n)
-        vals = [structural(U, ExtParam.finite(p), 5.0).C1
+        vals = [structural(U, float(p), 5.0).C1
                 for p in (n, 2 * n, 10 * n)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 

@@ -42,7 +42,7 @@ _COLD_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
 import numpy as np
-from brenier_bounds import INF, ExtParam, PotentialSpec, quantile_map_1d
+from brenier_bounds import INF, PotentialSpec, quantile_map_1d
 from brenier_bounds.cli import main
 
 tmp = Path(sys.argv[1])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammaincc
 
-from brenier_bounds import (DivergentIntegral, DomainError, ExtParam, INF,
+from brenier_bounds import (DivergentIntegral, DomainError, INF,
                             PotentialSpec, growth_data, normalization,
                             radial_map, unit_ball_volume)
 from brenier_bounds.potentials import (log_reference_integral, mass_table,
@@ -94,23 +94,23 @@ class TestProfiles:
 
 class TestNormalization:
     def test_cauchy_gaussian_and_2d_anchors(self, quad1):
-        assert normalization(quad1, ExtParam.finite(1)).z == pytest.approx(math.pi, rel=1e-10)
+        assert normalization(quad1, 1.0).z == pytest.approx(math.pi, rel=1e-10)
         assert normalization(quad1, INF).z == pytest.approx(math.sqrt(math.pi), rel=1e-10)
         U2 = PotentialSpec.quadratic(1.0, 2)
-        assert normalization(U2, ExtParam.finite(2)).z == pytest.approx(2.0 * math.pi, rel=1e-10)
+        assert normalization(U2, 2.0).z == pytest.approx(2.0 * math.pi, rel=1e-10)
 
     def test_divergent_mass_is_an_error(self):
         # (1 + r^2)^(-1) against r^2 dr in three dimensions has no mass
         U3 = PotentialSpec.quadratic(1.0, 3)
         with pytest.raises(DivergentIntegral):
-            normalization(U3, ExtParam.finite(1))
+            normalization(U3, 1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_reference_integral_for_unit_quadratic(self, n):
         U = PotentialSpec.quadratic(1.0, n)
         for p in (n, n + 1, 2 * n, 10 * n):
-            z = normalization(U, ExtParam.finite(p)).z
-            i_p = math.exp(log_reference_integral(n, ExtParam.finite(p)))
+            z = normalization(U, float(p)).z
+            i_p = math.exp(log_reference_integral(n, float(p)))
             assert z == pytest.approx(i_p, rel=1e-8)
 
     def test_one_dim_uses_both_half_lines(self):
@@ -132,7 +132,7 @@ class TestNormalization:
         if math.isinf(p):
             param, want = INF, math.sqrt(math.pi / a)
         else:
-            param = ExtParam.finite(p)
+            param = float(p)
             want = math.sqrt(p / a) * math.gamma(0.5) * math.gamma(p - 0.5) / math.gamma(p)
         errors = {}
         for s in range(41):
@@ -145,15 +145,15 @@ class TestNormalization:
 class TestTailTables:
     def test_one_table_per_potential_parameter_and_dimension(self):
         U = PotentialSpec.quadratic(1.0, 2)
-        p = ExtParam.finite(3)
+        p = 3.0
         assert mass_table(U, p) is tail_table(U, p, 2)
         assert tail_table(U, p, 2) is not tail_table(U, p, 1)
         assert mass_table(U, p) is not mass_table(U, INF)
 
     def test_dropped_potentials_are_collected(self):
         V, W = PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.5, 1)
-        radial_map(V, W, ExtParam.finite(2), ExtParam.finite(3), 1)
-        growth_data(V, W, 2.0, ExtParam.finite(3), 1.0, 1)
+        radial_map(V, W, 2.0, 3.0, 1)
+        growth_data(V, W, 2.0, 3.0, 1.0, 1)
         refs = [weakref.ref(V), weakref.ref(W)]
         del V, W
         gc.collect()
@@ -175,7 +175,7 @@ def _deep_radius(n, p):
 def _unit_table(n, p):
     """The radial table of |x|^2 at (n, p), shared across examples."""
     U = PotentialSpec.quadratic(1.0, n)
-    return tail_table(U, INF if math.isinf(p) else ExtParam.finite(p), n)
+    return tail_table(U, p, n)
 
 
 class TestTruncation:
@@ -192,7 +192,7 @@ class TestTruncation:
         # the doublings of max(sqrt(p), 1): the first past the weight's peak
         # where it is at most 1e-16 of that peak
         U = PotentialSpec.quadratic(1.0, n)
-        assert tail_table(U, INF if math.isinf(p) else ExtParam.finite(p), n).r_max == r_max
+        assert tail_table(U, p, n).r_max == r_max
 
     def test_no_decay_by_the_radius_cap_is_divergence(self):
         with pytest.raises(DivergentIntegral,
@@ -245,7 +245,7 @@ class TestTailEngine:
             assert t.invert(head, head=True) == pytest.approx(r, rel=1e-13)
 
     def test_radii_past_the_table_extend_it(self):
-        t = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        t = tail_table(PotentialSpec.quadratic(1.0, 1), 1.0, 1)
         end = t.nodes[-1]
         assert t.tail(1e3 * end) == pytest.approx(math.atan(1e-3 / end), rel=1e-14)
         assert t.nodes[-1] > 1e3 * end
@@ -256,15 +256,17 @@ _PI_60 = "3.14159265358979323846264338327950288419716939937510582097494459"
 
 class TestReferenceIntegral:
     def test_closed_form_anchors(self):
-        i_p = lambda n, p: math.exp(log_reference_integral(n, ExtParam.finite(p)))  # noqa: E731
+        i_p = lambda n, p: math.exp(log_reference_integral(n, float(p)))  # noqa: E731
         assert i_p(1, 1) == pytest.approx(math.pi, rel=1e-12)
         assert i_p(2, 2) == pytest.approx(2 * math.pi, rel=1e-12)
         assert i_p(1, 1e6) == pytest.approx(
             math.sqrt(math.pi), rel=1e-5)
+        for n in (1, 2, 3, 100):  # I_inf = integral of exp(-|z|^2) = pi^(n/2)
+            assert log_reference_integral(n, INF) == 0.5 * n * math.log(math.pi)
 
     def test_domain_error_below_n(self):
         with pytest.raises(DomainError):
-            log_reference_integral(3, ExtParam.finite(2))
+            log_reference_integral(3, 2.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100])
     def test_log_form_against_mpmath(self, n):
@@ -304,17 +306,17 @@ class TestReferenceIntegral:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_strictly_decreasing_in_p(self, n):
         ps = sorted({n, n + 1, 2 * n, 10 * n, 100 * n})
-        vals = [math.exp(log_reference_integral(n, ExtParam.finite(p))) for p in ps]
+        vals = [math.exp(log_reference_integral(n, float(p))) for p in ps]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_two_sided_envelope(self, n):
         w = unit_ball_volume(n)
-        i_n = math.exp(log_reference_integral(n, ExtParam.finite(n)))
+        i_n = math.exp(log_reference_integral(n, float(n)))
         assert i_n <= 2.0 * w * n ** (n / 2.0)
         floor = math.exp(-n) * w * n ** (n / 2.0)
         for p in np.linspace(n, 200, 40):
-            assert math.exp(log_reference_integral(n, ExtParam.finite(float(p)))) >= floor
+            assert math.exp(log_reference_integral(n, float(p))) >= floor
 
 
 class TestGeometry:
@@ -356,8 +358,7 @@ class TestFarTail:
         # near-Gaussian weights (p = 400, inf) drop by many decades across
         # the first ratio-2 panel past r_max: an ungraded ladder misses them
         p = {"n": n, "1.5n": 1.5 * n}.get(p_token) or float(p_token)
-        param = INF if math.isinf(p) else ExtParam.finite(p)
-        table = tail_table(PotentialSpec.quadratic(a, n), param, n)
+        table = tail_table(PotentialSpec.quadratic(a, n), float(p), n)
         exact = quadratic_tail(n, a, p, table.r_max)
         assert table.tail_inf == pytest.approx(exact, rel=1e-12)
         for r in table.r_max * np.array([1.5, 4.0, 100.0]):
@@ -367,7 +368,7 @@ class TestFarTail:
     def test_stops_before_a_high_dimensional_weight_overflows(self):
         # r^(n-1) overflows far past r_max, where the weight has long vanished
         n = 20
-        table = tail_table(PotentialSpec.quadratic(1.0, n), ExtParam.finite(n), n)
+        table = tail_table(PotentialSpec.quadratic(1.0, n), float(n), n)
         assert table.tail_inf == pytest.approx(quadratic_tail(n, 1.0, n, table.r_max), rel=1e-12)
 
 
@@ -393,10 +394,6 @@ def mass_fractions(n, a, p, r):
     return np.where(head <= tail, head, 1.0 - tail), np.where(tail <= head, tail, 1.0 - head)
 
 
-def _param(p):
-    return INF if math.isinf(p) else ExtParam.finite(p)
-
-
 class TestTableAccuracy:
     """Table masses and radii against the quadratic family's closed forms."""
 
@@ -406,7 +403,7 @@ class TestTableAccuracy:
     @pytest.mark.parametrize("n,p", [(n, p) for n in (1, 2, 3)
                                      for p in (1.0, 2.0, 3.0, 6.0, 4000.0, math.inf) if p >= n])
     def test_tail_head_and_inverses(self, n, p, a):
-        table = tail_table(PotentialSpec.quadratic(a, n), _param(p), n)
+        table = tail_table(PotentialSpec.quadratic(a, n), float(p), n)
         r = self.RADII
         head, tail = mass_fractions(n, a, p, r)
         # tail fractions down to 1e-270: Gaussian fractions of 1e-257 and
@@ -426,7 +423,7 @@ class TestTableAccuracy:
     def test_a_tail_below_the_normal_range_keeps_its_digits(self):
         # e^(-theta) alone is denormal at r = 1e27 (n = 3, p = 6): the weight
         # keeps its digits there only when r^2 e^(-theta) is formed in log space
-        table = tail_table(PotentialSpec.quadratic(1.0, 3), ExtParam.finite(6.0), 3)
+        table = tail_table(PotentialSpec.quadratic(1.0, 3), 6.0, 3)
         _, tail = mass_fractions(3, 1.0, 6.0, 1e27)
         assert table.tail(1e27) / table.total == pytest.approx(float(tail), rel=3e-13)
         assert table.invert(float(tail) * table.total) == pytest.approx(1e27, rel=1e-14)
@@ -437,7 +434,7 @@ class TestTableAccuracy:
         # below the normal range or zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = tail_table(PotentialSpec.quadratic(1.0, n), _param(p), n)
+            table = tail_table(PotentialSpec.quadratic(1.0, n), float(p), n)
             r = np.array([2.0, 5.0, 10.0, 1e3, 1e6])
             got = table.tail(r) / table.total
         _, want = mass_fractions(n, 1.0, p, r)
@@ -456,7 +453,7 @@ class TestTableWork:
     """The node rule and append-only extension, by what they evaluate."""
 
     def test_extension_evaluates_only_past_the_old_end(self):
-        table = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), 1.0, 1)
         nodes, panels = table.nodes.copy(), table._panels.copy()
         calls = []
         table.f = recording(table.f, calls)
@@ -468,14 +465,14 @@ class TestTableWork:
         np.testing.assert_array_equal(table._panels[:panels.size], panels)
 
     def test_a_power_law_needs_few_panels(self):
-        cauchy = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(1), 1)
+        cauchy = tail_table(PotentialSpec.quadratic(1.0, 1), 1.0, 1)
         cauchy.invert(1e-27)  # extends to r_max ~ 2.7e27
         assert cauchy.r_max > 1e27
         assert cauchy.nodes.size <= 1000
-        table = tail_table(PotentialSpec.quadratic(1.0, 1), ExtParam.finite(2), 1)
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), 2.0, 1)
         assert table.nodes.size <= 400
 
     def test_panels_end_at_the_nodes_of_a_tabulated_profile(self):
         r = 0.25 * np.arange(81)
-        table = tail_table(PotentialSpec.tabulated(r, r * r), ExtParam.finite(3), 1)
+        table = tail_table(PotentialSpec.tabulated(r, r * r), 3.0, 1)
         assert np.all(np.isin(r[1:], table.nodes))

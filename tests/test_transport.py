@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc
 
-from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, ExtParam, INF,
+from brenier_bounds import (DivergentIntegral, DomainError, EmptyWindow, INF,
                             InvalidOrder, PotentialSpec, RadialMap, default_grid,
                             lipschitz_empirical, quantile_map_1d, radial_map,
                             second_variation_check, slope_fit)
@@ -20,7 +20,7 @@ def quad(a, n=1):
 
 class TestTailTable:
     def test_cauchy_closed_form_and_deep_inversion(self, quad1):
-        t = tail_table(quad1, ExtParam.finite(1), 1)
+        t = tail_table(quad1, 1.0, 1)
         assert t.total == pytest.approx(math.pi / 2, rel=1e-10)
         for r in (1.0, 1e4, 1e7):
             assert t.tail(r) == pytest.approx(math.pi / 2 - math.atan(r), rel=1e-8)
@@ -40,14 +40,14 @@ class TestTailTable:
 
 class TestRadialMap:
     def test_identity(self, quad1):
-        m = radial_map(quad1, quad1, ExtParam.finite(2), ExtParam.finite(2), 1)
+        m = radial_map(quad1, quad1, 2.0, 2.0, 1)
         assert np.max(np.abs(m.t / m.r_grid - 1.0)) < 1e-10
         assert np.max(np.abs(m.residuals)) < 1e-10
 
     def test_identity_keeps_full_precision_at_the_origin(self):
         # n = 3: the head side keeps the digits that 1 - tail loses
         V, W = quad(1.0, 3), quad(1.0, 3)
-        p = ExtParam.finite(6)
+        p = 6.0
         m = radial_map(V, W, p, p, 3)
         assert len(m.r_grid) == 400
         assert np.max(np.abs(m.t / m.r_grid - 1.0)) < 1e-13
@@ -66,13 +66,13 @@ class TestRadialMap:
             RadialMap(r, r.copy(), np.array([1.0, -1.0, 1.0]), 1, np.zeros(3))
 
     def test_default_grid_spans_the_documented_window(self):
-        g = default_grid(ExtParam.finite(4), points=100)
+        g = default_grid(4.0, points=100)
         assert g[0] == pytest.approx(1e-3 * 2.0)
         assert g[-1] == pytest.approx(50.0 * 2.0)
         assert len(g) == 100
 
     def test_csv_roundtrip(self, tmp_path, quad1):
-        m = radial_map(quad1, quad1, ExtParam.finite(1), ExtParam.finite(1), 1)
+        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
         path = tmp_path / "map.csv"
         m.write_csv(path)
         with open(path, newline="") as fh:
@@ -89,7 +89,7 @@ class TestRadialMapRadiusCap:
 
     def test_stops_below_the_cap(self, quad1):
         r = np.logspace(1.5, 7.0, 300)
-        m = radial_map(quad1, quad1, ExtParam.finite(3), ExtParam.finite(1), 1, r)
+        m = radial_map(quad1, quad1, 3.0, 1.0, 1, r)
         assert len(m.r_grid) == 255 and np.array_equal(m.r_grid, r[:255])
         assert 1e29 < m.t[-1] < 1e30
         # source tail fraction I_x(5/2, 1/2) at x = 3/(3 + r^2) (Student t, five
@@ -101,14 +101,13 @@ class TestRadialMapRadiusCap:
     def test_too_few_points_below_the_cap(self, quad1):
         r = np.logspace(6.1, 9.0, 300)
         with pytest.raises(DivergentIntegral, match="radius cap 1e[+]30"):
-            radial_map(quad1, quad1, ExtParam.finite(3), ExtParam.finite(1), 1, r)
+            radial_map(quad1, quad1, 3.0, 1.0, 1, r)
 
 
 class TestQuantileOracle:
     def test_matches_radial_map_on_even_potentials(self, quad1):
         x = np.logspace(math.log10(0.01), math.log10(20.0), 60)
-        for d, D in [(ExtParam.finite(1), ExtParam.finite(1)), (INF, INF),
-                     (ExtParam.finite(2), ExtParam.finite(4))]:
+        for d, D in [(1.0, 1.0), (INF, INF), (2.0, 4.0)]:
             a = radial_map(quad1, quad(0.5), d, D, 1, x)
             b = quantile_map_1d(quad1, quad(0.5), d, D, x)
             assert np.max(np.abs(a.t / b.t - 1.0)) < 1e-7
@@ -119,7 +118,7 @@ class TestQuantileOracle:
                                   hess_upper=2.0, hess_lower=2.0)
         W = quad(1.0)
         x = np.linspace(-3.0, 5.0, 41)
-        m = quantile_map_1d(V, W, ExtParam.finite(1), ExtParam.finite(1), x)
+        m = quantile_map_1d(V, W, 1.0, 1.0, x)
         assert np.max(np.abs(m.t - (x - 1.0))) < 1e-8
         assert np.max(np.abs(m.t_prime - 1.0)) < 1e-8
 
@@ -135,7 +134,7 @@ class TestQuantileOracleClosedForms:
     GRID = np.logspace(math.log10(0.01), math.log10(20.0), 200)
 
     @pytest.mark.parametrize("name,V,W,d,D,want", [
-        ("cauchy_identity", quad(1.3), quad(1.3), ExtParam.finite(1), ExtParam.finite(1),
+        ("cauchy_identity", quad(1.3), quad(1.3), 1.0, 1.0,
          lambda x: x),
         ("gaussian_scaling", quad(1.0), quad(0.3), INF, INF,
          lambda x: math.sqrt(1.0 / 0.3) * x),
@@ -149,14 +148,14 @@ class TestQuantileOracleClosedForms:
 
     def test_never_builds_a_tail_table(self):
         V, W = quad(1.0), shifted_quad(0.5, 0.5)
-        quantile_map_1d(V, W, ExtParam.finite(2), ExtParam.finite(4), self.GRID[::10])
+        quantile_map_1d(V, W, 2.0, 4.0, self.GRID[::10])
         assert V._memo == {} and W._memo == {}
 
     def test_density_below_minus_p_raises(self):
         # U = x^2 - 2 reaches -2 <= -p at p = 1 near the origin
         V = PotentialSpec.one_dim(lambda x: x * x - 2.0, lambda x: 2.0 * x)
         with pytest.raises(DomainError, match="t > -p"):
-            quantile_map_1d(V, quad(1.0), ExtParam.finite(1), ExtParam.finite(1),
+            quantile_map_1d(V, quad(1.0), 1.0, 1.0,
                             self.GRID[::10])
 
     def test_tabulated_profile_matches_radial_map(self):
@@ -164,7 +163,7 @@ class TestQuantileOracleClosedForms:
         # warns of roundoff and the maps part by 6.7e-8
         r = 0.25 * np.arange(81)
         V = PotentialSpec.tabulated(r, r * r)
-        d, D = ExtParam.finite(3), ExtParam.finite(5)
+        d, D = 3.0, 5.0
         x = self.GRID[::4]
         a = radial_map(V, quad(0.5), d, D, 1, x)
         b = quantile_map_1d(V, quad(0.5), d, D, x)
@@ -177,8 +176,8 @@ class TestQuantileOracleClosedForms:
         r = 0.25 * np.arange(81)
         V = PotentialSpec.tabulated(r, r * r)
         x = self.GRID[::4]
-        a = radial_map(V, quad(0.5), ExtParam.finite(d), ExtParam.finite(D), 1, x)
-        b = quantile_map_1d(V, quad(0.5), ExtParam.finite(d), ExtParam.finite(D), x)
+        a = radial_map(V, quad(0.5), float(d), float(D), 1, x)
+        b = quantile_map_1d(V, quad(0.5), float(d), float(D), x)
         assert np.max(np.abs(a.t / b.t - 1.0)) <= 1e-12
 
 
@@ -219,14 +218,14 @@ class TestQuantileOracleBothTails:
         assert np.all(np.abs(m.t - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
 
     def test_odd_symmetry_toward_polynomial_tails(self):
-        m = quantile_map_1d(quad(0.69), quad(0.96), INF, ExtParam.finite(4), self.GRID)
+        m = quantile_map_1d(quad(0.69), quad(0.96), INF, 4.0, self.GRID)
         assert len(m.t) == len(self.GRID)
         assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
 
     def test_grid_through_the_median(self):
         # x = 0 balances a tail of exactly 1/2: its root sits on a bracket end
         x = np.linspace(-50.0, 50.0, 201)
-        m = quantile_map_1d(quad(1.0), quad(1.0), ExtParam.finite(1), INF, x)
+        m = quantile_map_1d(quad(1.0), quad(1.0), 1.0, INF, x)
         assert abs(m.t[100]) <= 1e-15
         assert np.max(np.abs(m.t + m.t[::-1])) <= 1e-13
 
@@ -245,13 +244,13 @@ class TestQuantileOracleHeavyTails:
 
     def test_cauchy_scaling(self):
         x = np.logspace(-2.0, 6.0, 200)
-        m = quantile_map_1d(quad(1.0), quad(2.0), ExtParam.finite(1), ExtParam.finite(1), x)
+        m = quantile_map_1d(quad(1.0), quad(2.0), 1.0, 1.0, x)
         assert len(m.t) == len(x)
         assert np.max(np.abs(m.t / (x / math.sqrt(2.0)) - 1.0)) <= 1e-12
 
     def test_student_to_cauchy(self):
         x = np.logspace(-2.0, 3.0, 200)
-        m = quantile_map_1d(quad(1.0), quad(1.0), ExtParam.finite(3), ExtParam.finite(1), x)
+        m = quantile_map_1d(quad(1.0), quad(1.0), 3.0, 1.0, x)
         assert len(m.t) == len(x)
         # the closed form of TestRadialMapRadiusCap; below x = 1 its head
         # form keeps the digits, 1 - I_z(5/2, 1/2) = I_(1-z)(1/2, 5/2)
@@ -306,21 +305,21 @@ class TestQuantileOracleTailFloor:
 class TestLipschitz:
     def test_window_restriction(self, quad1):
         g = np.logspace(1.5, 4.2, 200)
-        m = radial_map(quad1, quad1, ExtParam.finite(3), ExtParam.finite(1), 1, g)
+        m = radial_map(quad1, quad1, 3.0, 1.0, 1, g)
         small = lipschitz_empirical(m, 10 ** 1.5)
         large = lipschitz_empirical(m, 1e3)
         assert large.value / small.value >= 50.0
         assert large.argmax_r <= 1e3
 
     def test_empty_window(self, quad1):
-        m = radial_map(quad1, quad1, ExtParam.finite(1), ExtParam.finite(1), 1)
+        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
         with pytest.raises(EmptyWindow):
             lipschitz_empirical(m, m.r_grid[0] / 2.0)
 
     def test_tangential_component_in_higher_dimension(self):
         V = quad(1.0, 2)
         g = np.logspace(1.5, 4.2, 200)
-        m = radial_map(V, V, ExtParam.finite(4), ExtParam.finite(2), 2, g)
+        m = radial_map(V, V, 4.0, 2.0, 2, g)
         est = lipschitz_empirical(m, math.inf)
         assert est.value > 1.0
         assert est.component in ("radial", "tangential")
@@ -331,9 +330,9 @@ class TestMapOrder:
         # before any table is built: d = 1 < n = 2 used to search out to 1e10
         V = quad(1.0, 2)
         with pytest.raises(InvalidOrder, match=r"^requires n <= d, got n=2, d=1\.0$"):
-            radial_map(V, V, ExtParam.finite(1), INF, 2)
+            radial_map(V, V, 1.0, INF, 2)
         with pytest.raises(InvalidOrder, match=r"^requires n <= D, got n=2, D=1\.0$"):
-            radial_map(V, V, ExtParam.finite(3), ExtParam.finite(1), 2)
+            radial_map(V, V, 3.0, 1.0, 2)
         assert not V._memo
 
 
@@ -343,27 +342,27 @@ class TestSlopes:
     def test_counterexample_exponents(self, n, d, D, want):
         V = quad(1.0, n)
         g = np.logspace(1.5, 4.2, 300)
-        m = radial_map(V, V, ExtParam.finite(d), ExtParam.finite(D), n, g)
+        m = radial_map(V, V, float(d), float(D), n, g)
         slope, r2 = slope_fit(m, 1e2, 1e4)
         assert slope == pytest.approx(want, abs=0.05)
         assert r2 > 0.999
 
     def test_scale_invariance_in_t(self, quad1):
-        m = radial_map(quad1, quad1, ExtParam.finite(1), ExtParam.finite(1), 1)
+        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
         scaled = RadialMap(m.r_grid, 7.0 * m.t, 7.0 * m.t_prime, 1, m.residuals)
         s1, _ = slope_fit(m, 0.01, 10.0)
         s2, _ = slope_fit(scaled, 0.01, 10.0)
         assert s2 == pytest.approx(s1, abs=1e-12)
 
     def test_needs_enough_points(self, quad1):
-        m = radial_map(quad1, quad1, ExtParam.finite(1), ExtParam.finite(1), 1)
+        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
         with pytest.raises(EmptyWindow):
             slope_fit(m, 49.0, 50.0)
 
 
 class TestSecondVariation:
     def test_identity_has_positive_slack(self, quad1):
-        d = ExtParam.finite(1)
+        d = 1.0
         m = radial_map(quad1, quad1, d, d, 1)
         rep = second_variation_check(m, quad1, quad1, d, d, math.inf)
         assert rep.min_slack > 0.0
@@ -375,9 +374,18 @@ class TestSecondVariation:
         assert len(rep.entries) == 1
         assert rep.entries[0].inequality == "endpoint"
         assert abs(rep.min_slack) < 1e-6  # equality case of the sharp constant
+        # d = inf: V/d counts as 0, so the left side is W'' lam^2 = (2 / 4) lam^2
+        assert rep.entries[0].lhs == pytest.approx(0.5 * rep.eigenvalue ** 2, rel=1e-14)
 
     def test_poly_to_log_concave_endpoint(self, quad1):
-        d = ExtParam.finite(2)
+        d = 2.0
         m = radial_map(quad1, quad1, d, INF, 1)
         rep = second_variation_check(m, quad1, quad1, d, INF, 10.0)
         assert rep.min_slack >= -1e-6
+
+    @pytest.mark.parametrize("d", [3.0, INF])
+    def test_rejects_d_above_D(self, quad1, d):
+        # checked as the bounds check it, not left to the slack formulas
+        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
+        with pytest.raises(InvalidOrder, match=r"^requires d <= D, got d=(3\.0|inf), D=2\.0$"):
+            second_variation_check(m, quad1, quad1, d, 2.0, 10.0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import brenier_bounds.constants as constants_mod
 import brenier_bounds.verify as verify_mod
-from brenier_bounds import (ExtParam, INF, PotentialSpec, Scenario, bound_from_terms,
+from brenier_bounds import (PotentialSpec, Scenario, bound_from_terms,
                             gamma, lipschitz_empirical, limit_sweep_D,
                             limit_sweep_caffarelli, radial_map, run_scenario,
                             second_variation_check)
@@ -20,8 +20,6 @@ def quad(a, n=1):
 def scenario(name="s", V=None, W=None, n=1, d=2.0, D=2.0, R=math.inf, **kw):
     V = V or quad(1.0)
     W = W or quad(1.0)
-    d = d if isinstance(d, ExtParam) else ExtParam.parse(d)
-    D = D if isinstance(D, ExtParam) else ExtParam.parse(D)
     return Scenario(name=name, V=V, W=W, n=n, d=d, D=D, R=R, **kw)
 
 
@@ -46,8 +44,7 @@ def quadratic_scenarios(draw):
     d = math.inf if draw(st.integers(0, 3)) == 0 else draw(st.floats(float(n), 40.0))
     D = draw(st.sampled_from([d, d + draw(st.floats(0.5, 40.0)), math.inf]))
     R = draw(st.floats(0.5, 20.0))
-    ext = lambda p: INF if math.isinf(p) else ExtParam.finite(p)  # noqa: E731
-    return scenario(V=quad(aV, n), W=quad(aW, n), n=n, d=ext(d), D=ext(D), R=R)
+    return scenario(V=quad(aV, n), W=quad(aW, n), n=n, d=d, D=D, R=R)
 
 
 class TestBoundFloats:
@@ -59,8 +56,15 @@ class TestBoundFloats:
             for x in (rep.B, rep.bound):
                 assert isinstance(x, float) and math.isfinite(x) and x >= 0.0, (label, rep)
             assert rep.bound == bound_from_terms(rep.A, rep.B), (label, rep)
-        if s.d.is_finite:
+        if math.isfinite(s.d):
             assert gamma(s.d, s.d) == math.inf
+
+    def test_finite_parameter_bound_needs_both_parameters_finite(self):
+        labels = lambda **kw: set(verify_mod.applicable_bounds(scenario(R=3.0, **kw)))  # noqa: E731
+        assert labels(d=3.0, D=4.0) == {"global", "local", "finite_global_sharp"}
+        assert labels(d=3.0, D=math.inf) == {"global", "local"}
+        # an inverted order d = inf > D: not offered, though every bound would raise
+        assert labels(d=math.inf, D=4.0) == {"global", "local"}
 
 
 class TestRunScenario:

@@ -6,9 +6,10 @@ Usage::
 
 SRC is a source tree holding the ``brenier_bounds`` package (a checkout's
 ``src``). The configs are the benchmark's ``verify_cli`` and ``sweep_cli``
-configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and four
-more: an inverted order d > D, d = D at n = 2, d < n, and the far-shifted
-``onedim`` pair 10 (x - 36)^2. Each verify config runs through ``verify``,
+configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and seven
+more: an inverted order d > D, d = D at n = 2, d < n, the far-shifted
+``onedim`` pair 10 (x - 36)^2, an integer d with D spelled "INF", and the
+rejected tail parameters d = "nan" and D = "-inf". Each verify config runs through ``verify``,
 ``bounds --format both`` and ``transport``, each sweep config through
 ``sweep``, in-process. OUT receives the configs, every output file, and
 ``calls.log`` with each call's exit code, stdout and stderr. ``wall_time_s``
@@ -37,6 +38,9 @@ EXTRA = {
         "scenario": {"name": "onedim_far", "n": 1, "d": 3, "D": 3, "R": 5},
         "potentials": {"V": {"family": "onedim", "coefficient": 10.0, "shift": 36.0},
                        "W": {"family": "onedim", "coefficient": 10.0, "shift": 36.0}}},
+    "int_d_upper_inf": {"scenario": {"name": "int_d_upper_inf", "n": 2, "d": 3, "D": "INF", "R": 2}},
+    "d_nan": {"scenario": {"name": "d_nan", "n": 1, "d": "nan", "D": 3, "R": 2}},
+    "D_minus_inf": {"scenario": {"name": "D_minus_inf", "n": 1, "d": 2, "D": "-inf", "R": 2}},
 }
 _WALL = re.compile(r'("wall_time_s": )[^,\n}]*')
 
