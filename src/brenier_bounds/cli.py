@@ -23,7 +23,7 @@ from .bounds import _check_map_order, mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
 from .extparam import finite_param, param
 from .potentials import PotentialSpec, Quadratic
-from .transport import MIN_MAP_POINTS, lipschitz_empirical, radial_map
+from .transport import MIN_MAP_POINTS, default_grid, lipschitz_empirical, radial_map
 from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
                      limit_sweep_D, run_scenario)
 
@@ -160,13 +160,22 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     if grid_points < MIN_MAP_POINTS:
         raise ConfigError(f"solver.grid_points: a map needs at least {MIN_MAP_POINTS} "
                           f"points, got {grid_points}")
-    return [Scenario(
+    scenario = Scenario(
         name=name,
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=_check_expected(scen.get("expected")),
         grid_points=grid_points,
         grid_min=_scalar(solver, "grid_min", None, _optional_float, "solver"),
-        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))]
+        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))
+    for key in ("grid_min", "grid_max"):
+        end = getattr(scenario, key)
+        if end is not None and not 0.0 < end < math.inf:
+            raise ConfigError(f"solver.{key}: expected a positive finite number, got {end!r}")
+    lo, hi = default_grid(d, 2, scenario.grid_min, scenario.grid_end())  # Scenario.grid's ends
+    if not lo < hi:
+        raise ConfigError(f"solver: the map grid's lower end {lo:.6g} is not below "
+                          f"its upper end {hi:.6g}")
+    return [scenario]
 
 
 def _potentials(doc: dict, n: int, ctx: str, base_dir: Path):

@@ -6,14 +6,17 @@ For a potential U at parameter p, on the ball of radius R:
     C0 =   sup (p + U) / (p + |x|^2)
     C1 =   sup ( |grad U| / (sqrt(p) + |x|) )^2
 
-computed by a log-spaced grid scan (U, U' once per point) plus a zoom around
-each argmax. R = inf adds one annulus [R/2, R] per doubling to running sups
-until they converge (closed form for quadratic profiles). One routine scans
-the ball and each block of doublings, whose annuli share one U call and one
-per zoom round; U is evaluated on every annulus of a block the window starts,
-so a violation of U > -p, an error of U or an overflow there surfaces even
-past the doubling where the sups settle. At p = infinity the values are
-conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
+For a quadratic profile a|x|^2 they are closed forms at every R: with
+r = |x|, (p + a r^2)/(p + r^2) is monotone in r^2 and 2ar/(sqrt(p) + r)
+increases in r, so every sup sits at r = 0 or r = R. Any other potential is
+scanned: a log-spaced grid (U, U' once per point) plus a zoom around each
+argmax. R = inf adds one annulus [R/2, R] per doubling to running sups
+until they converge. One routine scans the ball and each block of
+doublings, whose annuli share one U call and one per zoom round; U is
+evaluated on every annulus of a block the window starts, so a violation of
+U > -p, an error of U or an overflow there surfaces even past the doubling
+where the sups settle. At p = infinity the values are conventions, not
+limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
 
 from __future__ import annotations
@@ -126,7 +129,8 @@ def _sups(U: PotentialSpec, q: float, grids: np.ndarray, best=-np.inf) -> np.nda
 def structural(U: PotentialSpec, p: float, R: float) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
-    Computed once per (U, p, R) and kept on U, failures too. Raises
+    Closed forms for a quadratic profile, a scan otherwise (see the module
+    docstring). Computed once per (U, p, R) and kept on U, failures too. Raises
     :class:`ConventionUndefined` for p = infinity with R = infinity (the
     zeroth-order endpoint conventions exist only for finite R) and
     :class:`NoConvergence` when an expanding-window supremum does not
@@ -154,14 +158,23 @@ def _structural(U: PotentialSpec, q: float, R: float) -> StructuralConstants:
                 "zeroth-order constants at p = infinity are defined for finite R only")
         return StructuralConstants(1.0, 1.0, 0.0)
 
+    if isinstance(U.profile, Quadratic):
+        return _quadratic(U.profile.a, q, R)
     if math.isinf(R):
-        if isinstance(U.profile, Quadratic):
-            a = U.profile.a
-            return StructuralConstants(min(1.0, a), max(1.0, a), 4.0 * a * a)
         return _structural_window(U, q)
 
     sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, R)[None])[:, 0].tolist()
     return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
+
+
+def _quadratic(a: float, q: float, R: float) -> StructuralConstants:
+    """The constants of a|x|^2 on B_R from its values at r = 0 and r = R."""
+    R2 = R * R
+    if math.isinf(a * R2):  # R = inf, or a ball so wide that q is lost to rounding
+        up, g = a, 2.0 * a
+    else:
+        up, g = (q + a * R2) / (q + R2), 2.0 * a * R / (math.sqrt(q) + R)
+    return StructuralConstants(min(1.0, up), max(1.0, up), g * g)
 
 
 def _structural_window(U: PotentialSpec, q: float) -> StructuralConstants:

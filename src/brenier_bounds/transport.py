@@ -204,6 +204,9 @@ _MASS_ATOL = 1e-300
 _MAX_BISECTIONS = 60
 # the mode of a non-radial line is read off its log-density at these radii, both signs
 _MODE_PROBE = np.geomspace(1e-3, 1e6, 361)
+# while the argmax's neighbours lie more than _MODE_DROP below it in log-density,
+# the probe zooms in between them: up to _MODE_ZOOMS rounds of _ZOOM_POINTS points
+_MODE_DROP, _MODE_ZOOMS, _ZOOM_POINTS = 1.0, 20, 33
 
 
 class _Line:
@@ -211,12 +214,15 @@ class _Line:
 
     The density is smooth between its breaks: the origin, since a radial
     profile is read at |x|, and the nodes of a tabulated profile at +-r. A
-    non-radial line also breaks at its mode, read off one probe of the
+    non-radial line also breaks at its mode, read off a probe of the
     log-density (which does not underflow) over +-geometric radii: the
     probe's argmax and its neighbours, so that no piece steps over a narrow
-    peak far from the origin. The quadrature cannot reach 1e-12 across
-    kinks, so every mass is split at the breaks. :meth:`mirrored` reads U at
-    -x, so upper tails of the mirrored line are lower tails of U's.
+    peak far from the origin. Where the neighbours lie far below the argmax,
+    the peak may sit between probe points: the probe zooms in between them,
+    breaking at each round's argmax and neighbours, until they lie within
+    the peak. The quadrature cannot reach 1e-12 across kinks, so every mass
+    is split at the breaks. :meth:`mirrored` reads U at -x, so upper tails of
+    the mirrored line are lower tails of U's.
     """
 
     def __init__(self, U: PotentialSpec, p: float):
@@ -226,9 +232,15 @@ class _Line:
         self.mode = 0.0
         if not U.is_radial:
             probe = np.concatenate((-_MODE_PROBE[::-1], [0.0], _MODE_PROBE))
-            k = int(np.argmax(self.log_density(probe)))
+            for _ in range(_MODE_ZOOMS):
+                f = self.log_density(probe)
+                k = int(np.argmax(f))
+                near = slice(max(k - 1, 0), k + 2)
+                breaks.append(probe[near])
+                if f[near].min() >= f[k] - _MODE_DROP:
+                    break
+                probe = np.linspace(probe[near][0], probe[near][-1], _ZOOM_POINTS)
             self.mode = float(probe[k])
-            breaks.append(probe[max(k - 1, 0):k + 2])
         self.breaks = np.unique(np.concatenate(breaks))
         self._atol = _MASS_ATOL
         self.total = float(self.masses(-math.inf, math.inf))

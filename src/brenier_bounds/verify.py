@@ -71,13 +71,17 @@ class Scenario:
         slope = (self.expected or {}).get("slope")
         return None if slope is None else tuple(slope.get("window", (1e2, 1e4)))
 
+    def grid_end(self) -> float:
+        """The map grid's upper end: grid_max (or the proxy radius), widened to
+        cover R and the slope window."""
+        return max(self.grid_max or self.proxy_radius(), self.R if math.isfinite(self.R) else 0.0,
+                   (self.slope_window() or (0.0, 0.0))[1])
+
     def grid(self) -> np.ndarray:
-        """The map grid: the solver's, widened to cover R and the slope window,
-        with the window edges ``window()`` and ``proxy_radius()`` as exact nodes:
-        a node within 1e-12 relative of an edge becomes it, another edge is inserted."""
-        hi = max(self.grid_max or self.proxy_radius(), self.R if math.isfinite(self.R) else 0.0,
-                 (self.slope_window() or (0.0, 0.0))[1])
-        grid = default_grid(self.d, self.grid_points, self.grid_min, hi)
+        """The map grid from grid_min to ``grid_end()``, with the window edges
+        ``window()`` and ``proxy_radius()`` as exact nodes: a node within 1e-12
+        relative of an edge becomes it, another edge is inserted."""
+        grid = default_grid(self.d, self.grid_points, self.grid_min, self.grid_end())
         for edge in (self.window(), self.proxy_radius()):
             i = int(np.searchsorted(grid, edge))
             near = [j for j in (i, i - 1)

@@ -22,6 +22,11 @@ def identity_doc(name="identity", **scen):
                            "W": {"family": "quadratic", "coefficient": 1.0}}}
 
 
+def solver_doc(**solver):
+    """A scenario with R = 2 under the given solver block."""
+    return {"scenario": {"name": "window", "n": 1, "d": 2, "D": 3, "R": 2}, "solver": solver}
+
+
 class TestConfigParsing:
     def test_strict_mode_rejects_unknown_keys(self, tmp_path):
         doc = identity_doc()
@@ -112,6 +117,17 @@ class TestConfigParsing:
         ("sweep", {"sweep": {"kind": "caffarelli_limit", "qV": 2, "D_max": 3}}, "qV"),
         ("sweep", {"sweep": {"kind": "uniformity"},
                    "potentials": {"V": {"family": "bogus", "coefficient": -7}}}, "potentials"),
+        # a solver window the map grid cannot use
+        ("verify", solver_doc(grid_min=0), "solver.grid_min: expected a positive finite number"),
+        ("transport", solver_doc(grid_min=-1), "solver.grid_min: expected a positive"),
+        ("verify", solver_doc(grid_min=100, grid_max=1),
+         "solver: the map grid's lower end 100 is not below its upper end 2"),
+        ("transport", solver_doc(grid_min=100, grid_max=1), "is not below its upper end 2"),
+        ("verify", solver_doc(grid_max="inf"), "solver.grid_max: expected a positive finite"),
+        ("transport", solver_doc(grid_max="inf"), "solver.grid_max: expected a positive"),
+        ("transport", {"scenario": {"n": 1, "d": 2}, "solver": {"grid_max": 1e-5}},
+         "lower end 0.00141421 is not below its upper end 1e-05"),
+        ("bounds", solver_doc(grid_min="nan"), "solver.grid_min: expected a positive"),
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)
@@ -119,6 +135,13 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_grid_min_is_checked_against_the_widened_upper_end(self, tmp_path):
+        # grid_max = 1 is widened to R = 200, so grid_min = 100 lies below it
+        doc = solver_doc(grid_min=100, grid_max=1)
+        doc["scenario"]["R"] = 200
+        path = write(tmp_path / "c.json", doc)
+        assert main(["transport", "--config", path, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command", ["transport", "verify", "bounds"])
     def test_too_few_grid_points_exit_one(self, tmp_path, capsys, command):

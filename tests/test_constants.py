@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brenier_bounds.constants as constants_mod
 from brenier_bounds import (ConventionUndefined, DomainError, INF,
                             NoConvergence, PotentialSpec, aggregates, structural)
+from brenier_bounds.potentials import Quadratic
 
 
 def quad(a, n=1):
@@ -24,8 +26,50 @@ class TestQuadraticClosedForms:
     @pytest.mark.parametrize("a,p,R", [(2.0, 4.0, 3.0), (0.5, 1.0, 10.0)])
     def test_ball_restricted_gradient_constant(self, a, p, R):
         s = structural(quad(a), float(p), R)
-        want = (2.0 * a * R / (math.sqrt(p) + R)) ** 2
-        assert s.C1 == pytest.approx(want, rel=1e-6)
+        g = 2.0 * a * R / (math.sqrt(p) + R)
+        assert s.C1 == g * g
+
+    @pytest.mark.parametrize("R", [1e200, math.inf])
+    def test_ball_too_wide_for_r_squared_is_the_global_value(self, R):
+        # R^2 overflows: p is lost to rounding and the constants are the global ones
+        s = structural(quad(2.0), 3.0, R)
+        assert (s.c0, s.C0, s.C1) == (1.0, 2.0, 16.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(a=st.one_of(st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9]),
+                       st.floats(-3.0, 3.0).map(lambda t: 10.0 ** t)),
+           q=st.floats(0.0, 6.0).map(lambda t: 10.0 ** t),
+           R=st.sampled_from([0.0] + [10.0 ** k for k in range(-9, 7)]),
+           n=st.sampled_from([1, 2, 3]))
+    def test_ball_closed_form_matches_the_scan(self, a, q, R, n):
+        # the scan of the same potential given as a 1D lambda a x^2
+        U = PotentialSpec.one_dim(lambda x: a * x ** 2, lambda x: 2.0 * a * x)
+        scanned, closed = structural(U, q, R), structural(quad(a, n), q, R)
+        for want, got in zip((scanned.c0, scanned.C0, scanned.C1),
+                             (closed.c0, closed.C0, closed.C1)):
+            assert abs(got - want) <= 4.0 * math.ulp(max(abs(got), abs(want)))
+
+    def test_ball_closed_form_never_evaluates_u(self, monkeypatch):
+        calls = []
+
+        def record(name):
+            orig = getattr(Quadratic, name)
+
+            def wrapped(self, r):
+                calls.append(name)
+                return orig(self, r)
+            monkeypatch.setattr(Quadratic, name, wrapped)
+        record("value")
+        record("deriv")
+        for n in (1, 3):
+            U = quad(1.7, n)
+            for p in (float(n), 2.5, 1e4):
+                for R in (0.0, 1e-7, 0.3, 4.0, 1e5):
+                    structural(U, p, R)
+        assert calls == []
+        U.profile.value(1.0)
+        U.profile.deriv(1.0)
+        assert calls == ["value", "deriv"]  # the recorder does record
 
     def test_scan_agrees_with_closed_form(self):
         a, p = 3.0, 2.0

@@ -237,6 +237,42 @@ class TestQuantileOracleFarPeaks:
         assert _Line(shifted_quad(3.37, -34.2), INF).total == pytest.approx(
             math.sqrt(math.pi / 3.37), rel=1e-13)
 
+    # width 0.002, far narrower than the mode probe's spacing of 5.8 there:
+    # the probe zooms in until the argmax's neighbours lie within the peak.
+    # x near -98.67 carries ulp(98.67) = 1.4e-14 of rounding, 6e-12 of the
+    # peak's width: totals at nearby shifts spread by +-1.7e-12, so a mass
+    # is held to 1e-12 here, not 1e-13
+    NARROW = (9.07e4, -98.67)
+
+    def test_total_of_a_peak_between_probe_points(self):
+        a, s = self.NARROW
+        assert _Line(shifted_quad(a, s), INF).total == pytest.approx(
+            math.sqrt(math.pi / a), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_finite_p_total_of_a_peak_between_probe_points(self, p):
+        # the integral of (1 + a x^2 / p)^-p is sqrt(p / a) B(1/2, p - 1/2)
+        a, s = self.NARROW
+        beta = math.gamma(0.5) * math.gamma(p - 0.5) / math.gamma(p)
+        assert _Line(shifted_quad(a, s), p).total == pytest.approx(
+            math.sqrt(p / a) * beta, rel=1e-12)
+
+    def test_map_onto_a_peak_between_probe_points(self):
+        a, s = self.NARROW
+        x = np.linspace(-3.0, 3.0, 25)
+        m = quantile_map_1d(quad(1.0), shifted_quad(a, s), INF, INF, x)
+        want = x / math.sqrt(a) + s
+        assert len(m.t) == len(x)
+        assert np.all(np.abs(m.t - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("p", [INF, 3.0])
+    def test_wide_peak_keeps_the_probe(self, p):
+        # neighbours within the peak: the breaks are the origin, the probe's
+        # argmax and its two neighbours, as without the zoom
+        line = _Line(shifted_quad(0.25, 0.5), p)
+        assert line.breaks.size == 4 and line.mode in line.breaks
+        assert np.all(np.diff(line.breaks[1:]) < 0.1)
+
 
 class TestQuantileOracleHeavyTails:
     """p = 1 (Cauchy) lines whose masses start far out: half-lines from 1e6,

@@ -6,12 +6,14 @@ Usage::
 
 SRC is a source tree holding the ``brenier_bounds`` package (a checkout's
 ``src``). The configs are the benchmark's ``verify_cli`` and ``sweep_cli``
-configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and seven
+configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and twelve
 more: an inverted order d > D, d = D at n = 2, d < n, the far-shifted
-``onedim`` pair 10 (x - 36)^2, an integer d with D spelled "INF", and the
-rejected tail parameters d = "nan" and D = "-inf". Each verify config runs through ``verify``,
-``bounds --format both`` and ``transport``, each sweep config through
-``sweep``, in-process. OUT receives the configs, every output file, and
+``onedim`` pair 10 (x - 36)^2, an integer d with D spelled "INF", the
+rejected tail parameters d = "nan" and D = "-inf", and five rejected solver
+windows (grid_min 0 and -1, grid_min above the grid's upper end, grid_max
+"inf", grid_max below the default lower end). Each verify config runs
+through ``verify``, ``bounds --format both`` and ``transport``, each sweep
+config through ``sweep``, in-process. OUT receives the configs, every output file, and
 ``calls.log`` with each call's exit code, stdout and stderr. ``wall_time_s``
 and the OUT path itself are masked, so two runs that compute the same
 outputs leave trees that ``diff -r`` finds equal. bench/ is read, not
@@ -41,6 +43,16 @@ EXTRA = {
     "int_d_upper_inf": {"scenario": {"name": "int_d_upper_inf", "n": 2, "d": 3, "D": "INF", "R": 2}},
     "d_nan": {"scenario": {"name": "d_nan", "n": 1, "d": "nan", "D": 3, "R": 2}},
     "D_minus_inf": {"scenario": {"name": "D_minus_inf", "n": 1, "d": 2, "D": "-inf", "R": 2}},
+    "grid_min_zero": {"scenario": {"name": "grid_min_zero", "n": 1, "d": 2, "D": 3, "R": 2},
+                      "solver": {"grid_min": 0}},
+    "grid_min_negative": {"scenario": {"name": "grid_min_negative", "n": 1, "d": 2, "D": 3,
+                                       "R": 2}, "solver": {"grid_min": -1}},
+    "grid_min_above_end": {"scenario": {"name": "grid_min_above_end", "n": 1, "d": 2, "D": 3,
+                                        "R": 2}, "solver": {"grid_min": 100, "grid_max": 1}},
+    "grid_max_inf": {"scenario": {"name": "grid_max_inf", "n": 1, "d": 2, "D": 3, "R": 2},
+                     "solver": {"grid_max": "inf"}},
+    "grid_max_below_start": {"scenario": {"name": "grid_max_below_start", "n": 1, "d": 2, "D": 3},
+                             "solver": {"grid_max": 1e-5}},
 }
 _WALL = re.compile(r'("wall_time_s": )[^,\n}]*')
 
