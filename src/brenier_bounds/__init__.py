@@ -4,7 +4,7 @@ construction and empirical verification."""
 
 from .errors import (BracketFailure, BrenierBoundsError, ConventionUndefined,
                      DivergentIntegral, DomainError, EmptyWindow, InvalidOrder,
-                     MFrakOverflow, NoConvergence, VoidBound)
+                     MFrakOverflow, VoidBound)
 from .extparam import INF, ExtParam  # noqa: F401  (ExtParam.parse only, not in __all__)
 from .potentials import (NormConstant, PotentialSpec, log_reference_integral,
                          normalization, unit_ball_volume)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketFailure", "BrenierBoundsError", "ConventionUndefined",
     "DivergentIntegral", "DomainError", "EmptyWindow", "InvalidOrder",
-    "MFrakOverflow", "NoConvergence", "VoidBound",
+    "MFrakOverflow", "VoidBound",
     "INF",
     "NormConstant", "PotentialSpec", "log_reference_integral", "normalization",
     "unit_ball_volume",

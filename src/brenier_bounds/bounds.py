@@ -23,8 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .constants import StructuralConstants, aggregates, structural
-from .errors import (DomainError, InvalidOrder, MFrakOverflow, NoConvergence,
-                     VoidBound)
+from .errors import DomainError, InvalidOrder, MFrakOverflow, VoidBound
 from .extparam import finite_param, param
 from .potentials import (PotentialSpec, log_reference_integral, mass_table,
                          normalization, unit_ball_volume)
@@ -63,7 +62,7 @@ def bound_from_terms(a: float, b: float) -> float:
 
 def tail_mass(W: PotentialSpec, D: float, r: float) -> float:
     """Mass of the target density outside the ball of radius r."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be nonnegative")
     table = mass_table(W, param(D))
     return table.tail(r) / table.total
@@ -212,31 +211,28 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
     scen = _scenario_stub(n, d, D, R)
-    try:
-        if math.isinf(d):
-            # both parameters infinite: the endpoint conventions collapse the bound
-            a = C_V2 / c_W2
-            return BoundReport("caffarelli", a, 0.0, bound_from_terms(a, 0.0),
-                               {"C_V2": C_V2, "c_W2": c_W2}, scen)
-        c0 = structural(V, d, R).c0
-        if math.isinf(D):
-            a = C_V2 / (c_W2 * c0)
-            return BoundReport("endpoint_poly_log", a, 0.0, bound_from_terms(a, 0.0),
-                               {"C_V2": C_V2, "c_W2": c_W2, "c0_V": c0,
-                                "lambda": 1.0, "xi": 0.0}, scen)
-        lf = _local_factors(V, W, d, D, R, n, c_W2)
-        C1_V = structural(V, d, math.inf).C1
-        a = C_V2 * lf.lam / (c_W2 * c0)
-        b = 4.0 * C1_V * lf.lam * lf.xi / (c_W2 * c_W2 * c0 * c0)
-        consts = {
-            "C_V2": C_V2, "c_W2": c_W2, "c0_V": c0, "C1_V_global": C1_V,
-            "lambda": lf.lam, "xi": lf.xi, "gamma": lf.gamma_dD,
-            "C0_W_at_fathi_radius": lf.C0_W, "C1_W_at_fathi_radius": lf.C1_W,
-            **_as_dict(lf.growth),
-        }
-        return BoundReport("local", a, b, bound_from_terms(a, b), consts, scen)
-    except NoConvergence as exc:
-        raise VoidBound(f"local bound void: {exc}") from exc
+    if math.isinf(d):
+        # both parameters infinite: the endpoint conventions collapse the bound
+        a = C_V2 / c_W2
+        return BoundReport("caffarelli", a, 0.0, bound_from_terms(a, 0.0),
+                           {"C_V2": C_V2, "c_W2": c_W2}, scen)
+    c0 = structural(V, d, R).c0
+    if math.isinf(D):
+        a = C_V2 / (c_W2 * c0)
+        return BoundReport("endpoint_poly_log", a, 0.0, bound_from_terms(a, 0.0),
+                           {"C_V2": C_V2, "c_W2": c_W2, "c0_V": c0,
+                            "lambda": 1.0, "xi": 0.0}, scen)
+    lf = _local_factors(V, W, d, D, R, n, c_W2)
+    C1_V = structural(V, d, math.inf).C1
+    a = C_V2 * lf.lam / (c_W2 * c0)
+    b = 4.0 * C1_V * lf.lam * lf.xi / (c_W2 * c_W2 * c0 * c0)
+    consts = {
+        "C_V2": C_V2, "c_W2": c_W2, "c0_V": c0, "C1_V_global": C1_V,
+        "lambda": lf.lam, "xi": lf.xi, "gamma": lf.gamma_dD,
+        "C0_W_at_fathi_radius": lf.C0_W, "C1_W_at_fathi_radius": lf.C1_W,
+        **_as_dict(lf.growth),
+    }
+    return BoundReport("local", a, b, bound_from_terms(a, b), consts, scen)
 
 
 def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
@@ -245,11 +241,8 @@ def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
     d, D = _check_order(n, d, D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
-    try:
-        av = aggregates(V, n)
-        aw = aggregates(W, n)
-    except NoConvergence as exc:
-        raise VoidBound(f"global bound void: {exc}") from exc
+    av = aggregates(V, n)
+    aw = aggregates(W, n)
     m_glob = 1e6 * av.qU ** 2 * aw.qU ** 2
     a = C_V2 * aw.CU * m_glob / (c_W2 * av.cU)
     b = 8.0 * av.LU * aw.LU * m_glob / (c_W2 * c_W2 * av.cU * av.cU)
@@ -267,10 +260,7 @@ def _global_constants(V: PotentialSpec, W: PotentialSpec, n: int, d: float, D: f
     d, D = _check_order(n, d, D)
     if math.isinf(D):
         raise DomainError(f"requires n <= d <= D < inf, got n={n}, d={d!r}, D=inf")
-    try:
-        sv, sw = structural(V, d, math.inf), structural(W, D, math.inf)
-    except NoConvergence as exc:
-        raise VoidBound(f"growth constants void: {exc}") from exc
+    sv, sw = structural(V, d, math.inf), structural(W, D, math.inf)
     k, m = _growth_chain(n, d, D, _chain_terms(sv, n, d), _chain_terms(sw, n, D))
     return sv, sw, float(k), float(m)
 

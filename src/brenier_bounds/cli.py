@@ -60,9 +60,20 @@ def _scalar(block: dict, key: str, default, kind, ctx: str):
     return _convert(block[key], kind, f"{ctx}.{key}") if key in block else default
 
 
-def _optional_float(value) -> Optional[float]:
-    """float(value), keeping null as None (undeclared bound, default grid end)."""
-    return None if value is None else float(value)
+def _optional(kind):
+    """kind, keeping null as None (undeclared bound, default grid end)."""
+    return lambda value: None if value is None else kind(value)
+
+
+def _positive(value, finite: bool = False) -> float:
+    """float(value), required to be positive, and finite with ``finite``."""
+    x = float(value)
+    if not (x > 0.0 and (math.isfinite(x) or not finite)):
+        raise ValueError(f"expected a positive{' finite' * finite} number, got {x!r}")
+    return x
+
+
+_positive_finite = functools.partial(_positive, finite=True)
 
 
 def _positive_list(block: dict, key: str, default: list, kind, ctx: str) -> list:
@@ -94,8 +105,8 @@ def _parse_potential(block: dict, n: int, ctx: str, base_dir: Path) -> Potential
     s = _scalar(block, "shift", 0.0, float, ctx)
     # a quadratic's exact Hessian is 2a; a tabulated profile declares its own or none
     default = None if family == "tabulated" else 2.0 * a
-    upper = _scalar(block, "hess_upper", default, _optional_float, ctx)
-    lower = _scalar(block, "hess_lower", default, _optional_float, ctx)
+    upper = _scalar(block, "hess_upper", default, _optional(float), ctx)
+    lower = _scalar(block, "hess_lower", default, _optional(float), ctx)
     try:
         if family == "quadratic":
             return PotentialSpec(n, Quadratic(a), upper, lower)
@@ -148,7 +159,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     n = _scalar(scen, "n", 1, int, "scenario")
     d = _convert(scen.get("d", n), param, "scenario.d")
     D = _convert(scen.get("D", "inf"), param, "scenario.D")
-    R = _scalar(scen, "R", math.inf, float, "scenario")
+    R = _scalar(scen, "R", math.inf, _positive, "scenario")
     name = str(scen.get("name", "scenario"))
     try:
         _check_map_order(n, d, D)
@@ -165,12 +176,8 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
         V=V, W=W, n=n, d=d, D=D, R=R,
         expected=_check_expected(scen.get("expected")),
         grid_points=grid_points,
-        grid_min=_scalar(solver, "grid_min", None, _optional_float, "solver"),
-        grid_max=_scalar(solver, "grid_max", None, _optional_float, "solver"))
-    for key in ("grid_min", "grid_max"):
-        end = getattr(scenario, key)
-        if end is not None and not 0.0 < end < math.inf:
-            raise ConfigError(f"solver.{key}: expected a positive finite number, got {end!r}")
+        grid_min=_scalar(solver, "grid_min", None, _optional(_positive_finite), "solver"),
+        grid_max=_scalar(solver, "grid_max", None, _optional(_positive_finite), "solver"))
     lo, hi = default_grid(d, 2, scenario.grid_min, scenario.grid_end())  # Scenario.grid's ends
     if not lo < hi:
         raise ConfigError(f"solver: the map grid's lower end {lo:.6g} is not below "
@@ -331,8 +338,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep: no triple with n <= d <= D for n_list {n_list}, "
                               f"d_max {d_max}, D_max {D_max}")
         rep = mglob_uniformity_check(n_list, range(1, d_max + 1), range(1, D_max + 1),
-                                     qV=_scalar(block, "qV", 1.0, float, "sweep"),
-                                     qW=_scalar(block, "qW", 1.0, float, "sweep"))
+                                     qV=_scalar(block, "qV", 1.0, _positive_finite, "sweep"),
+                                     qW=_scalar(block, "qW", 1.0, _positive_finite, "sweep"))
         _rows_csv(out_dir / "uniformity.csv", rep.rows, ["n", "d", "D", "one_plus_M", "pass"])
         payload = {"kind": kind, "pass": rep.all_pass,
                    "e2_product": rep.e2_product,

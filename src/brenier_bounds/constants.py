@@ -9,14 +9,17 @@ For a potential U at parameter p, on the ball of radius R:
 For a quadratic profile a|x|^2 they are closed forms at every R: with
 r = |x|, (p + a r^2)/(p + r^2) is monotone in r^2 and 2ar/(sqrt(p) + r)
 increases in r, so every sup sits at r = 0 or r = R. Any other potential is
-scanned: a log-spaced grid (U, U' once per point) plus a zoom around each
-argmax. R = inf adds one annulus [R/2, R] per doubling to running sups
-until they converge. One routine scans the ball and each block of
-doublings, whose annuli share one U call and one per zoom round; U is
-evaluated on every annulus of a block the window starts, so a violation of
-U > -p, an error of U or an overflow there surfaces even past the doubling
-where the sups settle. At p = infinity the values are conventions, not
-limits: c0 = C0 = 1 and C1 = 0 for finite R.
+scanned on a finite ball: a log-spaced grid (U, U' once per point) plus a
+zoom around each argmax. R = inf scans the ball of radius rho = max(1,
+sqrt(p)), then bounds U on each ray x = +-(rho + h), h >= 0, past it (one
+ray for a radial profile) by Taylor's theorem: with g the outward slope at
+rho and the declared Hessian bounds lam <= U'' <= Lam,
+P_lam <= U <= P_Lam for P_k(h) = U(rho) + g h + k h^2 / 2, and
+|U'| <= |g| + Lam h. The extremes of (p + P_k(h)) / (p + (rho + h)^2) and
+the sup of the monotone (|g| + Lam h) / (sqrt(p) + rho + h) are closed
+forms: exact for a quadratic far field, never low otherwise. Without
+0 < lam <= Lam < inf the R = inf constants are void. At p = infinity the
+values are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
 
 from __future__ import annotations
@@ -26,17 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionUndefined, DomainError, NoConvergence
+from .errors import ConventionUndefined, DomainError, VoidBound
 from .extparam import param
-from .potentials import PotentialSpec, Quadratic
+from .potentials import PotentialSpec, Quadratic, RadialTabulated
 
 _SCAN_POINTS = 2048
-_ANNULUS = np.geomspace(0.5, 1.0, 64)  # the annulus [R/2, R] in units of R
-_BLOCK = 32  # doublings of an expanding window evaluated together
 _ZOOM_ROUNDS = 4
 _ZOOM_STEPS = np.linspace(0.0, 1.0, 33)  # sample positions within a zoom bracket
-_WINDOW_REL_TOL = 1e-8
-_MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -92,65 +91,49 @@ def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
     return vals if U.is_radial else np.maximum(vals[:, :r.size], vals[:, r.size:])
 
 
-def _sups(U: PotentialSpec, q: float, grids: np.ndarray, best=-np.inf) -> np.ndarray:
-    """Zoomed sups (up, dn, grad2) of each grid (row of ``grids``), shape (3, rows).
+def _sups(U: PotentialSpec, q: float, grid: np.ndarray) -> np.ndarray:
+    """Zoomed sups (up, dn, grad2) over the radii ``grid``, shape (3,).
 
-    One ``_objectives`` call covers every grid. An (objective, grid) pair is
-    zoomed only where its grid maximum reaches the running maximum before it:
-    ``best``, then the grid maxima of the earlier rows. Each zoom round
-    resamples the two cells around every zoomed argmax in one more call, and
-    the rounds stop early once every zoomed maximum stays on its grid end.
+    One ``_objectives`` call on the grid, then each zoom round resamples the
+    two cells around every argmax in one more call; the rounds stop early
+    once every maximum stays on the grid's end.
     """
-    vals = _objectives(U, q, grids.ravel()).reshape(3, *grids.shape)
-    i, sups = vals.argmax(axis=-1), vals.max(axis=-1)
-    # a grid maximum reaches the running maximum before it when it is >= best
-    # and equals the running maximum through its own row
-    j, k = np.nonzero((sups >= np.asarray(best)[..., None])
-                      & (sups == np.maximum.accumulate(sups, axis=1)))
-    if j.size:
-        rows, X, i, y = np.arange(j.size), grids[k], i[j, k], sups[j, k]
-        x, end = X[rows, i], X[:, -1]
-        for _ in range(_ZOOM_ROUNDS):
-            lo = X[rows, np.maximum(i - 1, 0)]
-            hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
-            X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
-            X[:, -1] = hi
-            Y = _objectives(U, q, X.ravel()).reshape(3, *X.shape)[j, rows]
-            i = Y.argmax(axis=-1)
-            top = Y[rows, i]
-            x = np.where(top > y, X[rows, i], x)
-            y = np.maximum(top, y)
-            if (x == end).all():
-                break
-        sups[j, k] = y
-    return sups
+    vals = _objectives(U, q, grid)
+    rows = np.arange(3)
+    i, y = vals.argmax(axis=-1), vals.max(axis=-1)
+    X, x = np.broadcast_to(grid, vals.shape), grid[i]
+    for _ in range(_ZOOM_ROUNDS):
+        lo = X[rows, np.maximum(i - 1, 0)]
+        hi = X[rows, np.minimum(i + 1, X.shape[1] - 1)]
+        X = lo[:, None] + (hi - lo)[:, None] * _ZOOM_STEPS
+        X[:, -1] = hi
+        Y = _objectives(U, q, X.ravel()).reshape(3, *X.shape)[rows, rows]
+        i = Y.argmax(axis=-1)
+        top = Y[rows, i]
+        x = np.where(top > y, X[rows, i], x)
+        y = np.maximum(top, y)
+        if (x == grid[-1]).all():
+            break
+    return y
 
 
 def structural(U: PotentialSpec, p: float, R: float) -> StructuralConstants:
     """Structural constants of U at parameter p on the ball B_R (R = math.inf for global).
 
-    Closed forms for a quadratic profile, a scan otherwise (see the module
-    docstring). Computed once per (U, p, R) and kept on U, failures too. Raises
-    :class:`ConventionUndefined` for p = infinity with R = infinity (the
-    zeroth-order endpoint conventions exist only for finite R) and
-    :class:`NoConvergence` when an expanding-window supremum does not
-    stabilize (the constant is infinite and any bound using it is void).
+    Computed once per (U, p, R) and kept on U (see the module docstring).
+    Raises :class:`ConventionUndefined` for p = R = infinity (the zeroth-order
+    endpoint conventions exist only for finite R), and :class:`VoidBound`,
+    before any scan, for R = infinity without far-field Hessian bounds.
     """
     p = param(p)
     key = ("structural", p, R)
     if key not in U._memo:
-        try:
-            U._memo[key] = _structural(U, p, R)
-        except NoConvergence as exc:
-            U._memo[key] = exc.with_traceback(None)  # no frame keeps U alive
-    hit = U._memo[key]
-    if isinstance(hit, NoConvergence):
-        raise NoConvergence(*hit.args)
-    return hit
+        U._memo[key] = _structural(U, p, R)
+    return U._memo[key]
 
 
 def _structural(U: PotentialSpec, q: float, R: float) -> StructuralConstants:
-    if R < 0:
+    if not R >= 0:
         raise ValueError("R must be nonnegative")
     if math.isinf(q):
         if math.isinf(R):
@@ -161,9 +144,9 @@ def _structural(U: PotentialSpec, q: float, R: float) -> StructuralConstants:
     if isinstance(U.profile, Quadratic):
         return _quadratic(U.profile.a, q, R)
     if math.isinf(R):
-        return _structural_window(U, q)
+        return _structural_global(U, q)
 
-    sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, R)[None])[:, 0].tolist()
+    sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, R)).tolist()
     return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
 
 
@@ -177,26 +160,49 @@ def _quadratic(a: float, q: float, R: float) -> StructuralConstants:
     return StructuralConstants(min(1.0, up), max(1.0, up), g * g)
 
 
-def _structural_window(U: PotentialSpec, q: float) -> StructuralConstants:
-    """Expanding-window scan for R = infinity: ``_sups`` of the annuli of
-    ``_BLOCK`` doublings at a time, whose running sups stop at the third
-    consecutive doubling that moves none by ``_WINDOW_REL_TOL`` relative."""
-    base = max(1.0, math.sqrt(q))
-    prev = _sups(U, q, _scan_grid(q, base)[None])[:, 0]
-    stable = 0
-    for k in range(1, _MAX_DOUBLINGS, _BLOCK):
-        R = base * 2.0 ** np.arange(k, min(k + _BLOCK, _MAX_DOUBLINGS))
-        for sup in _sups(U, q, R[:, None] * _ANNULUS, prev).T:
-            cur = np.maximum(prev, sup)
-            rel = np.abs(cur - prev) / np.maximum(np.abs(cur), 1e-300)
-            stable = stable + 1 if float(np.max(rel)) < _WINDOW_REL_TOL else 0
-            if stable >= 3:
-                sup_up, sup_dn, sup_g2 = cur.tolist()
-                return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
-            prev = cur
-    raise NoConvergence(
-        "expanding-window supremum did not stabilize; a global structural "
-        "constant is infinite")
+def _structural_global(U: PotentialSpec, q: float) -> StructuralConstants:
+    """The R = inf constants: a scan of B_rho and the far-field envelope past it."""
+    # past its last node a tabulated profile is linear: U'' = 0, whatever was declared
+    tabulated = isinstance(U.profile, RadialTabulated)
+    lam, Lam = far = (0.0, 0.0) if tabulated else (U.hess_lower, U.hess_upper)
+    if None in far or not 0.0 < lam <= Lam < math.inf:
+        raise VoidBound("global structural constants need far-field Hessian bounds "
+                        f"0 < lower <= upper < inf, got (lower, upper) = {far}"
+                        + " (a tabulated profile is linear past its last node)" * tabulated)
+    rho = max(1.0, math.sqrt(q))
+    sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, rho)).tolist()
+    x = np.array([rho] if U.is_radial else [rho, -rho])
+    u = np.asarray(U.value(x), dtype=float).tolist()
+    g = (np.sign(x) * np.asarray(U.deriv(x), dtype=float)).tolist()  # outward slopes
+    c0 = min([1.0 / sup_dn] + [min(_ratio_values(q, rho, *ug, lam)) for ug in zip(u, g)])
+    if not c0 > 0.0:
+        raise VoidBound(f"global structural constants are void: the far-field envelope "
+                        f"of the potential reaches U = -p (p={q})")
+    C0 = max([sup_up] + [max(_ratio_values(q, rho, *ug, Lam)) for ug in zip(u, g)])
+    slope = max(max(map(abs, g)) / (math.sqrt(q) + rho), Lam)
+    return StructuralConstants(c0, C0, max(sup_g2, slope * slope))
+
+
+def _ratio_values(q: float, rho: float, u0: float, g: float, k: float) -> list:
+    """f(h) = (q + u0 + g h + k h^2/2) / (q + (rho + h)^2) where its extremes
+    over h in [0, inf] can lie: h = 0, h = inf (the limit k/2), and the roots in
+    (0, inf) of (a2 b1 - a1) h^2 + 2 (a2 b0 - a0) h + (a1 b0 - a0 b1), where f'
+    vanishes, for f = (a0 + a1 h + a2 h^2) / (b0 + b1 h + h^2)."""
+    a0, a1, a2, b0, b1 = q + u0, g, 0.5 * k, q + rho * rho, 2.0 * rho
+
+    def f(h):
+        if h > 1.0:  # in 1/h, so that h = inf gives the limit a2
+            t = 1.0 / h
+            return (a2 + t * (a1 + t * a0)) / (1.0 + t * (b1 + t * b0))
+        return (a0 + h * (a1 + h * a2)) / (b0 + h * (b1 + h))
+
+    c2, c1, c0 = a2 * b1 - a1, 2.0 * (a2 * b0 - a0), a1 * b0 - a0 * b1
+    disc = c1 * c1 - 4.0 * c2 * c0
+    hs = [0.0, math.inf]
+    if disc >= 0.0:
+        w = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))  # both roots without cancellation
+        hs += [h for h in (w / c2 if c2 else math.inf, c0 / w if w else 0.0) if h > 0.0]
+    return [f(h) for h in hs]
 
 
 def aggregates(U: PotentialSpec, n: int) -> GlobalAggregates:

@@ -18,10 +18,6 @@ class DivergentIntegral(BrenierBoundsError):
     """A normalization or tail integral shows no decay (truncation search failed)."""
 
 
-class NoConvergence(BrenierBoundsError):
-    """An expanding-window supremum failed to stabilize; the constant is infinite."""
-
-
 class ConventionUndefined(BrenierBoundsError):
     """A constant was requested outside the range where its endpoint convention exists."""
 

@@ -80,8 +80,7 @@ class RadialTabulated:
 
     Monotone cubic interpolation avoids spurious oscillation in the
     sup/inf scans. Beyond the last node the profile continues linearly
-    with the boundary slope (documented extrapolation, flagged to the
-    structural scans through the expanding-window convergence test).
+    with the boundary slope, so its global structural constants are void.
     """
 
     r_nodes: np.ndarray

@@ -80,6 +80,11 @@ class TestTailMass:
             assert tail_mass(W, INF, r) == pytest.approx(
                 shifted_gaussian_tail(r, s), rel=1e-9)
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_rejects_a_negative_or_nan_radius(self, quad1, r):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            tail_mass(quad1, 2.0, r)
+
     def test_decreasing_in_radius(self, quad1):
         D = 2.0
         vals = [tail_mass(quad1, D, r) for r in (0.0, 0.5, 1.0, 5.0, 50.0)]

@@ -128,6 +128,15 @@ class TestConfigParsing:
         ("transport", {"scenario": {"n": 1, "d": 2}, "solver": {"grid_max": 1e-5}},
          "lower end 0.00141421 is not below its upper end 1e-05"),
         ("bounds", solver_doc(grid_min="nan"), "solver.grid_min: expected a positive"),
+        # a window radius that is not positive ("inf" is the whole space)
+        *[(command, identity_doc(R=R), f"scenario.R: expected a positive number, got {want}")
+          for command in ("verify", "bounds", "transport")
+          for R, want in ((0, "0.0"), (-1, "-1.0"), ("nan", "nan"))],
+        # the uniformity chain's qV and qW
+        *[("sweep", {"sweep": {"kind": "uniformity", "n_list": [1], "d_max": 3, key: value}},
+           f"sweep.{key}: expected a positive finite number, got {want}")
+          for key in ("qV", "qW")
+          for value, want in ((-1, "-1.0"), ("inf", "inf"), ("nan", "nan"))],
     ])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, doc, needle):
         path = write(tmp_path / "c.json", doc)

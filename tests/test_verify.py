@@ -24,15 +24,15 @@ def scenario(name="s", V=None, W=None, n=1, d=2.0, D=2.0, R=math.inf, **kw):
 
 
 @pytest.fixture
-def window_scans(monkeypatch):
-    """Counter of expanding-window scans by (id(potential), p)."""
+def ball_scans(monkeypatch):
+    """Counter of structural-constant scans by (id(potential), p, ball radius)."""
     scans = Counter()
-    real = constants_mod._structural_window
+    real = constants_mod._sups
 
-    def counting(U, q):
-        scans[id(U), q] += 1
-        return real(U, q)
-    monkeypatch.setattr(constants_mod, "_structural_window", counting)
+    def counting(U, q, grid):
+        scans[id(U), q, float(grid[-1])] += 1
+        return real(U, q, grid)
+    monkeypatch.setattr(constants_mod, "_sups", counting)
     return scans
 
 
@@ -135,27 +135,32 @@ class TestRunScenario:
         assert rep.passed, rep.reason
         assert abs(rep.margins["caffarelli"]) < 1e-11
 
-    def test_each_global_scan_runs_once_per_potential(self, window_scans):
-        scans = window_scans
+    def test_each_global_scan_runs_once_per_potential(self, ball_scans):
+        # the R = inf constants scan the ball of radius max(1, sqrt(p)) once
+        scans = ball_scans
         V = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         W = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         rep = run_scenario(scenario(V=V, W=W, R=5.0))
         assert rep.passed, rep.reason
-        assert scans[id(V), 2.0] == 1
+        assert scans[id(V), 2.0, math.sqrt(2.0)] == 1
         assert set(scans.values()) == {1}
 
-    def test_failed_global_scan_runs_once_per_potential(self, window_scans):
-        # past its last node a tabulated profile continues linearly, so the
-        # global c0 scan of a tabulated |x|^2 never converges
-        scans = window_scans
+    def test_failed_global_scan_runs_once_per_potential(self, ball_scans):
+        # past its last node a tabulated profile continues linearly, so its
+        # far curvature is 0 whatever it declares: the R = inf constants are
+        # void before any scan, in every bound that needs them, and each
+        # finite ball is scanned once
+        scans = ball_scans
         r = np.arange(0.0, 20.125, 0.25)
         with pytest.warns(UserWarning, match="declared hess"):
             V = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
         rep = run_scenario(scenario(V=V, W=V, R=5.0))
-        assert set(scans.values()) == {1}
+        assert scans[id(V), 2.0, math.sqrt(2.0)] == 0
+        assert set(scans.values()) == {1}  # the finite balls, once each
         assert set(rep.errors) == {"global", "local", "finite_global_sharp"}
-        assert all(msg.endswith("expanding-window supremum did not stabilize; a global "
-                                "structural constant is infinite")
+        assert all(msg.startswith("VoidBound: global structural constants need far-field "
+                                  "Hessian bounds 0 < lower <= upper < inf, got (lower, "
+                                  "upper) = (0.0, 0.0)")
                    for msg in rep.errors.values())
 
     def test_map_range_reports_the_truncated_grid(self):

@@ -6,14 +6,17 @@ Usage::
 
 SRC is a source tree holding the ``brenier_bounds`` package (a checkout's
 ``src``). The configs are the benchmark's ``verify_cli`` and ``sweep_cli``
-configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and twelve
-more: an inverted order d > D, d = D at n = 2, d < n, the far-shifted
-``onedim`` pair 10 (x - 36)^2, an integer d with D spelled "INF", the
-rejected tail parameters d = "nan" and D = "-inf", and five rejected solver
-windows (grid_min 0 and -1, grid_min above the grid's upper end, grid_max
-"inf", grid_max below the default lower end). Each verify config runs
-through ``verify``, ``bounds --format both`` and ``transport``, each sweep
-config through ``sweep``, in-process. OUT receives the configs, every output file, and
+configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and
+sixteen more: an inverted order d > D, d = D at n = 2, d < n, the
+far-shifted ``onedim`` pair 10 (x - 36)^2, an integer d with D spelled
+"INF", the rejected tail parameters d = "nan" and D = "-inf", five rejected
+solver windows (grid_min 0 and -1, grid_min above the grid's upper end,
+grid_max "inf", grid_max below the default lower end), the rejected window
+radii R = 0 and R = "nan", a ``onedim`` V without a declared Hessian lower
+bound at R = inf (void global constants), and a ``uniformity`` sweep with
+the rejected qV = "inf". Each verify config runs through ``verify``,
+``bounds --format both`` and ``transport``, each sweep config through
+``sweep``, in-process. OUT receives the configs, every output file, and
 ``calls.log`` with each call's exit code, stdout and stderr. ``wall_time_s``
 and the OUT path itself are masked, so two runs that compute the same
 outputs leave trees that ``diff -r`` finds equal. bench/ is read, not
@@ -53,6 +56,13 @@ EXTRA = {
                      "solver": {"grid_max": "inf"}},
     "grid_max_below_start": {"scenario": {"name": "grid_max_below_start", "n": 1, "d": 2, "D": 3},
                              "solver": {"grid_max": 1e-5}},
+    "R_zero": {"scenario": {"name": "R_zero", "n": 1, "d": 2, "D": 3, "R": 0}},
+    "R_nan": {"scenario": {"name": "R_nan", "n": 1, "d": 2, "D": 3, "R": "nan"}},
+    "onedim_undeclared_lower": {
+        "scenario": {"name": "onedim_undeclared_lower", "n": 1, "d": 3, "D": 3},
+        "potentials": {"V": {"family": "onedim", "shift": 0.5, "hess_lower": None}}},
+    "uniformity_qV_inf": {"sweep": {"kind": "uniformity", "n_list": [1], "d_max": 4,
+                                    "qV": "inf"}},
 }
 _WALL = re.compile(r'("wall_time_s": )[^,\n}]*')
 
@@ -71,7 +81,7 @@ def _configs(bb, out: Path):
     for name, doc in EXTRA.items():
         path = extra / f"{name}.json"
         path.write_text(json.dumps(doc))
-        found.append(("verify", path))
+        found.append(("sweep" if "sweep" in doc else "verify", path))
     return found
 
 
