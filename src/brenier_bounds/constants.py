@@ -17,7 +17,9 @@ rho and the declared Hessian bounds lam <= U'' <= Lam,
 P_lam <= U <= P_Lam for P_k(h) = U(rho) + g h + k h^2 / 2, and
 |U'| <= |g| + Lam h. The extremes of (p + P_k(h)) / (p + (rho + h)^2) and
 the sup of the monotone (|g| + Lam h) / (sqrt(p) + rho + h) are closed
-forms: exact for a quadratic far field, never low otherwise. Without
+forms: exact for a quadratic far field, never low otherwise. The declared
+bounds are read as holding on the whole line (a tabulated profile's are
+checked against the exact range of its U'' when it is built); without
 0 < lam <= Lam < inf the R = inf constants are void. At p = infinity the
 values are conventions, not limits: c0 = C0 = 1 and C1 = 0 for finite R.
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConventionUndefined, DomainError, VoidBound
 from .extparam import param
-from .potentials import PotentialSpec, Quadratic, RadialTabulated
+from .potentials import PotentialSpec, Quadratic
 
 _SCAN_POINTS = 2048
 _ZOOM_ROUNDS = 4
@@ -162,13 +164,10 @@ def _quadratic(a: float, q: float, R: float) -> StructuralConstants:
 
 def _structural_global(U: PotentialSpec, q: float) -> StructuralConstants:
     """The R = inf constants: a scan of B_rho and the far-field envelope past it."""
-    # past its last node a tabulated profile is linear: U'' = 0, whatever was declared
-    tabulated = isinstance(U.profile, RadialTabulated)
-    lam, Lam = far = (0.0, 0.0) if tabulated else (U.hess_lower, U.hess_upper)
+    lam, Lam = far = (U.hess_lower, U.hess_upper)
     if None in far or not 0.0 < lam <= Lam < math.inf:
         raise VoidBound("global structural constants need far-field Hessian bounds "
-                        f"0 < lower <= upper < inf, got (lower, upper) = {far}"
-                        + " (a tabulated profile is linear past its last node)" * tabulated)
+                        f"0 < lower <= upper < inf, got (lower, upper) = {far}")
     rho = max(1.0, math.sqrt(q))
     sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, rho)).tolist()
     x = np.array([rho] if U.is_radial else [rho, -rho])

@@ -2,16 +2,16 @@
 
 A :class:`PotentialSpec` bundles a profile with its dimension and the
 *declared* almost-everywhere Hessian eigenvalue bounds. The bounds are
-inputs, not computed quantities: quadratic profiles get them exactly,
-every other profile relies on the caller (a grid spot-check flags
-violations as warnings, it cannot certify them off-grid).
+inputs, not computed quantities: quadratic profiles get them exactly, a
+tabulated profile's are checked against the exact range of its U'' on the
+whole half-line (a violation raises ValueError), and a general 1D
+potential relies on the caller.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -47,13 +47,6 @@ _NEWTON_MAXITER = 60
 # profiles
 # --------------------------------------------------------------------------
 
-def _central_second(deriv, x):
-    """Second derivative as a central difference of ``deriv``, relative step 1e-5."""
-    x = np.asarray(x, dtype=float)
-    step = 1e-5 * np.maximum(1.0, np.abs(x))
-    return (deriv(x + step) - deriv(x - step)) / (2.0 * step)
-
-
 @dataclass(frozen=True, eq=False)
 class Quadratic:
     """U(x) = a |x|^2 with a > 0."""
@@ -76,67 +69,77 @@ class Quadratic:
 
 @dataclass(frozen=True, eq=False)
 class RadialTabulated:
-    """Radial profile sampled on a strictly increasing grid, PCHIP-interpolated.
+    """Radial profile sampled on a strictly increasing grid: cubic Hermite
+    pieces through the node values and slopes, and past each end node the
+    quadratic with that node's value, slope and one-sided U''.
 
-    Monotone cubic interpolation avoids spurious oscillation in the
-    sup/inf scans. Beyond the last node the profile continues linearly
-    with the boundary slope, so its global structural constants are void.
+    Quadratic samples give back the quadratic. U' is the derivative of U,
+    and U'' is linear on each piece (constant past the ends), so its range
+    over the half-line is that of its one-sided values at the nodes. The
+    pieces are only C^1 at the nodes.
     """
 
     r_nodes: np.ndarray
-    u_interp: Callable = field(repr=False)
-    du_interp: Callable = field(repr=False)
-    # u and u' at the first and last node, the linear extensions' constants
-    _ends: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        lo, hi = self.r_nodes[0], self.r_nodes[-1]
-        object.__setattr__(self, "_ends", (float(self.u_interp(lo)), float(self.u_interp(hi)),
-                                           float(self.du_interp(lo)), float(self.du_interp(hi))))
+    # column j holds the Taylor coefficients (u, u', u''/2, u'''/6) of piece
+    # j at its base node: the quadratic below the first node (j = 0), the
+    # cubic from node j - 1 to node j, the quadratic past the last node
+    coef: np.ndarray = field(repr=False)
 
     @classmethod
     def from_samples(cls, r, u, du=None) -> "RadialTabulated":
+        """Hermite pieces through (r, u), with slopes ``du`` or, without them,
+        the slope at each node of the parabola through it and its neighbours
+        (through the three end nodes at either end)."""
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.size < 4:
             raise ValueError("tabulated profile needs at least 4 radial nodes")
         if np.any(np.diff(r) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
-        if not np.isfinite(u[0]):
-            raise ValueError("u(0) must be finite")
-        # scipy loads with the first tabulated profile, not with the package
-        from scipy.interpolate import PchipInterpolator
-        u_interp = PchipInterpolator(r, u, extrapolate=False)
-        if du is not None:
-            du_interp = PchipInterpolator(r, np.asarray(du, dtype=float), extrapolate=False)
-        else:
-            du_interp = u_interp.derivative()
-        return cls(r, u_interp, du_interp)
+        if u.shape != r.shape or (du is not None and np.shape(du) != r.shape):
+            raise ValueError("tabulated profile needs one value (and slope) per node")
+        if not (np.isfinite(u).all() and (du is None or np.isfinite(du).all())):
+            raise ValueError("tabulated values and slopes must be finite")
+        h = np.diff(r)
+        delta = np.diff(u) / h
+        if du is None:
+            bend = np.diff(delta) / (h[:-1] + h[1:])  # the parabola's u''/2 on each node triple
+            du = np.concatenate(([delta[0] - h[0] * bend[0]], delta[:-1] + h[:-1] * bend,
+                                 [delta[-1] + h[-1] * bend[-1]]))
+        s = np.asarray(du, dtype=float)
+        c2 = (3.0 * delta - 2.0 * s[:-1] - s[1:]) / h
+        c3 = (s[:-1] + s[1:] - 2.0 * delta) / (h * h)
+        first = [[u[0]], [s[0]], [c2[0]], [0.0]]
+        last = [[u[-1]], [s[-1]], [c2[-1] + 3.0 * c3[-1] * h[-1]], [0.0]]
+        return cls(r, np.hstack((first, [u[:-1], s[:-1], c2, c3], last)))
 
-    def _split(self, r):
+    def _pieces(self, r):
+        """(offset from the base node, coefficient rows) of each radius's piece."""
         r = np.asarray(r, dtype=float)
-        lo, hi = self.r_nodes[0], self.r_nodes[-1]
-        return r, np.clip(r, lo, hi), lo, hi
+        j = np.searchsorted(self.r_nodes, r, side="right")
+        return r - self.r_nodes[np.maximum(j - 1, 0)], self.coef[:, j]
 
     def value(self, r):
-        r, rc, lo, hi = self._split(r)
-        u_lo, u_hi, s_lo, s_hi = self._ends
-        out = np.asarray(self.u_interp(rc), dtype=float)
-        # linear extension with boundary slopes
-        out = np.where(r > hi, u_hi + s_hi * (r - hi), out)
-        out = np.where(r < lo, u_lo + s_lo * (r - lo), out)
+        t, (c0, c1, c2, c3) = self._pieces(r)
+        out = c0 + t * (c1 + t * (c2 + t * c3))
         return out if out.ndim else float(out)
 
     def deriv(self, r):
-        r, rc, lo, hi = self._split(r)
-        _, _, s_lo, s_hi = self._ends
-        out = np.asarray(self.du_interp(rc), dtype=float)
-        out = np.where(r > hi, s_hi, out)
-        out = np.where(r < lo, s_lo, out)
+        t, (_, c1, c2, c3) = self._pieces(r)
+        out = c1 + t * (2.0 * c2 + t * 3.0 * c3)
         return out if out.ndim else float(out)
 
     def second(self, r):
-        return _central_second(self.deriv, r)
+        t, (_, _, c2, c3) = self._pieces(r)
+        out = 2.0 * c2 + 6.0 * t * c3
+        return out if out.ndim else float(out)
+
+    def second_range(self) -> tuple:
+        """(min, max) of U'' over the whole line: its one-sided node values."""
+        h = np.diff(self.r_nodes)
+        _, _, c2, c3 = self.coef[:, 1:-1]
+        ends = np.concatenate((2.0 * c2, 2.0 * c2 + 6.0 * c3 * h))
+        return float(ends.min()), float(ends.max())
 
 
 def _numpy_input(x):
@@ -160,7 +163,10 @@ class OneDim:
         return np.asarray(self.fprime(_numpy_input(x)), dtype=float)
 
     def second(self, x):
-        return _central_second(self.deriv, x)
+        """U'' as a central difference of U', relative step 1e-5."""
+        x = np.asarray(x, dtype=float)
+        step = 1e-5 * np.maximum(1.0, np.abs(x))
+        return (self.deriv(x + step) - self.deriv(x - step)) / (2.0 * step)
 
 
 # --------------------------------------------------------------------------
@@ -221,10 +227,16 @@ class PotentialSpec:
     @classmethod
     def tabulated(cls, r, u, du=None, dimension: int = 1,
                   hess_upper=None, hess_lower=None) -> "PotentialSpec":
-        spec = cls(dimension, RadialTabulated.from_samples(r, u, du),
-                   hess_upper, hess_lower)
-        spec._spot_check_hessian()
-        return spec
+        """A :class:`RadialTabulated` profile. Raises ValueError when U'' leaves
+        a declared bound anywhere (up to 1e-6 relative, for rounding)."""
+        prof = RadialTabulated.from_samples(r, u, du)
+        lo, hi = prof.second_range()
+        tol = 1e-6 * max(1.0, abs(lo), abs(hi))
+        if hi > (math.inf if hess_upper is None else hess_upper + tol) or (
+                lo < (-math.inf if hess_lower is None else hess_lower - tol)):
+            raise ValueError(f"declared Hessian bounds [{hess_lower}, {hess_upper}] do not "
+                             f"hold for the tabulated U'' range [{lo!r}, {hi!r}]")
+        return cls(dimension, prof, hess_upper, hess_lower)
 
     @classmethod
     def from_csv(cls, path, dimension: int = 1,
@@ -250,21 +262,6 @@ class PotentialSpec:
         return cls.tabulated(data[:, 0], data[:, 1], du,
                              dimension=dimension,
                              hess_upper=hess_upper, hess_lower=hess_lower)
-
-    def _spot_check_hessian(self):
-        """Warn when declared eigenvalue bounds fail on the sample grid."""
-        prof = self.profile
-        if not isinstance(prof, RadialTabulated):
-            return
-        grid = prof.r_nodes[1:-1]
-        if grid.size == 0:
-            return
-        sec = prof.second(grid)
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(sec))))
-        if self.hess_upper is not None and float(np.max(sec)) > self.hess_upper + tol:
-            warnings.warn("declared hess_upper violated on the sample grid", UserWarning)
-        if self.hess_lower is not None and float(np.min(sec)) < self.hess_lower - tol:
-            warnings.warn("declared hess_lower violated on the sample grid", UserWarning)
 
 
 def _is_number(tok: str) -> bool:
@@ -612,7 +609,7 @@ class TailTable:
 def _cached_table(U: PotentialSpec, key: tuple, f, p: float) -> TailTable:
     table = U._memo.get(key)
     if table is None:
-        # PCHIP is only C^1 at a tabulated profile's nodes: panels end there
+        # a tabulated profile is only C^1 at its nodes: panels end there
         breaks = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else ()
         table = U._memo[key] = TailTable(f, p, breaks)
     return table

@@ -49,6 +49,8 @@ class Scenario:
 
     def __post_init__(self):
         self.d, self.D = param(self.d), param(self.D)
+        if not self.R > 0.0:  # NaN too; R = inf is the global window
+            raise ValueError(f"scenario.R: expected a positive number, got {float(self.R)!r}")
 
     def order_valid(self) -> bool:
         try:

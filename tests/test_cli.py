@@ -180,6 +180,33 @@ class TestConfigParsing:
         assert main(["transport", "--config", path]) == 0
         assert (elsewhere / "identity_map.csv").exists()
 
+    def test_tabulated_quadratic_verifies_and_a_false_declaration_exits_one(
+            self, tmp_path, capsys):
+        # r^2 at 201 nodes declared [2, 2] passes with the bounds of |x|^2;
+        # declared [0.5, 0.5] it is an input error, reported on one line
+        r = np.linspace(0.0, 20.0, 201).tolist()
+        (tmp_path / "u.csv").write_text("r,u\n" + "".join(f"{x!r},{x * x!r}\n" for x in r))
+        quadratic = write(tmp_path / "q.json", identity_doc(R=5))
+        doc = identity_doc(R=5)
+        doc["potentials"]["V"] = {"family": "tabulated", "csv": "u.csv",
+                                  "hess_upper": 2.0, "hess_lower": 2.0}
+        tabulated = write(tmp_path / "t.json", doc)
+        for path, out in ((quadratic, "q"), (tabulated, "t")):
+            assert main(["verify", "--config", path, "--out", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        got, want = (json.loads((tmp_path / out / "identity_report.json").read_text())["bounds"]
+                     for out in ("t", "q"))
+        assert [b["regime"] for b in got] == ["global", "local", "finite_global_sharp"]
+        for b, w in zip(got, want):
+            assert b["regime"] == w["regime"]
+            assert b["bound"] == pytest.approx(w["bound"], rel=1e-10)
+        doc["potentials"]["V"].update(hess_upper=0.5, hess_lower=0.5)
+        assert main(["verify", "--config", write(tmp_path / "t.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: potentials.V: declared Hessian bounds [0.5, 0.5] do not "
+                              "hold for the tabulated U'' range [")
+        assert err.count("\n") == 1
+
 
 class TestBoundsCommand:
     def test_identity_outputs_global_bound(self, tmp_path, capsys):

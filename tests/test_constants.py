@@ -214,14 +214,16 @@ class TestFarFieldEnvelope:
         assert got.c0 <= up.min() and got.C0 >= up.max() and got.C1 >= g2.max()
         assert (got.C0, got.C1) == (5.5, 121.0)
 
-    def test_void_for_a_tabulated_profile_whatever_it_declares(self, monkeypatch):
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 6.0, 30.0])
+    def test_a_tabulated_quadratic_takes_the_quadratic_constants(self, q):
+        # r^2 continues as r^2 past its last node, so the envelope of its
+        # declared [2, 2] gives the closed-form constants of |x|^2
         r = np.linspace(0.0, 20.0, 81)
-        with pytest.warns(UserWarning, match="declared hess"):
-            U = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
-        no_scan(monkeypatch)
-        with pytest.raises(VoidBound, match=_VOID + r"got \(lower, upper\) = \(0.0, 0.0\) "
-                           r"\(a tabulated profile is linear past its last node\)$"):
-            structural(U, 2.0, math.inf)
+        U = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
+        got, want = structural(U, q, math.inf), structural(quad(1.0), q, math.inf)
+        assert got.c0 == pytest.approx(want.c0, rel=1e-12)
+        assert got.C0 == pytest.approx(want.C0, rel=1e-12)
+        assert got.C1 == pytest.approx(want.C1, rel=1e-12)
 
     def test_void_names_a_missing_declaration(self, monkeypatch):
         U = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, hess_upper=2.0)

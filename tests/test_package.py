@@ -36,8 +36,8 @@ def test_readme_quick_start_runs():
 
 # Runs in a fresh interpreter: pytest's own filterwarnings setting imports
 # scipy.integrate. Prints [command, exit code, scipy loaded] per CLI call,
-# then the quantile oracle's error and whether scipy is loaded after it, and
-# whether a tabulated profile, which loads scipy, still runs.
+# a tabulated verify among them, then the quantile oracle's error, a
+# tabulated profile's value, and whether scipy is loaded after both.
 _COLD_RUN = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -55,8 +55,14 @@ quadratic = config("quadratic", {"scenario": {"name": "q", "n": 2, "d": 3, "D": 
 onedim = config("onedim", {
     "scenario": {"name": "o", "n": 1, "d": 2, "D": "inf", "R": 3},
     "potentials": {"V": {"family": "onedim", "coefficient": 1.5, "shift": 0.25}}})
-runs = [("verify", quadratic), ("verify", onedim), ("bounds", quadratic),
-        ("transport", quadratic)]
+r = np.linspace(0.0, 20.0, 201)
+(tmp / "u.csv").write_text("r,u\\n" + "".join(f"{x},{x * x}\\n" for x in r))
+tabulated = config("tabulated", {
+    "scenario": {"name": "t", "n": 1, "d": 2, "D": 2, "R": 5},
+    "potentials": {"V": {"family": "tabulated", "csv": "u.csv",
+                         "hess_upper": 2.0, "hess_lower": 2.0}}})
+runs = [("verify", quadratic), ("verify", onedim), ("verify", tabulated),
+        ("bounds", quadratic), ("transport", quadratic)]
 for kind, extra in (("d_limit", {"n": 2, "d": 2, "D_list": [4, 40, 400, 4000]}),
                     ("caffarelli_limit", {}), ("uniformity", {"d_max": 6})):
     runs.append(("sweep", config(kind, {"sweep": {"kind": kind, **extra}})))
@@ -67,11 +73,9 @@ for command, path in runs:
     out.append([command, code, "scipy" in sys.modules])
 quad = PotentialSpec.quadratic(1.0, 1)
 m = quantile_map_1d(quad, quad, INF, INF, np.logspace(-2, 1, 20))
-oracle_scipy = "scipy" in sys.modules
 tab = PotentialSpec.tabulated(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9) ** 2)
 print(json.dumps({"runs": out, "oracle": float(np.max(np.abs(m.t / m.r_grid - 1))),
-                  "oracle_scipy": oracle_scipy, "tabulated": float(tab.value(1.5)),
-                  "scipy": "scipy" in sys.modules}))
+                  "tabulated": float(tab.value(1.5)), "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -81,13 +85,11 @@ def test_radial_and_onedim_cli_paths_never_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert [run[0] for run in result["runs"]] == (
-        ["verify", "verify", "bounds", "transport"] + ["sweep"] * 3)
+        ["verify"] * 3 + ["bounds", "transport"] + ["sweep"] * 3)
     for command, code, scipy_loaded in result["runs"]:
         assert code == 0, command
         assert not scipy_loaded, command
-    # the quantile oracle is numpy only; a tabulated profile (PCHIP) loads
-    # scipy on first use
+    # the quantile oracle and tabulated profiles are numpy only
     assert result["oracle"] < 1e-12
-    assert not result["oracle_scipy"]
     assert result["tabulated"] == pytest.approx(2.25, rel=1e-12)
-    assert result["scipy"]
+    assert not result["scipy"]

@@ -35,39 +35,68 @@ class TestProfiles:
         assert not U.is_radial
 
     def test_tabulated_matches_quadratic(self):
-        r = np.linspace(0.0, 20.0, 2000)
-        U = PotentialSpec.tabulated(r, r ** 2, du=2.0 * r, dimension=1,
-                                    hess_upper=2.0, hess_lower=2.0)
-        x = np.array([0.3, 1.7, 12.4])
-        assert np.allclose(U.value(x), x ** 2, rtol=1e-6, atol=1e-6)
-        assert np.allclose(U.deriv(x), 2.0 * x, rtol=1e-6, atol=1e-6)
+        # r^2 at 201 nodes, with and without slopes: value, slope and U'' at
+        # the nodes, between them, and on the continuation past the last node
+        r = np.linspace(0.0, 20.0, 201)
+        x = np.concatenate((r, [0.33, 1.7, 12.43, 40.0, 1e3]))
+        for du in (None, 2.0 * r):
+            prof = PotentialSpec.tabulated(r, r ** 2, du=du, hess_upper=2.0,
+                                           hess_lower=2.0).profile
+            np.testing.assert_allclose(prof.value(x), x ** 2, rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(prof.deriv(x), 2.0 * x, rtol=1e-10, atol=1e-13)
+            np.testing.assert_allclose(prof.second(x), 2.0, rtol=1e-10)
+            assert prof.second_range() == pytest.approx((2.0, 2.0), rel=1e-10)
 
     @pytest.mark.parametrize("with_du", [False, True])
     def test_tabulated_end_constants_match_the_interpolants(self, with_du):
-        # value and deriv take u and u' at the end nodes from constants set
-        # at construction: they must equal evaluating the interpolants there
+        # past each end node the profile is the quadratic with that node's
+        # value, slope and the one-sided U'' of the cubic piece next to it
         r = np.linspace(0.5, 5.0, 19)
         prof = PotentialSpec.tabulated(r, r ** 3, du=3.0 * r ** 2 if with_du else None).profile
-        lo, hi = r[0], r[-1]
+        for node, inward, outside in ((r[0], math.inf, [0.0, 0.2]),
+                                      (r[-1], -math.inf, [6.0, 40.0])):
+            u, s = prof.value(node), prof.deriv(node)
+            k = prof.second(np.nextafter(node, inward))
+            assert u == node ** 3 and type(u) is float
+            assert prof.value(np.nextafter(node, inward)) == pytest.approx(u, rel=1e-14)
+            assert prof.deriv(np.nextafter(node, inward)) == pytest.approx(s, rel=1e-14)
+            assert prof.second(node) == pytest.approx(k, rel=1e-14)
+            h = np.asarray(outside) - node
+            np.testing.assert_allclose(prof.value(outside), u + s * h + 0.5 * k * h * h,
+                                       rtol=1e-14)
+            np.testing.assert_allclose(prof.deriv(outside), s + k * h, rtol=1e-14)
+            np.testing.assert_array_equal(prof.second(outside), prof.second(node))
 
-        def value(x):
-            x = np.asarray(x, dtype=float)
-            out = np.asarray(prof.u_interp(np.clip(x, lo, hi)), dtype=float)
-            out = np.where(x > hi, prof.u_interp(hi) + float(prof.du_interp(hi)) * (x - hi), out)
-            return np.where(x < lo, prof.u_interp(lo) + float(prof.du_interp(lo)) * (x - lo), out)
+    @pytest.mark.parametrize("with_du", [False, True])
+    def test_tabulated_second_range_is_the_dense_extremes(self, with_du):
+        # U'' = 2 + 9 sech^2 3x; the tabulated U'' is linear on each piece,
+        # so the one-sided node values are its extremes on the half-line
+        r = np.linspace(0.0, 8.0, 161)
+        u = r ** 2 + np.logaddexp(3.0 * r, -3.0 * r) - math.log(2.0)
+        du = 2.0 * r + 3.0 * np.tanh(3.0 * r) if with_du else None
+        prof = PotentialSpec.tabulated(r, u, du=du).profile
+        lo, hi = prof.second_range()
+        # each piece sampled up to the last float below its right end, and past the ends
+        t = np.linspace(0.0, 1.0, 257)
+        x = r[:-1, None] + (r[1:] - r[:-1])[:, None] * t
+        x[:, -1] = np.nextafter(r[1:], -math.inf)
+        dense = prof.second(np.concatenate((x.ravel(), [8.0, 1e3])))
+        assert (lo, hi) == pytest.approx((dense.min(), dense.max()), rel=1e-12)
+        assert lo == pytest.approx(2.0, rel=0.05) and hi == pytest.approx(11.0, rel=0.05)
 
-        def deriv(x):
-            x = np.asarray(x, dtype=float)
-            out = np.asarray(prof.du_interp(np.clip(x, lo, hi)), dtype=float)
-            out = np.where(x > hi, prof.du_interp(hi), out)
-            return np.where(x < lo, prof.du_interp(lo), out)
-
-        x = np.array([0.0, 0.2, lo, 1.3, 2.75, hi, 6.0, 40.0])
-        assert np.array_equal(prof.value(x), value(x))
-        assert np.array_equal(prof.deriv(x), deriv(x))
-        for v in x.tolist():
-            assert prof.value(v) == float(value(v)) and type(prof.value(v)) is float
-            assert prof.deriv(v) == float(deriv(v)) and type(prof.deriv(v)) is float
+    def test_tabulated_deriv_is_the_derivative_of_value(self):
+        # a du column that is not u's derivative still gives U' = dU/dr: on
+        # each piece U' is quadratic, so 2-point Gauss-Legendre integrates it
+        # exactly to the increment of U
+        r = np.linspace(0.5, 5.0, 19)
+        prof = PotentialSpec.tabulated(r, r ** 3, du=3.0 * r ** 2 + 0.3 * np.cos(5.0 * r)).profile
+        edges = np.concatenate(([0.0], r, [9.0]))
+        a, b = edges[:-1], edges[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = half[:, None] * np.array([-1.0, 1.0]) / math.sqrt(3.0) + mid[:, None]
+        integral = half * prof.deriv(nodes).sum(axis=1)
+        np.testing.assert_allclose(integral, prof.value(b) - prof.value(a),
+                                   rtol=1e-13, atol=1e-13)
 
     def test_from_csv_roundtrip(self, tmp_path):
         r = np.linspace(0.0, 10.0, 500)
@@ -85,11 +114,29 @@ class TestProfiles:
         with pytest.raises(ValueError):
             PotentialSpec.from_csv(path, dimension=1)
 
-    def test_tabulated_hessian_spot_check_warns(self):
+    def test_tabulated_rejects_non_finite_or_missing_samples(self):
+        # one NaN value would make every U'' range check pass and U NaN nearby
+        r = np.linspace(0.0, 5.0, 20)
+        for u, du in ((np.where(r == r[5], np.nan, r * r), None),
+                      (r * r, np.where(r == r[5], np.inf, 2.0 * r))):
+            with pytest.raises(ValueError, match="must be finite"):
+                PotentialSpec.tabulated(r, u, du, hess_upper=2.0, hess_lower=2.0)
+        with pytest.raises(ValueError, match="one value"):
+            PotentialSpec.tabulated(r, r[:-1] ** 2)
+
+    def test_tabulated_hessian_check_raises(self):
         r = np.linspace(0.0, 5.0, 200)
-        with pytest.warns(UserWarning):
+        with pytest.raises(ValueError, match=r"^declared Hessian bounds \[0.1, 0.5\] do not "
+                           r"hold for the tabulated U'' range \[(1.9|2.0)\d*, (1.9|2.0)\d*\]$"):
             PotentialSpec.tabulated(r, r ** 2, du=2.0 * r, dimension=1,
                                     hess_upper=0.5, hess_lower=0.1)
+        for lower, upper in ((2.5, 3.0), (2.5, None), (None, 1.9)):
+            with pytest.raises(ValueError,
+                               match=rf"^declared Hessian bounds \[{lower}, {upper}\]"):
+                PotentialSpec.tabulated(r, r ** 2, hess_upper=upper, hess_lower=lower)
+        # rounding alone moves U'' of r^2 at 2,000 nodes by ~3e-9: within tolerance
+        r = np.linspace(0.0, 20.0, 2000)
+        PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
 
 
 class TestNormalization:

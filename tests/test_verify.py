@@ -146,22 +146,42 @@ class TestRunScenario:
         assert set(scans.values()) == {1}
 
     def test_failed_global_scan_runs_once_per_potential(self, ball_scans):
-        # past its last node a tabulated profile continues linearly, so its
-        # far curvature is 0 whatever it declares: the R = inf constants are
-        # void before any scan, in every bound that needs them, and each
-        # finite ball is scanned once
+        # a tabulated V that declares no Hessian lower bound has void R = inf
+        # constants, before any scan, in every bound that needs them, and
+        # each finite ball is scanned once
         scans = ball_scans
         r = np.arange(0.0, 20.125, 0.25)
-        with pytest.warns(UserWarning, match="declared hess"):
-            V = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0, hess_lower=2.0)
-        rep = run_scenario(scenario(V=V, W=V, R=5.0))
+        V = PotentialSpec.tabulated(r, r ** 2, hess_upper=2.0)
+        rep = run_scenario(scenario(V=V, R=5.0))
         assert scans[id(V), 2.0, math.sqrt(2.0)] == 0
         assert set(scans.values()) == {1}  # the finite balls, once each
         assert set(rep.errors) == {"global", "local", "finite_global_sharp"}
-        assert all(msg.startswith("VoidBound: global structural constants need far-field "
-                                  "Hessian bounds 0 < lower <= upper < inf, got (lower, "
-                                  "upper) = (0.0, 0.0)")
+        assert all(msg == "VoidBound: global structural constants need far-field "
+                          "Hessian bounds 0 < lower <= upper < inf, got (lower, "
+                          "upper) = (None, 2.0)"
                    for msg in rep.errors.values())
+
+    @pytest.mark.parametrize("n,d,D,R", [(1, 2, 2, 5), (3, 6, 6, 5), (1, 2, "inf", 5),
+                                         (3, "inf", "inf", 5), (1, 3, 4, 3), (3, 4, "inf", 2)])
+    def test_tabulated_quadratic_verifies_as_the_quadratic(self, n, d, D, R):
+        # r^2 at 201 nodes on [0, 20], declared [2, 2]: every bound and the
+        # empirical Lipschitz constant are those of |x|^2
+        r = np.linspace(0.0, 20.0, 201)
+        V = PotentialSpec.tabulated(r, r ** 2, dimension=n, hess_upper=2.0, hess_lower=2.0)
+        got = run_scenario(scenario(V=V, W=V, n=n, d=d, D=D, R=R))
+        want = run_scenario(scenario(V=quad(1.0, n), W=quad(1.0, n), n=n, d=d, D=D, R=R))
+        assert got.passed and want.passed, got.reason
+        assert not got.errors
+        assert [b.regime for b in got.bounds] == [b.regime for b in want.bounds]
+        for b, w in zip(got.bounds, want.bounds):
+            assert b.bound == pytest.approx(w.bound, rel=1e-10), b.regime
+        assert got.empirical.value == pytest.approx(want.empirical.value, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, -math.inf])
+    def test_scenario_rejects_a_radius_that_is_not_positive(self, R):
+        with pytest.raises(ValueError, match=r"^scenario.R: expected a positive number, got "):
+            scenario(R=R)
+        assert scenario(R=math.inf).R == math.inf
 
     def test_map_range_reports_the_truncated_grid(self):
         rep = run_scenario(scenario(W=quad(0.25), d="inf", D="inf"))

@@ -7,20 +7,22 @@ Usage::
 SRC is a source tree holding the ``brenier_bounds`` package (a checkout's
 ``src``). The configs are the benchmark's ``verify_cli`` and ``sweep_cli``
 configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and
-sixteen more: an inverted order d > D, d = D at n = 2, d < n, the
+nineteen more: an inverted order d > D, d = D at n = 2, d < n, the
 far-shifted ``onedim`` pair 10 (x - 36)^2, an integer d with D spelled
 "INF", the rejected tail parameters d = "nan" and D = "-inf", five rejected
 solver windows (grid_min 0 and -1, grid_min above the grid's upper end,
 grid_max "inf", grid_max below the default lower end), the rejected window
 radii R = 0 and R = "nan", a ``onedim`` V without a declared Hessian lower
-bound at R = inf (void global constants), and a ``uniformity`` sweep with
-the rejected qV = "inf". Each verify config runs through ``verify``,
-``bounds --format both`` and ``transport``, each sweep config through
-``sweep``, in-process. OUT receives the configs, every output file, and
-``calls.log`` with each call's exit code, stdout and stderr. ``wall_time_s``
-and the OUT path itself are masked, so two runs that compute the same
-outputs leave trees that ``diff -r`` finds equal. bench/ is read, not
-written.
+bound at R = inf (void global constants), a ``uniformity`` sweep with the
+rejected qV = "inf", and three ``tabulated`` V read from ``r2.csv`` (r^2 at
+201 nodes on [0, 20], written beside the configs): declared [2, 2] at n = 1
+and n = 3, and the rejected declaration [0.5, 0.5]. Each verify config runs
+through ``verify``, ``bounds --format both`` and ``transport``, each sweep
+config through ``sweep``, in-process. OUT receives the configs, every
+output file, and ``calls.log`` with each call's exit code, stdout and
+stderr. ``wall_time_s`` and the OUT path itself are masked, so two runs that
+compute the same outputs leave trees that ``diff -r`` finds equal. bench/ is
+read, not written.
 """
 
 from __future__ import annotations
@@ -63,7 +65,21 @@ EXTRA = {
         "potentials": {"V": {"family": "onedim", "shift": 0.5, "hess_lower": None}}},
     "uniformity_qV_inf": {"sweep": {"kind": "uniformity", "n_list": [1], "d_max": 4,
                                     "qV": "inf"}},
+    "tabulated_n1": {
+        "scenario": {"name": "tabulated_n1", "n": 1, "d": 2, "D": 2, "R": 5},
+        "potentials": {"V": {"family": "tabulated", "csv": "r2.csv",
+                             "hess_upper": 2.0, "hess_lower": 2.0}}},
+    "tabulated_n3": {
+        "scenario": {"name": "tabulated_n3", "n": 3, "d": 6, "D": 6, "R": 5},
+        "potentials": {"V": {"family": "tabulated", "csv": "r2.csv",
+                             "hess_upper": 2.0, "hess_lower": 2.0}}},
+    "tabulated_false_upper": {
+        "scenario": {"name": "tabulated_false_upper", "n": 1, "d": 2, "D": 2, "R": 5},
+        "potentials": {"V": {"family": "tabulated", "csv": "r2.csv",
+                             "hess_upper": 0.5, "hess_lower": 0.5}}},
 }
+# the table the tabulated configs read: r^2 at r = 0, 0.1, ..., 20
+R2_CSV = "r,u\n" + "".join(f"{i / 10!r},{(i / 10) ** 2!r}\n" for i in range(201))
 _WALL = re.compile(r'("wall_time_s": )[^,\n}]*')
 
 
@@ -78,6 +94,7 @@ def _configs(bb, out: Path):
             found += [(kind, p) for p in sorted((tmp / "configs").glob("*.json"))]
     extra = out / "configs" / "extra" / "configs"
     extra.mkdir(parents=True)
+    (extra / "r2.csv").write_text(R2_CSV)
     for name, doc in EXTRA.items():
         path = extra / f"{name}.json"
         path.write_text(json.dumps(doc))
