@@ -316,7 +316,7 @@ def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
 class UniformityReport:
     """Per-triple proof-chain verification of the uniform 1 + M <= M_glob bound."""
 
-    rows: list
+    columns: Dict[str, np.ndarray]  # per triple: n, d, D, one_plus_M, the step flags, pass
     e2_product: float          # 125000 * e^2, must be < 924000
     tau_endpoint_value: float  # max over tau of the bracket logarithm
     tau_endpoint_target: float  # log 15625
@@ -328,10 +328,11 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
                            qW: float = 1.0) -> UniformityReport:
     """Verify every step of the chain 1 + M <= 10^6 qV^2 qW^2 on a parameter grid.
 
-    For each n the chain is evaluated as arrays over the pairs n <= d <= D,
-    from the structural constants and reference integral of each distinct
-    parameter, each computed once. Rows run over d, then D, as given; a
-    grid without such a pair does not pass.
+    The chain is evaluated as one array per column over all triples
+    n <= d <= D, concatenated over n, from the structural constants and
+    reference integral of each distinct (n, parameter), each computed once.
+    Triples run over n, then d, then D, as given; a grid without such a
+    triple does not pass.
     """
     e2 = 125000.0 * math.exp(2.0)
     taus = np.linspace(1e-6, 1.0, 2001)
@@ -339,41 +340,36 @@ def mglob_uniformity_check(n_range, d_range, D_range, qV: float = 1.0,
     tau_max = float(np.max(tau_vals))
     tau_target = math.log(15625.0)
 
-    rows = []
-    max_one_m = 0.0
     tol = 1e-9
     grid_d, grid_D = np.meshgrid(list(d_range), list(D_range), indexing="ij")
-    for n in n_range:
-        keep = (grid_d >= n) & (grid_D >= grid_d)
+    # per n: the pairs n <= d <= D, and (log(C0/c0), log I_p) of V at d and of W at D;
+    # the empty block first keeps the columns of a grid without a triple
+    blocks = [(np.zeros(0, int),) * 3 + (np.zeros((2, 0)),) * 2]
+    for dim in n_range:
+        keep = (grid_d >= dim) & (grid_D >= grid_d)
         d, D = grid_d[keep], grid_D[keep]
-        if not d.size:
-            continue
-        U = PotentialSpec.quadratic(1.0, n)  # both potentials
+        U = PotentialSpec.quadratic(1.0, dim)  # both potentials
         ps, at = np.unique(np.concatenate((d, D)), return_inverse=True)
-        iv, iw = at[:d.size], at[d.size:]
-        log_ratio, log_i = np.array([
-            _chain_terms(structural(U, finite_param(p), math.inf), n, float(p))
-            for p in ps]).T
-        expo = 2.0 / (2.0 * D - n)
-        s1 = ((np.exp(d * expo * log_ratio[iv]) <= qV * qV + tol)
-              & (np.exp(D * expo * log_ratio[iw]) <= qW * qW + tol))
-        s2 = (d / D) * (D / d) ** (D * expo) <= 2.0 + tol
-        mid = 9.0 * np.exp(expo * (d * math.log(1.25) + 2.0 * d * math.log(10.0)
-                                   - n * math.log(3.0)))
-        upper = 9.0 * np.exp(expo * (D * math.log(125.0) - n * math.log(3.0)))
-        s3 = (mid <= upper * (1.0 + tol)) & (upper <= 15625.0 * (1.0 + tol))
-        s4 = np.exp(expo * (log_i[iv] - log_i[iw])) <= 4.0 * math.exp(2.0) + tol
-        _, m = _growth_chain(n, d, D, (log_ratio[iv], log_i[iv]), (log_ratio[iw], log_i[iw]))
-        one_m = 1.0 + m
-        s5 = one_m <= 1e6 * qV * qV * qW * qW + tol
-        max_one_m = max(max_one_m, float(np.max(one_m)))
-        rows += [{"n": n, "d": dv, "D": Dv, "one_plus_M": om,
-                  "ratio_exponent": a, "dD_factor": b, "polynomial_factor": c,
-                  "reference_ratio": e, "uniform_bound": f, "pass": ok}
-                 for dv, Dv, om, a, b, c, e, f, ok in zip(
-                     d.tolist(), D.tolist(), one_m.tolist(), s1.tolist(), s2.tolist(),
-                     s3.tolist(), s4.tolist(), s5.tolist(), (s1 & s2 & s3 & s4 & s5).tolist())]
-    all_pass = (e2 < 924000.0
-                and abs(tau_max - tau_target) < 1e-6
-                and bool(rows) and all(r["pass"] for r in rows))
-    return UniformityReport(rows, e2, tau_max, tau_target, max_one_m, all_pass)
+        terms = np.array([_chain_terms(structural(U, finite_param(p), math.inf), dim, float(p))
+                          for p in ps.tolist()]).reshape(-1, 2).T[:, at]
+        blocks.append((np.full(d.size, dim), d, D, terms[:, :d.size], terms[:, d.size:]))
+    n, d, D, v, w = (np.concatenate(col, axis=-1) for col in zip(*blocks))
+    expo = 2.0 / (2.0 * D - n)
+    s1 = ((np.exp(d * expo * v[0]) <= qV * qV + tol)
+          & (np.exp(D * expo * w[0]) <= qW * qW + tol))
+    s2 = (d / D) * (D / d) ** (D * expo) <= 2.0 + tol
+    mid = 9.0 * np.exp(expo * (d * math.log(1.25) + 2.0 * d * math.log(10.0)
+                               - n * math.log(3.0)))
+    upper = 9.0 * np.exp(expo * (D * math.log(125.0) - n * math.log(3.0)))
+    s3 = (mid <= upper * (1.0 + tol)) & (upper <= 15625.0 * (1.0 + tol))
+    s4 = np.exp(expo * (v[1] - w[1])) <= 4.0 * math.exp(2.0) + tol
+    one_m = 1.0 + _growth_chain(n, d, D, v, w)[1]
+    s5 = one_m <= 1e6 * qV * qV * qW * qW + tol
+    passed = s1 & s2 & s3 & s4 & s5
+    columns = {"n": n, "d": d, "D": D, "one_plus_M": one_m,
+               "ratio_exponent": s1, "dD_factor": s2, "polynomial_factor": s3,
+               "reference_ratio": s4, "uniform_bound": s5, "pass": passed}
+    all_pass = (e2 < 924000.0 and abs(tau_max - tau_target) < 1e-6
+                and passed.size > 0 and bool(passed.all()))
+    return UniformityReport(columns, e2, tau_max, tau_target,
+                            float(np.max(one_m, initial=0.0)), all_pass)

@@ -89,7 +89,7 @@ class RadialTabulated:
     def from_samples(cls, r, u, du=None) -> "RadialTabulated":
         """Hermite pieces through (r, u), with slopes ``du`` or, without them,
         the slope at each node of the parabola through it and its neighbours
-        (through the three end nodes at either end)."""
+        (through the three end nodes at either end), and 0 at a node r = 0."""
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.size < 4:
@@ -104,8 +104,9 @@ class RadialTabulated:
         delta = np.diff(u) / h
         if du is None:
             bend = np.diff(delta) / (h[:-1] + h[1:])  # the parabola's u''/2 on each node triple
-            du = np.concatenate(([delta[0] - h[0] * bend[0]], delta[:-1] + h[:-1] * bend,
-                                 [delta[-1] + h[-1] * bend[-1]]))
+            # at a first node r = 0, slope 0: U(|x|) has no kink at the origin
+            du = np.concatenate(([0.0 if r[0] == 0.0 else delta[0] - h[0] * bend[0]],
+                                 delta[:-1] + h[:-1] * bend, [delta[-1] + h[-1] * bend[-1]]))
         s = np.asarray(du, dtype=float)
         c2 = (3.0 * delta - 2.0 * s[:-1] - s[1:]) / h
         c3 = (s[:-1] + s[1:] - 2.0 * delta) / (h * h)
@@ -140,6 +141,23 @@ class RadialTabulated:
         _, _, c2, c3 = self.coef[:, 1:-1]
         ends = np.concatenate((2.0 * c2, 2.0 * c2 + 6.0 * c3 * h))
         return float(ends.min()), float(ends.max())
+
+    def tangential_range(self) -> tuple:
+        """(inf, sup) of U'(r)/r over r > 0, the tangential Hessian eigenvalue
+        of U(|x|) for n >= 2: its values at the nodes and at each cubic's
+        interior stationary points, where r U'' = U', and its limits at 0 and
+        at infinity (U'/r is monotone on the two end quadratics)."""
+        b, h = self.r_nodes[:-1], np.diff(self.r_nodes)
+        _, c1, c2, c3 = self.coef[:, 1:-1]
+        # r U'' = U' is quadratic in t = r - b: (b + t)^2 = b^2 - (2 c2 b - c1) / (3 c3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stationary = np.sqrt(b * b - (2.0 * c2 * b - c1) / (3.0 * c3))
+        r = np.concatenate((self.r_nodes[self.r_nodes > 0.0],
+                            stationary[(stationary > b) & (stationary < b + h)]))
+        slope0 = self.deriv(0.0)
+        at0 = self.second(0.0) if slope0 == 0.0 else math.copysign(math.inf, slope0)
+        values = np.concatenate((self.deriv(r) / r, [at0, 2.0 * self.coef[2, -1]]))
+        return float(values.min()), float(values.max())
 
 
 def _numpy_input(x):
@@ -227,15 +245,19 @@ class PotentialSpec:
     @classmethod
     def tabulated(cls, r, u, du=None, dimension: int = 1,
                   hess_upper=None, hess_lower=None) -> "PotentialSpec":
-        """A :class:`RadialTabulated` profile. Raises ValueError when U'' leaves
-        a declared bound anywhere (up to 1e-6 relative, for rounding)."""
+        """A :class:`RadialTabulated` profile. Raises ValueError when a Hessian
+        eigenvalue leaves a declared bound anywhere (up to 1e-6 relative, for
+        rounding): U'', and for n >= 2 also the tangential U'(r)/r."""
         prof = RadialTabulated.from_samples(r, u, du)
-        lo, hi = prof.second_range()
-        tol = 1e-6 * max(1.0, abs(lo), abs(hi))
-        if hi > (math.inf if hess_upper is None else hess_upper + tol) or (
-                lo < (-math.inf if hess_lower is None else hess_lower - tol)):
-            raise ValueError(f"declared Hessian bounds [{hess_lower}, {hess_upper}] do not "
-                             f"hold for the tabulated U'' range [{lo!r}, {hi!r}]")
+        ranges = {"U''": prof.second_range()}
+        if dimension >= 2:
+            ranges["U'(r)/r"] = prof.tangential_range()
+        for name, (lo, hi) in ranges.items():
+            tol = 1e-6 * max(1.0, *(abs(x) for x in (lo, hi) if math.isfinite(x)))
+            if hi > (math.inf if hess_upper is None else hess_upper + tol) or (
+                    lo < (-math.inf if hess_lower is None else hess_lower - tol)):
+                raise ValueError(f"declared Hessian bounds [{hess_lower}, {hess_upper}] do not "
+                                 f"hold for the tabulated {name} range [{lo!r}, {hi!r}]")
         return cls(dimension, prof, hess_upper, hess_lower)
 
     @classmethod

@@ -108,8 +108,8 @@ def test_criterion_04_uniform_m_chain():
     assert rep.e2_product == pytest.approx(923632.0, abs=1.0)
     assert rep.e2_product < 924000.0
     assert rep.tau_endpoint_value == pytest.approx(math.log(15625.0), abs=1e-9)
-    for row in rep.rows:
-        assert row["pass"], row
+    for n, d, D, ok in zip(*(rep.columns[k].tolist() for k in ("n", "d", "D", "pass"))):
+        assert ok, (n, d, D)
     assert time.perf_counter() - t0 < 20.0
     _announce(4, "uniform-M proof chain on the full grid")
 

@@ -261,18 +261,22 @@ class TestUniformity:
     @pytest.mark.parametrize("qV,qW", [(1.0, 1.0), (0.999, 1.0)])
     def test_array_chain_matches_the_scalar_chain(self, qV, qW):
         grid = ([1, 2, 3], range(1, 21), range(1, 21))
-        rows = mglob_uniformity_check(*grid, qV=qV, qW=qW).rows
+        columns = mglob_uniformity_check(*grid, qV=qV, qW=qW).columns
         ref = scalar_uniformity_rows(*grid, qV=qV, qW=qW)
-        assert [list(r) for r in rows] == [list(r) for r in ref]
-        for row, want in zip(rows, ref):
-            assert {k: v for k, v in row.items() if k != "one_plus_M"} == \
-                {k: v for k, v in want.items() if k != "one_plus_M"}
-            assert row["one_plus_M"] == pytest.approx(want["one_plus_M"], rel=1e-14)
-        assert any(not r["ratio_exponent"] for r in rows) == (qV < 1.0)
+        assert list(columns) == list(ref[0])
+        assert all(col.shape == (len(ref),) for col in columns.values())
+        for key, col in columns.items():
+            want = [row[key] for row in ref]
+            if key == "one_plus_M":
+                assert col.tolist() == pytest.approx(want, rel=1e-14)
+            else:
+                assert col.tolist() == want
+        assert any(not ok for ok in columns["ratio_exponent"].tolist()) == (qV < 1.0)
 
     def test_empty_grid_does_not_pass(self):
         rep = mglob_uniformity_check([3], range(1, 3), range(1, 3))
-        assert rep.rows == [] and not rep.all_pass
+        assert len(rep.columns) == 10 and not rep.all_pass
+        assert all(col.size == 0 for col in rep.columns.values())
 
     def test_small_grid_every_step(self):
         rep = mglob_uniformity_check([1, 2], range(1, 11), range(1, 11))
@@ -281,4 +285,4 @@ class TestUniformity:
         assert rep.e2_product < 924000.0
         assert rep.tau_endpoint_value == pytest.approx(math.log(15625.0), abs=1e-9)
         assert rep.max_one_plus_m <= 1e6
-        assert all(r["pass"] for r in rep.rows)
+        assert all(rep.columns["pass"].tolist())

@@ -1,11 +1,13 @@
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from brenier_bounds.cli import ConfigError, _rows_csv, load_config, main
+from brenier_bounds import mglob_uniformity_check
+from brenier_bounds.cli import ConfigError, _write_csv, load_config, main
 from brenier_bounds.transport import MIN_MAP_POINTS
 
 
@@ -207,6 +209,22 @@ class TestConfigParsing:
                               "hold for the tabulated U'' range [")
         assert err.count("\n") == 1
 
+    def test_tabulated_tangential_eigenvalue_exits_one_for_n_at_least_2(self, tmp_path, capsys):
+        # r^2 + 5r with its slopes: U'' = 2, but U'(r)/r = 2 + 5/r is unbounded
+        # at the origin, so [2, 2] does not hold for n = 3; for n = 1 it does
+        r = np.linspace(0.0, 20.0, 201).tolist()
+        (tmp_path / "u.csv").write_text(
+            "r,u,du\n" + "".join(f"{x!r},{x * x + 5.0 * x!r},{2.0 * x + 5.0!r}\n" for x in r))
+        for n, code in ((3, 1), (1, 0)):
+            doc = identity_doc(n=n, d=n + 1, D=n + 1, R=5)
+            doc["potentials"]["V"] = {"family": "tabulated", "csv": "u.csv",
+                                      "hess_upper": 2.0, "hess_lower": 2.0}
+            assert main(["bounds", "--config", write(tmp_path / "t.json", doc)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: potentials.V: declared Hessian bounds [2.0, 2.0] do not "
+                              "hold for the tabulated U'(r)/r range [")
+        assert err.count("\n") == 1
+
 
 class TestBoundsCommand:
     def test_identity_outputs_global_bound(self, tmp_path, capsys):
@@ -258,8 +276,8 @@ class TestBoundsCommand:
 
     def test_csv_cells_of_numpy_scalars_are_numbers(self, tmp_path):
         path = tmp_path / "rows.csv"
-        _rows_csv(path, [{"D": np.int64(2), "lambda": np.float64(0.5), "xi": 1e-300,
-                          "bound": np.float32(3.5), "growth": np.float64(np.inf)}])
+        _write_csv(path, {"D": [np.int64(2)], "lambda": [np.float64(0.5)], "xi": [1e-300],
+                          "bound": [np.float32(3.5)], "growth": [np.float64(np.inf)]})
         header, row = path.read_text().splitlines()
         assert header == "D,lambda,xi,bound,growth"
         assert [float(cell) for cell in row.split(",")] == [2.0, 0.5, 1e-300, 3.5, math.inf]
@@ -400,6 +418,57 @@ class TestSweepCommand:
         out = tmp_path / "o"
         assert main(["sweep", "--config", path, "--out", str(out)]) == 0
         assert (out / "d_limit.csv").exists()
+
+
+def csv_writer_bytes(columns: dict) -> bytes:
+    """The table as csv.writer writes it (the CLI's line ends): the reference
+    for ``_write_csv``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*columns.values()))
+    return buf.getvalue().encode()
+
+
+class TestCsvWriter:
+    def test_uniformity_csv_is_what_csv_writer_writes(self, tmp_path, capsys):
+        path = write(tmp_path / "c.json",
+                     {"sweep": {"kind": "uniformity", "n_list": [1, 2, 3], "d_max": 50}})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+        rep = mglob_uniformity_check([1, 2, 3], range(1, 51), range(1, 51))
+        columns = {k: rep.columns[k] for k in ("n", "d", "D", "one_plus_M", "pass")}
+        text = (out / "uniformity.csv").read_bytes()
+        assert text == csv_writer_bytes(columns)
+        assert text.count(b"\n") == 3677
+
+    def test_every_cell_kind_is_what_csv_writer_writes(self, tmp_path):
+        columns = {
+            "float": [0.1, np.float64(1e-300), math.inf, -0.0, np.float64(math.nan), 2.5e17],
+            "int": [1, np.int64(-7), 0, 10 ** 20, np.int32(3), 5],
+            "bool": [True, False, np.bool_(True), np.bool_(False), True, False],
+            "mixed": [None, 1.0, 1, True, "", np.float32(0.1)],
+            "reason": ["ok", "", 'a "quoted" word', "component errors: ['a', 'b']",
+                       "two\nlines", "tab\tand space "],
+            "float_array": np.array([0.1, -0.0, math.inf, -math.nan, 1e-320, 3.0]),
+            "int_array": np.array([3, 3, -1, 0, 2 ** 62, 3]),
+            "bool_array": np.array([True, False, True, True, False, False]),
+            "float32_array": np.array([0.1, 1.5, 3.0, 0.0, 7.25, 1e-3], dtype=np.float32),
+        }
+        path = tmp_path / "t.csv"
+        _write_csv(path, columns)
+        assert path.read_bytes() == csv_writer_bytes(columns)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [len(columns)] * 7
+        assert [row[4] for row in rows[1:]] == columns["reason"]
+
+    @pytest.mark.parametrize("cells", [[None, 1.5], ["", "x"], []])
+    def test_one_column_table_is_what_csv_writer_writes(self, tmp_path, cells):
+        # csv.writer writes a row of one empty cell as ""
+        path = tmp_path / "t.csv"
+        _write_csv(path, {"only": cells})
+        assert path.read_bytes() == csv_writer_bytes({"only": cells})
 
 
 def _reject_constant(token):

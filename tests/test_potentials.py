@@ -14,7 +14,7 @@ from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammai
 from brenier_bounds import (DivergentIntegral, DomainError, INF,
                             PotentialSpec, growth_data, normalization,
                             radial_map, unit_ball_volume)
-from brenier_bounds.potentials import (log_reference_integral, mass_table,
+from brenier_bounds.potentials import (RadialTabulated, log_reference_integral, mass_table,
                                        tail_quadrature, tail_table, truncation_radius)
 
 
@@ -83,6 +83,71 @@ class TestProfiles:
         dense = prof.second(np.concatenate((x.ravel(), [8.0, 1e3])))
         assert (lo, hi) == pytest.approx((dense.min(), dense.max()), rel=1e-12)
         assert lo == pytest.approx(2.0, rel=0.05) and hi == pytest.approx(11.0, rel=0.05)
+
+    def test_tabulated_slope_at_the_origin_is_zero(self):
+        # without slopes, a first node r = 0 takes slope 0, so U(|x|) has no
+        # kink at the origin (the one-sided parabola's slope was 0.0049 here)
+        r = np.linspace(0.0, 8.0, 161)
+        u = r ** 2 + np.logaddexp(3.0 * r, -3.0 * r) - math.log(2.0)
+        assert PotentialSpec.tabulated(r, u).profile.deriv(0.0) == 0.0
+        # a given slope is kept as given
+        du = 2.0 * r + 3.0 * np.tanh(3.0 * r) + 0.25
+        assert PotentialSpec.tabulated(r, u, du).profile.deriv(0.0) == 0.25
+
+    def test_tabulated_r2_pieces_are_unchanged_by_the_origin_slope(self):
+        # r^2 at 201 nodes: the one-sided parabola's slope at r = 0 was
+        # 1.4e-17; with slope 0 there every other coefficient, and so every
+        # Hermite piece's U'' and end quadratic, is unchanged bit for bit
+        r = np.linspace(0.0, 20.0, 201)
+        u = r * r
+        h = np.diff(r)
+        delta = np.diff(u) / h
+        bend = np.diff(delta) / (h[:-1] + h[1:])
+        one_sided = np.concatenate(([delta[0] - h[0] * bend[0]], delta[:-1] + h[:-1] * bend,
+                                    [delta[-1] + h[-1] * bend[-1]]))
+        assert one_sided[0] != 0.0
+        before = RadialTabulated.from_samples(r, u, one_sided).coef
+        after = RadialTabulated.from_samples(r, u).coef
+        assert after[1, 0] == after[1, 1] == 0.0  # the slope at r = 0, in both pieces at it
+        assert np.argwhere(before != after).tolist() == [[1, 0], [1, 1]]
+
+    def test_tabulated_tangential_range_is_the_dense_extremes(self):
+        # U' = r sin r + 2r, so U'/r = sin r + 2 has its extremes between the
+        # nodes; past the last node it tends to that node's one-sided U''
+        r = np.linspace(0.0, 20.0, 161)
+        u = np.sin(r) - r * np.cos(r) + r * r
+        prof = PotentialSpec.tabulated(r, u, du=r * np.sin(r) + 2.0 * r).profile
+        lo, hi = prof.tangential_range()
+        t = np.linspace(0.0, 1.0, 4097)[1:]
+        x = np.concatenate(((r[:-1, None] + np.diff(r)[:, None] * t).ravel(),
+                            np.geomspace(1e-9, 0.1, 200), np.geomspace(20.0, 1e15, 200)))
+        dense = prof.deriv(x) / x
+        assert lo == pytest.approx(dense.min(), rel=1e-9) and lo <= dense.min()
+        assert hi == pytest.approx(dense.max(), rel=1e-12) and hi >= dense.max()
+        assert lo == pytest.approx(1.0, rel=1e-3) and hi == pytest.approx(prof.second(30.0))
+
+    def test_tabulated_tangential_eigenvalue_is_checked_for_n_at_least_2(self):
+        # r^2 + 5r with its exact slopes: U'' = 2, but for n >= 2 the Hessian of
+        # U(|x|) also has the eigenvalue U'(r)/r = 2 + 5/r, unbounded at 0
+        r = np.linspace(0.0, 20.0, 201)
+        u, du = r * r + 5.0 * r, 2.0 * r + 5.0
+        prof = PotentialSpec.tabulated(r, u, du, dimension=1,
+                                       hess_upper=2.0, hess_lower=2.0).profile
+        x = np.array([0.1, 1e-3])
+        np.testing.assert_allclose(prof.deriv(x) / x, [52.0, 5002.0], rtol=1e-12)
+        assert prof.tangential_range() == (pytest.approx(2.0, rel=1e-10), math.inf)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=r"^declared Hessian bounds \[2.0, 2.0\] do not "
+                               r"hold for the tabulated U'\(r\)/r range \[[\d.e-]+, inf\]$"):
+                PotentialSpec.tabulated(r, u, du, dimension=n, hess_upper=2.0, hess_lower=2.0)
+        # undeclared, or declared on one side only, nothing bounds it from above
+        PotentialSpec.tabulated(r, u, du, dimension=3)
+        PotentialSpec.tabulated(r, u, du, dimension=3, hess_lower=2.0)
+        # r^2: U'/r is 2
+        for n in (1, 3):
+            prof = PotentialSpec.tabulated(r, r * r, dimension=n,
+                                           hess_upper=2.0, hess_lower=2.0).profile
+            assert prof.tangential_range() == pytest.approx((2.0, 2.0), rel=1e-10)
 
     def test_tabulated_deriv_is_the_derivative_of_value(self):
         # a du column that is not u's derivative still gives U' = dU/dr: on
