@@ -21,7 +21,7 @@ from .bounds import _check_map_order, mglob_uniformity_check
 from .errors import BrenierBoundsError, InvalidOrder
 from .extparam import finite_param, param
 from .potentials import PotentialSpec, Quadratic
-from .transport import MIN_MAP_POINTS, default_grid, lipschitz_empirical, radial_map
+from .transport import lipschitz_empirical, radial_map
 from .verify import (Scenario, applicable_bounds, limit_sweep_caffarelli,
                      limit_sweep_D, run_scenario)
 
@@ -63,15 +63,12 @@ def _optional(kind):
     return lambda value: None if value is None else kind(value)
 
 
-def _positive(value, finite: bool = False) -> float:
-    """float(value), required to be positive, and finite with ``finite``."""
+def _positive_finite(value) -> float:
+    """float(value), required to be positive and finite."""
     x = float(value)
-    if not (x > 0.0 and (math.isfinite(x) or not finite)):
-        raise ValueError(f"expected a positive{' finite' * finite} number, got {x!r}")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise ValueError(f"expected a positive finite number, got {x!r}")
     return x
-
-
-_positive_finite = functools.partial(_positive, finite=True)
 
 
 def _positive_list(block: dict, key: str, default: list, kind, ctx: str) -> list:
@@ -157,7 +154,7 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
     n = _scalar(scen, "n", 1, int, "scenario")
     d = _convert(scen.get("d", n), param, "scenario.d")
     D = _convert(scen.get("D", "inf"), param, "scenario.D")
-    R = _scalar(scen, "R", math.inf, _positive, "scenario")
+    R = _scalar(scen, "R", math.inf, float, "scenario")
     name = str(scen.get("name", "scenario"))
     try:
         _check_map_order(n, d, D)
@@ -165,22 +162,15 @@ def parse_config(doc: dict, base_dir: Path = Path(".")) -> List[Scenario]:
         # worded as cmd_bounds reports an InvalidOrder, so every command prints one line
         raise ConfigError(f"{name}: {exc}") from exc
     V, W = _potentials(doc, n, "potentials.", base_dir)
-    grid_points = _scalar(solver, "grid_points", 400, int, "solver")
-    if grid_points < MIN_MAP_POINTS:
-        raise ConfigError(f"solver.grid_points: a map needs at least {MIN_MAP_POINTS} "
-                          f"points, got {grid_points}")
-    scenario = Scenario(
-        name=name,
-        V=V, W=W, n=n, d=d, D=D, R=R,
-        expected=_check_expected(scen.get("expected")),
-        grid_points=grid_points,
-        grid_min=_scalar(solver, "grid_min", None, _optional(_positive_finite), "solver"),
-        grid_max=_scalar(solver, "grid_max", None, _optional(_positive_finite), "solver"))
-    lo, hi = default_grid(d, 2, scenario.grid_min, scenario.grid_end())  # Scenario.grid's ends
-    if not lo < hi:
-        raise ConfigError(f"solver: the map grid's lower end {lo:.6g} is not below "
-                          f"its upper end {hi:.6g}")
-    return [scenario]
+    fields = dict(name=name, V=V, W=W, n=n, d=d, D=D, R=R,
+                  expected=_check_expected(scen.get("expected")),
+                  grid_points=_scalar(solver, "grid_points", 400, int, "solver"),
+                  grid_min=_scalar(solver, "grid_min", None, _optional(float), "solver"),
+                  grid_max=_scalar(solver, "grid_max", None, _optional(float), "solver"))
+    try:
+        return [Scenario(**fields)]
+    except ValueError as exc:  # Scenario checks R and the map grid
+        raise ConfigError(str(exc)) from exc
 
 
 def _potentials(doc: dict, n: int, ctx: str, base_dir: Path):
@@ -287,9 +277,9 @@ def cmd_transport(args) -> int:
         except BrenierBoundsError as exc:
             print(f"error: {s.name}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_VOID
-        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{s.name}_map.csv"
-        m.write_csv(csv_path)
+        _write_csv(csv_path, {"r": m.r_grid, "t": m.t, "t_prime": m.t_prime,
+                              "residual": m.residuals})
         payload = {"scenario": s.name, "lipschitz": lip.value,
                    "argmax_r": lip.argmax_r, "component": lip.component,
                    "window_R": s.R,

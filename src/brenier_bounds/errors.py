@@ -15,7 +15,7 @@ class DomainError(BrenierBoundsError):
 
 
 class DivergentIntegral(BrenierBoundsError):
-    """A normalization or tail integral shows no decay (truncation search failed)."""
+    """A normalization or tail integral shows no decay (none by the tail table's radius cap)."""
 
 
 class ConventionUndefined(BrenierBoundsError):

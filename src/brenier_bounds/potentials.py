@@ -20,12 +20,13 @@ import numpy as np
 from .errors import BracketFailure, DivergentIntegral, DomainError
 from .extparam import param, theta_value_array
 
-# Truncation-search policy: an integrand counts as decayed once it falls
-# below _DECAY_FLOOR times its peak; no decay by _RADIUS_CAP is divergence.
+# A table's reach: its first probe, out to _RADIUS_CAP, ends it at the first
+# point past the peak where the weight is at most _DECAY_FLOOR times that
+# peak; no such point is divergence.
 _DECAY_FLOOR = 1e-16
 _RADIUS_CAP = 1e10
 
-# Tail-table layout (TailTable._layout): Gauss-Legendre panels from
+# Tail-table layout (TailTable._panel_ends): Gauss-Legendre panels from
 # _TABLE_R_LO_FACTOR times the parameter scale, ended on a geometric probe of
 # the weight with _TABLE_POINTS_PER_DECADE points wherever log f has moved by
 # another _PANEL_LOG_DROP, and at least _PANELS_PER_DECADE times per decade,
@@ -70,13 +71,15 @@ class Quadratic:
 @dataclass(frozen=True, eq=False)
 class RadialTabulated:
     """Radial profile sampled on a strictly increasing grid: cubic Hermite
-    pieces through the node values and slopes, and past each end node the
-    quadratic with that node's value, slope and one-sided U''.
+    pieces through the node values and slopes, and past each end node a
+    quadratic with that node's value u and slope s: past the last node the
+    one with the one-sided U'', below a first node r0 > 0 the even one
+    u + s (r^2 - r0^2) / (2 r0), whose U'' = U'/r = s/r0 and U'(0) = 0.
 
     Quadratic samples give back the quadratic. U' is the derivative of U,
     and U'' is linear on each piece (constant past the ends), so its range
-    over the half-line is that of its one-sided values at the nodes. The
-    pieces are only C^1 at the nodes.
+    over the half-line is that of its one-sided values at the nodes and its
+    value below the first node. The pieces are only C^1 at the nodes.
     """
 
     r_nodes: np.ndarray
@@ -110,7 +113,8 @@ class RadialTabulated:
         s = np.asarray(du, dtype=float)
         c2 = (3.0 * delta - 2.0 * s[:-1] - s[1:]) / h
         c3 = (s[:-1] + s[1:] - 2.0 * delta) / (h * h)
-        first = [[u[0]], [s[0]], [c2[0]], [0.0]]
+        # below a first node r0 > 0, the even quadratic: u''/2 = s0 / (2 r0)
+        first = [[u[0]], [s[0]], [c2[0] if r[0] <= 0.0 else 0.5 * s[0] / r[0]], [0.0]]
         last = [[u[-1]], [s[-1]], [c2[-1] + 3.0 * c3[-1] * h[-1]], [0.0]]
         return cls(r, np.hstack((first, [u[:-1], s[:-1], c2, c3], last)))
 
@@ -136,10 +140,11 @@ class RadialTabulated:
         return out if out.ndim else float(out)
 
     def second_range(self) -> tuple:
-        """(min, max) of U'' over the whole line: its one-sided node values."""
+        """(min, max) of U'' over the whole line: its one-sided node values
+        and its value below the first node."""
         h = np.diff(self.r_nodes)
         _, _, c2, c3 = self.coef[:, 1:-1]
-        ends = np.concatenate((2.0 * c2, 2.0 * c2 + 6.0 * c3 * h))
+        ends = np.concatenate((2.0 * c2, 2.0 * c2 + 6.0 * c3 * h, [2.0 * self.coef[2, 0]]))
         return float(ends.min()), float(ends.max())
 
     def tangential_range(self) -> tuple:
@@ -154,7 +159,8 @@ class RadialTabulated:
             stationary = np.sqrt(b * b - (2.0 * c2 * b - c1) / (3.0 * c3))
         r = np.concatenate((self.r_nodes[self.r_nodes > 0.0],
                             stationary[(stationary > b) & (stationary < b + h)]))
-        slope0 = self.deriv(0.0)
+        # U'(0) = 0 below a first node r0 > 0 by construction; deriv(0.0) rounds
+        slope0 = 0.0 if self.r_nodes[0] > 0.0 else self.deriv(0.0)
         at0 = self.second(0.0) if slope0 == 0.0 else math.copysign(math.inf, slope0)
         values = np.concatenate((self.deriv(r) / r, [at0, 2.0 * self.coef[2, -1]]))
         return float(values.min()), float(values.max())
@@ -380,33 +386,6 @@ def _folded_weight(U: PotentialSpec, p: float):
     return f
 
 
-def truncation_radius(f, start: float = 1.0) -> float:
-    """Smallest doubling radius past the probe's argmax where f drops below the
-    decay floor times its peak (a weight can still be rising at max(start, 1)).
-
-    The probe spans [0, 10 max(start, 1)]; while f reads only zeros on it, as
-    a weight centred far out does, it moves one decade further out. The
-    doublings max(start, 1) 2^k up to ``_RADIUS_CAP`` are read off one call of f.
-    """
-    top = math.log10(max(start, 1.0)) + 1.0
-    probe = np.concatenate(([0.0], np.logspace(-6, top, 256)))
-    values = f(probe)
-    while np.all(values == 0.0) and 10.0 ** top < _RADIUS_CAP:
-        probe = np.logspace(top, top + 1.0, 256)
-        top += 1.0
-        values = f(probe)
-    peak, r_peak = float(np.max(values)), float(probe[np.argmax(values)])
-    if peak <= 0.0 or not math.isfinite(peak):
-        raise DivergentIntegral("integrand peak is zero or non-finite")
-    radii = max(start, 1.0) * 2.0 ** np.arange(math.ceil(math.log2(_RADIUS_CAP)) + 1)
-    radii = radii[:max(1, np.count_nonzero(radii <= _RADIUS_CAP))]
-    decayed = np.flatnonzero((radii >= r_peak) & ~(f(radii) > _DECAY_FLOOR * peak))
-    if not decayed.size:
-        raise DivergentIntegral(
-            f"no decay below {_DECAY_FLOOR} x peak by radius {_RADIUS_CAP:g}")
-    return float(radii[decayed[0]])
-
-
 # a far-tail sum stops once its outermost panel is below this share of it
 _ROUNDING = 0.5 * np.finfo(float).eps
 
@@ -416,15 +395,17 @@ def _tail_rule():
     integral_r^inf f(s) ds ~ r * sum(c * f(r/x)) over all pieces.
 
     x = r/s turns ds into r dx / x^2, so c is a Gauss-Legendre weight over
-    x^2. Panels are geometric in x: ratio 2^(1/16) down to x = 1/4, where a
-    near-Gaussian weight drops by many decades, then ratio 2 down to 2^-63.
-    The pieces end at x = 2^-8, 2^-32 and 2^-63.
+    x^2. Panels are geometric in x: ratio 2^(1/64) down to x = 1/2 and
+    2^(1/16) on to x = 1/4, where a near-Gaussian weight drops by many
+    decades (deep in its tail, by hundreds over the first factor of 2), then
+    ratio 2 down to 2^-63. The pieces end at x = 2^-8, 2^-32 and 2^-63.
     """
-    ends = np.concatenate((2.0 ** (-np.arange(33) / 16.0), 2.0 ** -np.arange(3.0, 64.0)))
+    ends = np.concatenate((2.0 ** (-np.arange(64) / 64.0), 2.0 ** (-np.arange(16, 33) / 16.0),
+                           2.0 ** -np.arange(3.0, 64.0)))
     mid, half = 0.5 * (ends[:-1] + ends[1:]), 0.5 * (ends[:-1] - ends[1:])
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     c = half[:, None] * _GL_WEIGHTS[None, :] / (x * x)
-    cuts = [30 + k for k in (8, 32)]  # the first 30 + k panels end at x = 2^-k
+    cuts = [78 + k for k in (8, 32)]  # the first 78 + k panels end at x = 2^-k
     return list(zip(np.split(x, cuts), np.split(c, cuts)))
 
 
@@ -472,39 +453,55 @@ class TailTable:
     whole half-line. Both take a scalar (float out) or an array, and so does
     ``invert``. ``p`` sets the scale where the panels start.
 
-    The panels are laid out by the weight itself (``_layout``): dense where
-    log f falls fast, as in a near-Gaussian tail, sparse along a power law,
-    and with an end at each of ``breaks``, where f is only piecewise smooth
-    (the nodes of a tabulated profile). Radii or targets past the last node
+    The panels are laid out by the weight itself (``_panel_ends``): dense
+    where log f falls fast, as in a near-Gaussian tail, sparse along a power
+    law, and with an end at each of ``breaks``, where f is only piecewise
+    smooth (the nodes of a tabulated profile). One probe of f out to
+    ``_RADIUS_CAP`` lays out the first stretch and ends it where f has
+    decayed (``_DECAY_FLOOR``). Radii or targets past the last node
     extend the table toward heavy tails, up to ``_EXTEND_CAP``: an extension
-    lays out and integrates only the new stretch and appends its panels.
+    probes, lays out and integrates only the new stretch and appends its
+    panels.
     """
 
     def __init__(self, f, p: float, breaks=()):
         self.f = f
         self.breaks = np.asarray(breaks, dtype=float)
-        start = 1.0 if math.isinf(p) else math.sqrt(p)
-        self.r_lo = _TABLE_R_LO_FACTOR * max(1.0, start)
+        self.r_lo = _TABLE_R_LO_FACTOR * (1.0 if math.isinf(p) else max(1.0, math.sqrt(p)))
         self.nodes, self._panels = np.zeros(1), np.zeros(0)
-        r_max = truncation_radius(self.f, start)
-        self._append(np.append(self.r_lo, self._layout(self.r_lo, r_max)))
+        probe, values = self._probe(self.r_lo, _RADIUS_CAP)
+        top = int(np.argmax(values))
+        if not 0.0 < values[top] < math.inf:
+            raise DivergentIntegral("integrand peak is zero or non-finite")
+        decayed = np.flatnonzero(values[top:] <= _DECAY_FLOOR * values[top])
+        if not decayed.size:
+            raise DivergentIntegral(
+                f"no decay below {_DECAY_FLOOR} x peak by radius {_RADIUS_CAP:g}")
+        end = top + int(decayed[0]) + 1
+        self._append(np.append(self.r_lo, self._panel_ends(probe[:end], values[:end])))
 
-    def _layout(self, lo: float, hi: float) -> np.ndarray:
-        """Panel ends in (lo, hi], from one call of f on a geometric probe.
+    def _probe(self, lo: float, hi: float):
+        """The geometric probe lo 10^(k/``_TABLE_POINTS_PER_DECADE``) below
+        hi, then hi itself, and f on it: one call."""
+        step = math.log(10.0) / _TABLE_POINTS_PER_DECADE
+        probe = lo * np.exp(step * np.arange(math.ceil(math.log(hi / lo) / step)))
+        probe = np.append(probe[probe < hi], hi)  # an extension ends at hi exactly
+        return probe, self.f(probe)
+
+    def _panel_ends(self, probe: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Panel ends in (probe[0], probe[-1]], from f's values on the probe.
 
         A probe point ends a panel where the running sum of |delta log f|
         along the probe crosses a multiple of ``_PANEL_LOG_DROP``, or where
         the panel would otherwise span more than 1/``_PANELS_PER_DECADE`` of
-        a decade; the breaks inside (lo, hi) are ends too. So are each
+        a decade; the breaks inside the probe are ends too. So are each
         interior local maximum of log f and the 4 probe points on each side
         of it: a peak about as narrow as the probe spacing moves log f too
         little between probe points for the drop rule to fire.
         """
-        count = max(1, math.ceil(math.log10(hi / lo) * _TABLE_POINTS_PER_DECADE))
-        probe = np.exp(np.linspace(math.log(lo), math.log(hi), count + 1))
-        probe[0], probe[-1] = lo, hi  # the table ends at hi exactly; nothing below lo
+        count = probe.size - 1
         # an underflowed weight counts as the least subnormal, not log 0
-        log_f = np.log(np.maximum(self.f(probe), np.finfo(float).smallest_subnormal))
+        log_f = np.log(np.maximum(values, np.finfo(float).smallest_subnormal))
         level = np.floor(np.cumsum(np.abs(np.diff(log_f))) / _PANEL_LOG_DROP)
         keep = np.diff(level, prepend=0.0) > 0.0
         stride = _TABLE_POINTS_PER_DECADE // _PANELS_PER_DECADE
@@ -512,7 +509,7 @@ class TailTable:
         keep[-1] = True
         peaks = np.flatnonzero((log_f[1:-1] > log_f[:-2]) & (log_f[1:-1] >= log_f[2:])) + 1
         keep[np.clip(peaks[:, None] + np.arange(-4, 5), 1, count).ravel() - 1] = True
-        inside = self.breaks[(self.breaks > lo) & (self.breaks < hi)]
+        inside = self.breaks[(self.breaks > probe[0]) & (self.breaks < probe[-1])]
         return np.union1d(probe[1:][keep], inside)
 
     def _append(self, ends: np.ndarray):
@@ -532,7 +529,7 @@ class TailTable:
             return False
         r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
                     _EXTEND_CAP)
-        self._append(self._layout(self.r_max, r_max))
+        self._append(self._panel_ends(*self._probe(self.r_max, r_max)))
         return True
 
     def _quadrature(self, a, b):

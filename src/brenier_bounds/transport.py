@@ -10,7 +10,6 @@ a whole grid of radii at once.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -45,12 +44,6 @@ class RadialMap:
             raise ValueError("transport map is not strictly increasing on the grid")
         if np.any(self.t_prime <= 0):
             raise ValueError("transport map derivative must be positive")
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["r", "t", "t_prime", "residual"])
-            writer.writerows(zip(self.r_grid, self.t, self.t_prime, self.residuals))
 
 
 def default_grid(d: float, points: int = 400,

@@ -19,7 +19,7 @@ from .bounds import (BoundReport, _as_dict, _check_order, finite_global_sharp_bo
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
 from .extparam import finite_param, param
 from .potentials import PotentialSpec
-from .transport import (RadialMap, LipschitzEstimate, default_grid,
+from .transport import (MIN_MAP_POINTS, RadialMap, LipschitzEstimate, default_grid,
                         lipschitz_empirical, radial_map, second_variation_check)
 
 # default tolerances: dominance margin is a pure rounding guard; sharpness
@@ -48,9 +48,22 @@ class Scenario:
     grid_max: Optional[float] = None
 
     def __post_init__(self):
+        """Checks R and the map grid, worded by the config keys that set them."""
         self.d, self.D = param(self.d), param(self.D)
         if not self.R > 0.0:  # NaN too; R = inf is the global window
             raise ValueError(f"scenario.R: expected a positive number, got {float(self.R)!r}")
+        if self.grid_points < MIN_MAP_POINTS:
+            raise ValueError(f"solver.grid_points: a map needs at least {MIN_MAP_POINTS} "
+                             f"points, got {self.grid_points}")
+        for key in ("grid_min", "grid_max"):
+            x = getattr(self, key)
+            if x is not None and not (x > 0.0 and math.isfinite(x)):
+                raise ValueError(f"solver.{key}: expected a positive finite number, "
+                                 f"got {float(x)!r}")
+        lo, hi = default_grid(self.d, 2, self.grid_min, self.grid_end())  # grid()'s ends
+        if not lo < hi:
+            raise ValueError(f"solver: the map grid's lower end {lo:.6g} is not below "
+                             f"its upper end {hi:.6g}")
 
     def order_valid(self) -> bool:
         try:

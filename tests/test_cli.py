@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from brenier_bounds import mglob_uniformity_check
+from brenier_bounds import mglob_uniformity_check, radial_map
 from brenier_bounds.cli import ConfigError, _write_csv, load_config, main
 from brenier_bounds.transport import MIN_MAP_POINTS
 
@@ -314,6 +314,19 @@ class TestTransportCommand:
         data = np.genfromtxt(tmp_path / "o" / "identity_map.csv",
                              delimiter=",", names=True)
         assert np.max(np.abs(data["t"] - data["r"])) < 1e-10
+
+    def test_map_csv_roundtrip(self, tmp_path, capsys):
+        # one row per grid radius: r, t, t' and the residual, as radial_map gives them
+        path = write(tmp_path / "c.json", identity_doc())
+        assert main(["transport", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        (s,) = load_config(path)
+        m = radial_map(s.V, s.W, s.d, s.D, s.n, s.grid())
+        with open(tmp_path / "o" / "identity_map.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["r", "t", "t_prime", "residual"]
+        assert [list(map(float, row)) for row in rows[1:]] == [
+            list(row) for row in zip(m.r_grid, m.t, m.t_prime, m.residuals)]
 
     def test_map_covers_the_window_verify_maps(self, tmp_path, capsys):
         # R = 200 lies beyond the proxy radius 50 sqrt(2)

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -70,17 +69,6 @@ class TestRadialMap:
         assert g[0] == pytest.approx(1e-3 * 2.0)
         assert g[-1] == pytest.approx(50.0 * 2.0)
         assert len(g) == 100
-
-    def test_csv_roundtrip(self, tmp_path, quad1):
-        m = radial_map(quad1, quad1, 1.0, 1.0, 1)
-        path = tmp_path / "map.csv"
-        m.write_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["r", "t", "t_prime", "residual"]
-        assert len(rows) == len(m.r_grid) + 1
-        assert float(rows[1][0]) == m.r_grid[0]
-        assert float(rows[-1][1]) == m.t[-1]
 
 
 class TestRadialMapRadiusCap:

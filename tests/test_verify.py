@@ -177,11 +177,44 @@ class TestRunScenario:
             assert b.bound == pytest.approx(w.bound, rel=1e-10), b.regime
         assert got.empirical.value == pytest.approx(want.empirical.value, rel=1e-12)
 
+    @pytest.mark.parametrize("r0", [0.5, 2.0])
+    def test_a_table_from_above_the_origin_verifies_as_the_quadratic(self, r0):
+        # r^2 at 200 nodes from r0 > 0, declared [2, 2] at n = 3: below r0 the
+        # profile is the even quadratic through r0's value and slope, so U'/r
+        # is 2 at the origin too (a slope extrapolated to r = 0 was -2.3e-15
+        # or 2.0e-13 there, which made U'/r unbounded)
+        r = np.linspace(r0, 20.0, 200)
+        V = PotentialSpec.tabulated(r, r ** 2, dimension=3, hess_upper=2.0, hess_lower=2.0)
+        assert V.profile.tangential_range() == pytest.approx((2.0, 2.0), rel=1e-10)
+        got = run_scenario(scenario(V=V, W=V, n=3, d=6, D=6, R=5))
+        want = run_scenario(scenario(V=quad(1.0, 3), W=quad(1.0, 3), n=3, d=6, D=6, R=5))
+        assert got.passed and want.passed, got.reason
+        assert not got.errors
+        assert [b.regime for b in got.bounds] == [b.regime for b in want.bounds]
+        for b, w in zip(got.bounds, want.bounds):
+            assert b.bound == pytest.approx(w.bound, rel=1e-10), b.regime
+
     @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, -math.inf])
     def test_scenario_rejects_a_radius_that_is_not_positive(self, R):
         with pytest.raises(ValueError, match=r"^scenario.R: expected a positive number, got "):
             scenario(R=R)
         assert scenario(R=math.inf).R == math.inf
+
+    @pytest.mark.parametrize("grid,match", [
+        ({"grid_min": 0.0}, r"^solver.grid_min: expected a positive finite number, got 0.0$"),
+        ({"grid_min": -1}, r"^solver.grid_min: expected a positive finite number, got -1.0$"),
+        ({"grid_max": math.inf}, r"^solver.grid_max: expected a positive finite number, got inf$"),
+        ({"grid_max": math.nan}, r"^solver.grid_max: expected a positive finite number, got nan$"),
+        ({"grid_min": 100.0, "grid_max": 1.0},
+         r"^solver: the map grid's lower end 100 is not below its upper end 1$"),
+        ({"grid_points": 9}, r"^solver.grid_points: a map needs at least 10 points, got 9$")])
+    def test_scenario_rejects_a_map_grid_it_cannot_build(self, grid, match):
+        # before any computation: a grid_min of 0 once ended in a math domain
+        # error, grid_max = inf in a NaN grid
+        with pytest.raises(ValueError, match=match):
+            scenario(**grid)
+        # grid_max is widened to R, so this lower end lies below the upper one
+        assert scenario(grid_min=100.0, grid_max=1.0, R=200.0).grid()[0] == 100.0
 
     def test_map_range_reports_the_truncated_grid(self):
         rep = run_scenario(scenario(W=quad(0.25), d="inf", D="inf"))

@@ -7,7 +7,7 @@ Usage::
 SRC is a source tree holding the ``brenier_bounds`` package (a checkout's
 ``src``). The configs are the benchmark's ``verify_cli`` and ``sweep_cli``
 configs at seeds 202, 7 and 0, built by ``bench/workloads.build``, and
-twenty-two more: an inverted order d > D, d = D at n = 2, d < n, the
+twenty-three more: an inverted order d > D, d = D at n = 2, d < n, the
 far-shifted ``onedim`` pair 10 (x - 36)^2, an integer d with D spelled
 "INF", the rejected tail parameters d = "nan" and D = "-inf", five rejected
 solver windows (grid_min 0 and -1, grid_min above the grid's upper end,
@@ -17,8 +17,10 @@ bound at R = inf (void global constants), a ``uniformity`` sweep with the
 rejected qV = "inf", one with qV = 0.999 whose rows partly fail (exit 3),
 three ``tabulated`` V read from ``r2.csv`` (r^2 at 201 nodes on [0, 20],
 written beside the configs): declared [2, 2] at n = 1 and n = 3, and the
-rejected declaration [0.5, 0.5], and two read from ``r2p5.csv`` (r^2 + 5r
-with its slopes, same nodes): declared [2, 2] at n = 3, rejected because
+rejected declaration [0.5, 0.5], one read from ``r2_half.csv`` (r^2 at
+r = 0.5, 0.6, ..., 20, a table whose first node is above 0) declared [2, 2]
+at n = 3, and two read from ``r2p5.csv`` (r^2 + 5r with its slopes, at the
+nodes of ``r2.csv``): declared [2, 2] at n = 3, rejected because
 U'(r)/r = 2 + 5/r is unbounded, and undeclared at n = 1. Each verify config runs
 through ``verify``, ``bounds --format both`` and ``transport``, each sweep
 config through ``sweep``, in-process. OUT receives the configs, every
@@ -82,6 +84,10 @@ EXTRA = {
         "scenario": {"name": "tabulated_false_upper", "n": 1, "d": 2, "D": 2, "R": 5},
         "potentials": {"V": {"family": "tabulated", "csv": "r2.csv",
                              "hess_upper": 0.5, "hess_lower": 0.5}}},
+    "tabulated_from_half_n3": {
+        "scenario": {"name": "tabulated_from_half_n3", "n": 3, "d": 6, "D": 6, "R": 5},
+        "potentials": {"V": {"family": "tabulated", "csv": "r2_half.csv",
+                             "hess_upper": 2.0, "hess_lower": 2.0}}},
     "tabulated_r2p5_n3": {
         "scenario": {"name": "tabulated_r2p5_n3", "n": 3, "d": 6, "D": 6, "R": 5},
         "potentials": {"V": {"family": "tabulated", "csv": "r2p5.csv",
@@ -92,6 +98,8 @@ EXTRA = {
 }
 # the table the tabulated configs read: r^2 at r = 0, 0.1, ..., 20
 R2_CSV = "r,u\n" + "".join(f"{i / 10!r},{(i / 10) ** 2!r}\n" for i in range(201))
+# r^2 from r = 0.5: r = 0.5, 0.6, ..., 20
+R2_HALF_CSV = "r,u\n" + "".join(f"{i / 10!r},{(i / 10) ** 2!r}\n" for i in range(5, 201))
 # r^2 + 5r with its slopes 2r + 5 at the same nodes
 R2P5_CSV = "r,u,du\n" + "".join(f"{i / 10!r},{(i / 10) ** 2 + i / 2!r},{i / 5 + 5.0!r}\n"
                                  for i in range(201))
@@ -110,6 +118,7 @@ def _configs(bb, out: Path):
     extra = out / "configs" / "extra" / "configs"
     extra.mkdir(parents=True)
     (extra / "r2.csv").write_text(R2_CSV)
+    (extra / "r2_half.csv").write_text(R2_HALF_CSV)
     (extra / "r2p5.csv").write_text(R2P5_CSV)
     for name, doc in EXTRA.items():
         path = extra / f"{name}.json"
