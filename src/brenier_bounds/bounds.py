@@ -106,7 +106,7 @@ def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
         fathi = 0.0
     else:
         table = mass_table(W, D)
-        fathi = 3.0 * table.invert(m_frak * table.total)
+        fathi = 3.0 * table.invert(m_frak * table.total)[0]  # (radius, mass there)
     g = 1.0 if math.isinf(D) else 1.0 + fathi * fathi / D
     return GrowthData(s=s, m_frak=m_frak, fathi_radius=fathi, growth_factor=g)
 

@@ -451,7 +451,8 @@ class TailTable:
     integral_0^r f(s) ds, read from the forward sum ``head_cum``, so neither
     loses digits to ``total - other``. ``total`` is the integral over the
     whole half-line. Both take a scalar (float out) or an array, and so does
-    ``invert``. ``p`` sets the scale where the panels start.
+    ``invert``, which solves head and tail targets together and returns the
+    masses at its roots. ``p`` sets the scale where the panels start.
 
     The panels are laid out by the weight itself (``_panel_ends``): dense
     where log f falls fast, as in a near-Gaussian tail, sparse along a power
@@ -468,7 +469,8 @@ class TailTable:
         self.f = f
         self.breaks = np.asarray(breaks, dtype=float)
         self.r_lo = _TABLE_R_LO_FACTOR * (1.0 if math.isinf(p) else max(1.0, math.sqrt(p)))
-        self.nodes, self._panels = np.zeros(1), np.zeros(0)
+        # f at each node, from the layout probes: unknown at the origin
+        self.nodes, self._f_nodes, self._panels = np.zeros(1), np.full(1, np.nan), np.zeros(0)
         probe, values = self._probe(self.r_lo, _RADIUS_CAP)
         top = int(np.argmax(values))
         if not 0.0 < values[top] < math.inf:
@@ -478,7 +480,8 @@ class TailTable:
             raise DivergentIntegral(
                 f"no decay below {_DECAY_FLOOR} x peak by radius {_RADIUS_CAP:g}")
         end = top + int(decayed[0]) + 1
-        self._append(np.append(self.r_lo, self._panel_ends(probe[:end], values[:end])))
+        ends, f_ends = self._panel_ends(probe[:end], values[:end])
+        self._append(np.append(self.r_lo, ends), np.append(values[0], f_ends))
 
     def _probe(self, lo: float, hi: float):
         """The geometric probe lo 10^(k/``_TABLE_POINTS_PER_DECADE``) below
@@ -488,8 +491,9 @@ class TailTable:
         probe = np.append(probe[probe < hi], hi)  # an extension ends at hi exactly
         return probe, self.f(probe)
 
-    def _panel_ends(self, probe: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Panel ends in (probe[0], probe[-1]], from f's values on the probe.
+    def _panel_ends(self, probe: np.ndarray, values: np.ndarray):
+        """Panel ends in (probe[0], probe[-1]], from f's values on the probe,
+        and f at each end: its probe value, NaN at a break between probe points.
 
         A probe point ends a panel where the running sum of |delta log f|
         along the probe crosses a multiple of ``_PANEL_LOG_DROP``, or where
@@ -510,14 +514,20 @@ class TailTable:
         peaks = np.flatnonzero((log_f[1:-1] > log_f[:-2]) & (log_f[1:-1] >= log_f[2:])) + 1
         keep[np.clip(peaks[:, None] + np.arange(-4, 5), 1, count).ravel() - 1] = True
         inside = self.breaks[(self.breaks > probe[0]) & (self.breaks < probe[-1])]
-        return np.union1d(probe[1:][keep], inside)
+        ends = np.union1d(probe[1:][keep], inside)
+        f_ends = np.full(ends.size, np.nan)
+        f_ends[np.searchsorted(ends, probe[1:][keep])] = values[1:][keep]
+        return ends, f_ends
 
-    def _append(self, ends: np.ndarray):
-        """Integrate the panels from the last node through ``ends`` (increasing)
-        and refresh the far tail past the new end and both cumulative sums."""
+    def _append(self, ends: np.ndarray, f_ends: np.ndarray):
+        """Integrate the panels from the last node through ``ends`` (increasing),
+        with f at the ends that lack it from the same call, and refresh the far
+        tail past the new end and both cumulative sums."""
         starts = np.append(self.nodes[-1], ends[:-1])
-        self._panels = np.append(self._panels, self._quadrature(starts, ends))
-        self.nodes = np.append(self.nodes, ends)
+        gap = np.isnan(f_ends)
+        panels, f_ends[gap] = self._quadrature(starts, ends, ends[gap])
+        self._panels = np.append(self._panels, panels)
+        self.nodes, self._f_nodes = np.append(self.nodes, ends), np.append(self._f_nodes, f_ends)
         self.r_max = float(ends[-1])
         self.tail_inf = tail_quadrature(self.f, self.r_max)
         self.cum = _compensated_cumsum(np.append(self._panels, self.tail_inf)[::-1])[::-1]
@@ -529,20 +539,23 @@ class TailTable:
             return False
         r_max = min(self.r_max ** 1.5 if self.r_max > 10.0 else self.r_max * 100.0,
                     _EXTEND_CAP)
-        self._append(self._panel_ends(*self._probe(self.r_max, r_max)))
+        self._append(*self._panel_ends(*self._probe(self.r_max, r_max)))
         return True
 
-    def _quadrature(self, a, b):
-        """Gauss-Legendre integral of f over each [a, b] (equal-length arrays)."""
+    def _quadrature(self, a, b, at=()):
+        """Gauss-Legendre integral of f over each [a, b] (equal-length arrays),
+        and f at the points ``at``, from one call of f."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        return half * (self.f(pts.ravel()).reshape(pts.shape) @ _GL_WEIGHTS)
+        values = self.f(np.append(pts.ravel(), at))
+        return half * (values[:pts.size].reshape(pts.shape) @ _GL_WEIGHTS), values[pts.size:]
 
-    def _within(self, r, i, head: bool):
-        """head(r) or tail(r) for radii r inside their panels i."""
-        if head:
-            return self.head_cum[i] + self._quadrature(self.nodes[i], r)
-        return self._quadrature(r, self.nodes[i + 1]) + self.cum[i + 1]
+    def _within(self, r, i, head, at=()):
+        """head(r) where ``head``, else tail(r), for radii r inside their panels
+        i, in one quadrature call, and f at ``at`` from it."""
+        part, f_at = self._quadrature(np.where(head, self.nodes[i], r),
+                                      np.where(head, r, self.nodes[i + 1]), at)
+        return part + np.where(head, self.head_cum[i], self.cum[i + 1]), f_at
 
     def _evaluate(self, r, head: bool):
         r = np.asarray(r, dtype=float)
@@ -551,7 +564,7 @@ class TailTable:
             pass
         inner = np.clip(flat, 0.0, self.nodes[-1])
         i = np.searchsorted(self.nodes, inner, side="right") - 1
-        out = self._within(inner, np.clip(i, 0, self.nodes.size - 2), head)
+        out, _ = self._within(inner, np.clip(i, 0, self.nodes.size - 2), head)
         out[flat <= 0.0] = 0.0 if head else self.total
         for k in np.flatnonzero(flat > self.nodes[-1]):  # only past _EXTEND_CAP
             rest = tail_quadrature(self.f, float(flat[k]))
@@ -570,59 +583,71 @@ class TailTable:
         """integral_0^r f(s) ds for a radius or an array of radii."""
         return self._evaluate(r, head=True)
 
-    def invert(self, target, head: bool = False):
-        """Radius where tail(r) = target (head(r) = target with ``head``).
+    def invert(self, target, head=False):
+        """Radii where tail(r) = target, or head(r) = target where ``head`` (a
+        bool, or one per target), and the table's mass evaluated at each.
 
-        Each target is bracketed by its panel with ``searchsorted``, then
-        solved by a safeguarded Newton iteration inside that panel, with f
-        as the derivative and bisection whenever a step leaves the bracket.
-        Targets below the table's resolvable tail mass extend the table.
+        Each target is bracketed by its panel and started from a cubic Hermite
+        interpolant of r in the log of the panel sums, with slopes from f at
+        the panel ends. Newton steps on the log of the mass follow, one call
+        of f a round for both sides; a step that leaves the bracket bisects.
+        Targets past the table's resolvable masses extend it.
         """
         target = np.asarray(target, dtype=float)
-        flat = target.ravel()
-        while np.any(flat > self.head_cum[-1] if head else flat < self.tail_inf):
+        flat, side = target.ravel(), np.broadcast_to(head, target.shape).ravel()
+        while np.any(beyond := np.where(side, flat > self.head_cum[-1], flat < self.tail_inf)):
             if not self._extend():
                 raise BracketFailure(
-                    f"{'head' if head else 'tail'} inversion target beyond the "
-                    f"resolvable mass at the radius cap {_EXTEND_CAP:g}")
-        out = np.zeros(flat.size)
-        live = flat > 0.0 if head else flat < self.total
+                    f"{'head' if side[beyond][0] else 'tail'} inversion target beyond "
+                    f"the resolvable mass at the radius cap {_EXTEND_CAP:g}")
+        roots, masses = np.zeros(flat.size), np.where(side, 0.0, self.total)
+        live = np.where(side, flat > 0.0, flat < self.total)
         if np.any(live):
-            out[live] = self._newton(flat[live], head)
-        return float(out[0]) if target.ndim == 0 else out.reshape(target.shape)
+            roots[live], masses[live] = self._newton(flat[live], side[live])
+        if target.ndim == 0:
+            return float(roots[0]), float(masses[0])
+        return roots.reshape(target.shape), masses.reshape(target.shape)
 
-    def _newton(self, target, head: bool):
-        # g(r) = tail(r) - target, or target - head(r): decreasing, g' = -f
-        sign = -1.0 if head else 1.0
-        cum = self.head_cum if head else self.cum
-        i = np.searchsorted(-sign * cum, -sign * target, side="right") - 1
-        i = np.clip(i, 0, self.nodes.size - 2)
+    def _newton(self, target, head):
+        # tail(r) falls and head(r) rises: g = sign (mass - target) > 0 below the root
+        sign = np.where(head, -1.0, 1.0)
+        i = np.clip(np.where(head, np.searchsorted(self.head_cum, target, side="right"),
+                             np.searchsorted(-self.cum, -target, side="right")) - 1,
+                    0, self.nodes.size - 2)
         lo, hi = self.nodes[i], self.nodes[i + 1]
-        g_lo, g_hi = sign * (cum[i] - target), sign * (cum[i + 1] - target)
-        drop = g_lo - g_hi
-        r = lo + (hi - lo) * np.divide(g_lo, drop, out=np.zeros_like(drop), where=drop > 0.0)
+        sums = np.where(head, self.head_cum[[i, i + 1]], self.cum[[i, i + 1]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # r cubic in L = log(sum), dr/dL = -sign sum / f at the panel ends;
+            # else r linear in L, else the midpoint, whichever is inside first
+            span = np.diff(np.log(sums), axis=0)[0]
+            s = np.log(target / sums[0]) / span
+            slope = -sign * sums / self._f_nodes[[i, i + 1]] * span
+            tries = (lo + s * s * (3.0 - 2.0 * s) * (hi - lo)
+                     + s * (1.0 - s) * ((1.0 - s) * slope[0] - s * slope[1]), lo + s * (hi - lo))
+        r = 0.5 * (lo + hi)
+        for x in tries[::-1]:
+            r = np.where((x > lo) & (x < hi), x, r)
+        # each root is its last evaluated iterate, with the mass evaluated there
+        roots, masses = np.empty(target.size), np.empty(target.size)
         active = np.arange(target.size)
         for _ in range(_NEWTON_MAXITER):
-            ra, ia = r[active], i[active]
-            g = sign * (self._within(ra, ia, head) - target[active])
+            v, f = self._within(r, i, head, at=r)
+            roots[active], masses[active] = r, v
+            g = sign * (v - target)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = g / self.f(ra)
-            # converged once the residual is at the rounding level of the
-            # panel sums, or the Newton step at that of the radius
-            done = ((np.abs(g) <= _NEWTON_TOL * target[active])
-                    | (np.abs(step) <= _NEWTON_TOL * ra))
-            lo[active] = np.where(g > 0.0, ra, lo[active])
-            hi[active] = np.where(g < 0.0, ra, hi[active])
-            new = ra + step
-            inside = (new > lo[active]) & (new < hi[active])
-            new = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
-            done |= hi[active] - lo[active] <= _NEWTON_TOL * ra
-            # a converged point keeps its iterate, wherever its step lands
-            r[active] = np.where(done, ra, new)
-            active = active[~done]
-            if active.size == 0:
+                step = sign * np.log(v / target) * (v / f)
+            lo, hi = np.where(g > 0.0, r, lo), np.where(g < 0.0, r, hi)
+            # converged once the residual is at the rounding level of the panel
+            # sums, the step at that of the radius, or the bracket has collapsed
+            done = ((np.abs(v - target) <= _NEWTON_TOL * target)
+                    | (np.abs(step) <= _NEWTON_TOL * r) | (hi - lo <= _NEWTON_TOL * r))
+            new = r + step
+            r = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            if done.all():
                 break
-        return r
+            active, target, head, sign, i, lo, hi, r = (
+                x[~done] for x in (active, target, head, sign, i, lo, hi, r))
+        return roots, masses
 
 
 def _cached_table(U: PotentialSpec, key: tuple, f, p: float) -> TailTable:

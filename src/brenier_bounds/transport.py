@@ -69,9 +69,11 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
     t(r) balances the masses on the side of the median that keeps its
     digits: head_W(t)/Z_W = head_V(r)/Z_V where the source tail fraction
     exceeds 1/2, tail_W(t)/Z_W = tail_V(r)/Z_V elsewhere, so no mass is
-    formed as 1 - tail near the origin. The whole grid is inverted at once
-    to ~1e-14 relative; the derivative comes from the differentiated
-    balance in log space.
+    formed as 1 - tail near the origin. Both sides of the whole grid are
+    inverted in one ``TailTable.invert`` call, to ~1e-14 relative, and the
+    residuals come from the masses that call evaluated at the roots; the
+    derivative comes from the differentiated balance in log space. The
+    grid keeps the points whose head and tail fractions both exceed 1e-280.
     """
     d, D = _check_map_order(n, d, D)
     if r_grid is None:
@@ -81,33 +83,33 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
         raise ValueError("r_grid must be positive and strictly increasing")
     tv = tail_table(V, d, n)
     tw = tail_table(W, D, n)
-    tail_v = tv.tail(r_grid)
     zv, zw = tv.total, tw.total
-    frac = tail_v / zv
+    frac = tv.tail(r_grid) / zv
     # the map is still well defined past the floor, but the tail mass is at
     # (or below) denormal range and the inversion loses all relative
-    # precision, so stop the grid at the first such radius
+    # precision, so stop the grid at the first such radius; likewise start it
+    # at the first head fraction above the floor
     usable = _first(frac <= _TAIL_FLOOR)
     split = _first(frac[:usable] <= 0.5)
-    targets = frac[split:usable] * zw
+    head_frac = tv.head(r_grid[:split]) / zv
+    start = _first(head_frac > _TAIL_FLOOR)
+    fracs = np.append(head_frac[start:], frac[split:usable])
+    head = np.arange(start, usable) < split
     try:
-        t_tail = tw.invert(targets)
+        t, mass = tw.invert(fracs * zw, head)
     except BracketFailure:
         # the target table now reaches its radius cap: stop at the first
-        # target below the mass it resolves
-        usable = split + _first(targets < tw.tail_inf)
-        targets = targets[:usable - split]
-        t_tail = tw.invert(targets)
-    if usable < MIN_MAP_POINTS:
+        # tail target below the mass it resolves
+        usable = split + _first(frac[split:usable] * zw < tw.tail_inf)
+        fracs, head = fracs[:usable - start], head[:usable - start]
+        t, mass = tw.invert(fracs * zw, head)
+    if usable - start < MIN_MAP_POINTS:
         raise DivergentIntegral(
-            f"fewer than {MIN_MAP_POINTS} grid points left: past them the source tail "
-            f"mass underflows or the map passes the radius cap {_EXTEND_CAP:g}; shrink r_grid")
-    head_frac = tv.head(r_grid[:split]) / zv
-    t_head = tw.invert(head_frac * zw, head=True)
-    r = r_grid[:usable]
-    t = np.concatenate((t_head, t_tail))
-    resid = np.concatenate((head_frac - tw.head(t_head) / zw,
-                            tw.tail(t_tail) / zw - frac[split:usable]))
+            f"fewer than {MIN_MAP_POINTS} grid points left: below them the source head "
+            f"mass underflows, past them its tail mass does or the map passes the radius "
+            f"cap {_EXTEND_CAP:g}; shrink r_grid")
+    r = r_grid[start:usable]
+    resid = np.where(head, fracs - mass / zw, mass / zw - fracs)
     # density ratio in log space: denormal densities near the underflow
     # cut would otherwise wreck the derivative
     log_ratio = ((n - 1) * (np.log(r) - np.log(t))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammaincc
 
 from brenier_bounds import (DivergentIntegral, DomainError, INF,
-                            PotentialSpec, growth_data, normalization,
+                            PotentialSpec, default_grid, growth_data, normalization,
                             radial_map, unit_ball_volume)
 from brenier_bounds.potentials import (RadialTabulated, TailTable, _radial_weight,
                                        log_reference_integral, mass_table, tail_quadrature,
@@ -406,10 +406,10 @@ class TestTailEngine:
         np.testing.assert_allclose(tail, [t.tail(x) for x in r], rtol=4 * EPS, atol=0)
         np.testing.assert_allclose(head, [t.head(x) for x in r], rtol=4 * EPS, atol=0)
         assert isinstance(t.tail(1.0), float) and isinstance(t.head(1.0), float)
-        np.testing.assert_allclose(t.invert(tail), [t.invert(x) for x in tail],
+        np.testing.assert_allclose(t.invert(tail)[0], [t.invert(x)[0] for x in tail],
                                    rtol=1e-14, atol=0)
-        np.testing.assert_allclose(t.invert(head, head=True),
-                                   [t.invert(x, head=True) for x in head],
+        np.testing.assert_allclose(t.invert(head, head=True)[0],
+                                   [t.invert(x, head=True)[0] for x in head],
                                    rtol=1e-14, atol=0)
         assert np.max(np.abs(head + tail - t.total)) <= 4 * EPS * t.total
 
@@ -437,9 +437,9 @@ class TestTailEngine:
         # radius is well conditioned in it
         tail, head = t.tail(r), t.head(r)
         if tail <= head:
-            assert t.invert(tail) == pytest.approx(r, rel=1e-13)
+            assert t.invert(tail)[0] == pytest.approx(r, rel=1e-13)
         else:
-            assert t.invert(head, head=True) == pytest.approx(r, rel=1e-13)
+            assert t.invert(head, head=True)[0] == pytest.approx(r, rel=1e-13)
 
     def test_radii_past_the_table_extend_it(self):
         t = tail_table(PotentialSpec.quadratic(1.0, 1), 1.0, 1)
@@ -620,10 +620,10 @@ class TestTableAccuracy:
         np.testing.assert_allclose(table.head(r) / table.total, head, rtol=2e-14, atol=0)
         # each side is inverted where its mass is the smaller one
         side = seen & (tail <= head)
-        np.testing.assert_allclose(table.invert(tail[side] * table.total), r[side],
+        np.testing.assert_allclose(table.invert(tail[side] * table.total)[0], r[side],
                                    rtol=1e-14, atol=0)
         side = head <= tail
-        np.testing.assert_allclose(table.invert(head[side] * table.total, head=True), r[side],
+        np.testing.assert_allclose(table.invert(head[side] * table.total, head=True)[0], r[side],
                                    rtol=1e-14, atol=0)
 
     def test_a_tail_below_the_normal_range_keeps_its_digits(self):
@@ -632,7 +632,7 @@ class TestTableAccuracy:
         table = tail_table(PotentialSpec.quadratic(1.0, 3), 6.0, 3)
         _, tail = mass_fractions(3, 1.0, 6.0, 1e27)
         assert table.tail(1e27) / table.total == pytest.approx(float(tail), rel=3e-13)
-        assert table.invert(float(tail) * table.total) == pytest.approx(1e27, rel=1e-14)
+        assert table.invert(float(tail) * table.total)[0] == pytest.approx(1e27, rel=1e-14)
 
     @pytest.mark.parametrize("n,p", [(30, 30.0), (34, 51.0), (40, 40.0), (40, math.inf)])
     def test_high_dimensional_weights_do_not_overflow(self, n, p):
@@ -689,7 +689,120 @@ class TestTableWork:
         table = tail_table(PotentialSpec.quadratic(1.0, 1), 2.0, 1)
         assert table.nodes.size <= 400
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_a_map_solve_is_three_rounds_for_both_sides(self, p):
+        # |x|^2 -> |x|^2 / 4 at d = D = p on the 400-point default grid:
+        # head targets where the source tail fraction exceeds 1/2, tail
+        # targets elsewhere, solved in one call, one weight call a round
+        tv = tail_table(PotentialSpec.quadratic(1.0, 1), p, 1)
+        tw = tail_table(PotentialSpec.quadratic(0.25, 1), p, 1)
+        r = default_grid(p)
+        tail = tv.tail(r) / tv.total
+        r, tail = r[tail > 1e-280], tail[tail > 1e-280]
+        head = tail > 0.5
+        targets = np.where(head, tv.head(r) / tv.total, tail) * tw.total
+        tw.tail(2.0 * r[-1])  # extends the table past every root first
+        calls = []
+        tw.f = recording(tw.f, calls)
+        roots, masses = tw.invert(targets, head)
+        assert 1 <= len(calls) <= 3
+        # the roots of the two one-sided solves; their masses to the rounding
+        # of the panel sums, which depends on how many rows a call has
+        for side in (head, ~head):
+            one_side, mass = tw.invert(targets[side], head=side[0])
+            np.testing.assert_array_equal(one_side, roots[side])
+            np.testing.assert_array_max_ulp(mass, masses[side], maxulp=2)
+        # the masses are the table's at the returned roots
+        np.testing.assert_array_max_ulp(masses[head], tw.head(roots[head]), maxulp=2)
+        np.testing.assert_array_max_ulp(masses[~head], tw.tail(roots[~head]), maxulp=2)
+
+    def test_a_growth_radius_is_three_rounds(self):
+        V, W = PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.25, 1)
+        table = mass_table(W, 4.0)
+        calls = []
+        table.f = recording(table.f, calls)
+        g = growth_data(V, W, 4.0, 4.0, 1.0, 1)
+        assert 1 <= len(calls) <= 3
+        radius, mass = table.invert(g.m_frak * table.total)
+        assert 3.0 * radius == g.fathi_radius
+        np.testing.assert_array_max_ulp(mass, table.tail(radius), maxulp=2)
+
     def test_panels_end_at_the_nodes_of_a_tabulated_profile(self):
         r = 0.25 * np.arange(81)
         table = tail_table(PotentialSpec.tabulated(r, r * r), 3.0, 1)
         assert np.all(np.isin(r[1:], table.nodes))
+
+
+class TestInversionStart:
+    """Targets where the Hermite start from the panel ends falls back, or that
+    sit on the table's edges, against the closed forms."""
+
+    def test_a_head_target_in_the_first_panel(self):
+        # the head sum is 0 at the origin: log 0 has no Hermite start
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), math.inf, 1)
+        r = np.array([1e-12, 1e-10, 5e-10, 9e-10])
+        assert np.all(r < table.nodes[1])
+        roots, _ = table.invert(0.5 * math.sqrt(math.pi) * erf(r), head=True)
+        np.testing.assert_allclose(roots, r, rtol=1e-14, atol=0)
+
+    def test_a_weight_that_vanishes_at_the_origin(self):
+        # n = 2: f(0) = 0 and the head sum is 0 at the origin, so the first
+        # panel has neither a Hermite slope nor a log there
+        table = tail_table(PotentialSpec.quadratic(1.0, 2), math.inf, 2)
+        r = np.array([1e-12, 1e-10, 5e-10, 1e-6, 1e-3])
+        roots, _ = table.invert(-0.5 * np.expm1(-r * r), head=True)
+        np.testing.assert_allclose(roots, r, rtol=1e-14, atol=0)
+
+    def test_a_panel_end_whose_weight_underflows(self):
+        # deep in a Gaussian tail (fractions 1e-296 to 1e-306), where a
+        # panel's outer end has a subnormal weight
+        table = tail_table(PotentialSpec.quadratic(3.0, 1), math.inf, 1)
+        r = np.linspace(15.0, 15.3, 13)
+        _, tail = mass_fractions(1, 3.0, math.inf, r)
+        roots, _ = table.invert(tail * table.total)
+        assert np.any(table._f_nodes[np.searchsorted(table.nodes, r)] < np.finfo(float).tiny)
+        np.testing.assert_allclose(roots, r, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n,p", [(1, 3.0), (2, math.inf), (3, 6.0)])
+    def test_targets_equal_to_panel_end_sums(self, n, p):
+        # each side where its mass is the smaller one
+        table = tail_table(PotentialSpec.quadratic(1.0, n), p, n)
+        k = np.arange(1, table.nodes.size - 1)
+        tail = k[table.cum[k] <= 0.5 * table.total]
+        head = k[table.head_cum[k] <= 0.5 * table.total]
+        roots, masses = table.invert(table.cum[tail])
+        np.testing.assert_allclose(roots, table.nodes[tail], rtol=1e-14, atol=0)
+        np.testing.assert_array_max_ulp(masses, table.tail(roots), maxulp=2)
+        roots, masses = table.invert(table.head_cum[head], head=True)
+        np.testing.assert_allclose(roots, table.nodes[head], rtol=1e-14, atol=0)
+        np.testing.assert_array_max_ulp(masses, table.head(roots), maxulp=2)
+        _, want = mass_fractions(n, 1.0, p, table.nodes[tail])
+        np.testing.assert_allclose(table.cum[tail] / table.total, want, rtol=3e-13, atol=0)
+
+    def test_the_ends_of_the_mass_range(self):
+        # head target 0 and tail target total are the origin, with no solve
+        table = tail_table(PotentialSpec.quadratic(1.0, 2), 3.0, 2)
+        roots, masses = table.invert(np.array([0.0, table.total]), np.array([True, False]))
+        assert roots.tolist() == [0.0, 0.0] and masses.tolist() == [0.0, table.total]
+
+    def test_a_cauchy_target_that_extends_the_table(self):
+        table = tail_table(PotentialSpec.quadratic(1.0, 1), 1.0, 1)
+        end = table.r_max
+        root, mass = table.invert(1e-27)
+        assert table.r_max > 1e27 > end
+        # tail(r) = atan(1/r)
+        assert root == pytest.approx(1.0 / math.tan(1e-27), rel=1e-14)
+        np.testing.assert_array_max_ulp(mass, table.tail(root), maxulp=2)
+
+    def test_the_breaks_of_a_tabulated_profile(self):
+        # the nodes of r^2 tabulated at r = 0.25 k are panel ends that the
+        # layout probe misses: their weights come from the panel call
+        r = 0.25 * np.arange(1, 81)
+        table = tail_table(PotentialSpec.tabulated(np.append(0.0, r), np.append(0.0, r * r)),
+                           3.0, 1)
+        ends = np.isin(table.nodes, r)
+        np.testing.assert_array_equal(table._f_nodes[ends], table.f(table.nodes[ends]))
+        head, tail = mass_fractions(1, 1.0, 3.0, r)
+        side = tail <= head
+        roots, _ = table.invert(np.where(side, tail, head) * table.total, ~side)
+        np.testing.assert_allclose(roots, r, rtol=1e-14, atol=0)
