@@ -6,9 +6,9 @@ For a potential U at parameter p, on the ball of radius R:
     C0 =   sup (p + U) / (p + |x|^2)
     C1 =   sup ( |grad U| / (sqrt(p) + |x|) )^2
 
-For a quadratic profile a|x|^2 they are closed forms at every R: with
-r = |x|, (p + a r^2)/(p + r^2) is monotone in r^2 and 2ar/(sqrt(p) + r)
-increases in r, so every sup sits at r = 0 or r = R. Any other potential is
+A profile with closed forms supplies them itself (``ball_constants``), at
+every R and without declared Hessian bounds: a quadratic a|x|^2's sups sit
+at r = |x| = 0 or r = R. Any other potential is
 scanned on a finite ball: a log-spaced grid (U, U' once per point) plus a
 zoom around each argmax. R = inf scans the ball of radius rho = max(1,
 sqrt(p)), then bounds U on each ray x = +-(rho + h), h >= 0, past it (one
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConventionUndefined, DomainError, VoidBound
 from .extparam import param
-from .potentials import PotentialSpec, Quadratic
+from .potentials import PotentialSpec
 
 _SCAN_POINTS = 2048
 _ZOOM_ROUNDS = 4
@@ -88,7 +88,7 @@ def _objectives(U: PotentialSpec, q: float, r: np.ndarray) -> np.ndarray:
     if (u <= -q).any():
         raise DomainError(f"potential violates U > -p on the scan grid (p={q})")
     up = (q + u) / (q + x * x)
-    g2 = np.square(np.asarray(U.grad_norm(x), dtype=float) / (math.sqrt(q) + np.abs(x)))
+    g2 = np.square(np.abs(U.deriv(x)) / (math.sqrt(q) + np.abs(x)))
     vals = np.stack((up, 1.0 / up, g2))
     return vals if U.is_radial else np.maximum(vals[:, :r.size], vals[:, r.size:])
 
@@ -143,23 +143,13 @@ def _structural(U: PotentialSpec, q: float, R: float) -> StructuralConstants:
                 "zeroth-order constants at p = infinity are defined for finite R only")
         return StructuralConstants(1.0, 1.0, 0.0)
 
-    if isinstance(U.profile, Quadratic):
-        return _quadratic(U.profile.a, q, R)
+    if (closed := U.profile.ball_constants(q, R)) is not None:
+        return StructuralConstants(*closed)
     if math.isinf(R):
         return _structural_global(U, q)
 
     sup_up, sup_dn, sup_g2 = _sups(U, q, _scan_grid(q, R)).tolist()
     return StructuralConstants(1.0 / sup_dn, sup_up, sup_g2)
-
-
-def _quadratic(a: float, q: float, R: float) -> StructuralConstants:
-    """The constants of a|x|^2 on B_R from its values at r = 0 and r = R."""
-    R2 = R * R
-    if math.isinf(a * R2):  # R = inf, or a ball so wide that q is lost to rounding
-        up, g = a, 2.0 * a
-    else:
-        up, g = (q + a * R2) / (q + R2), 2.0 * a * R / (math.sqrt(q) + R)
-    return StructuralConstants(min(1.0, up), max(1.0, up), g * g)
 
 
 def _structural_global(U: PotentialSpec, q: float) -> StructuralConstants:

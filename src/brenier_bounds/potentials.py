@@ -48,15 +48,39 @@ _NEWTON_MAXITER = 60
 # profiles
 # --------------------------------------------------------------------------
 
+class _Profile:
+    """What a profile answers for itself, so that no other module asks its
+    class: ``radial``, True when U is read at |x| (False for a signed 1D
+    profile); ``breaks``, the radii where U is only piecewise smooth, where
+    quadratures end their pieces (a tabulated profile's nodes, else none);
+    ``ball_constants(q, R)``, the structural constants (c0, C0, C1) on B_R in
+    closed form, or None when they must be scanned."""
+
+    radial = True
+
+    def ball_constants(self, q: float, R: float):
+        return None
+
+
 @dataclass(frozen=True, eq=False)
-class Quadratic:
+class Quadratic(_Profile):
     """U(x) = a |x|^2 with a > 0."""
 
     a: float
+    breaks = ()
 
     def __post_init__(self):
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError("quadratic coefficient must be a positive real")
+
+    def ball_constants(self, q: float, R: float):
+        """From r = 0 and r = R: (q + a r^2)/(q + r^2) and 2ar/(sqrt(q) + r) are monotone."""
+        a, R2 = self.a, R * R
+        if math.isinf(a * R2):  # R = inf, or a ball so wide that q is lost to rounding
+            up, g = a, 2.0 * a
+        else:
+            up, g = (q + a * R2) / (q + R2), 2.0 * a * R / (math.sqrt(q) + R)
+        return min(1.0, up), max(1.0, up), g * g
 
     def value(self, r):
         return self.a * np.square(r)
@@ -69,7 +93,7 @@ class Quadratic:
 
 
 @dataclass(frozen=True, eq=False)
-class RadialTabulated:
+class RadialTabulated(_Profile):
     """Radial profile sampled on a strictly increasing grid: cubic Hermite
     pieces through the node values and slopes, and past each end node a
     quadratic with that node's value u and slope s: past the last node the
@@ -82,7 +106,7 @@ class RadialTabulated:
     value below the first node. The pieces are only C^1 at the nodes.
     """
 
-    r_nodes: np.ndarray
+    breaks: np.ndarray
     # column j holds the Taylor coefficients (u, u', u''/2, u'''/6) of piece
     # j at its base node: the quadratic below the first node (j = 0), the
     # cubic from node j - 1 to node j, the quadratic past the last node
@@ -121,8 +145,8 @@ class RadialTabulated:
     def _pieces(self, r):
         """(offset from the base node, coefficient rows) of each radius's piece."""
         r = np.asarray(r, dtype=float)
-        j = np.searchsorted(self.r_nodes, r, side="right")
-        return r - self.r_nodes[np.maximum(j - 1, 0)], self.coef[:, j]
+        j = np.searchsorted(self.breaks, r, side="right")
+        return r - self.breaks[np.maximum(j - 1, 0)], self.coef[:, j]
 
     def value(self, r):
         t, (c0, c1, c2, c3) = self._pieces(r)
@@ -142,7 +166,7 @@ class RadialTabulated:
     def second_range(self) -> tuple:
         """(min, max) of U'' over the whole line: its one-sided node values
         and its value below the first node."""
-        h = np.diff(self.r_nodes)
+        h = np.diff(self.breaks)
         _, _, c2, c3 = self.coef[:, 1:-1]
         ends = np.concatenate((2.0 * c2, 2.0 * c2 + 6.0 * c3 * h, [2.0 * self.coef[2, 0]]))
         return float(ends.min()), float(ends.max())
@@ -152,15 +176,15 @@ class RadialTabulated:
         of U(|x|) for n >= 2: its values at the nodes and at each cubic's
         interior stationary points, where r U'' = U', and its limits at 0 and
         at infinity (U'/r is monotone on the two end quadratics)."""
-        b, h = self.r_nodes[:-1], np.diff(self.r_nodes)
+        b, h = self.breaks[:-1], np.diff(self.breaks)
         _, c1, c2, c3 = self.coef[:, 1:-1]
         # r U'' = U' is quadratic in t = r - b: (b + t)^2 = b^2 - (2 c2 b - c1) / (3 c3)
         with np.errstate(divide="ignore", invalid="ignore"):
             stationary = np.sqrt(b * b - (2.0 * c2 * b - c1) / (3.0 * c3))
-        r = np.concatenate((self.r_nodes[self.r_nodes > 0.0],
+        r = np.concatenate((self.breaks[self.breaks > 0.0],
                             stationary[(stationary > b) & (stationary < b + h)]))
         # U'(0) = 0 below a first node r0 > 0 by construction; deriv(0.0) rounds
-        slope0 = 0.0 if self.r_nodes[0] > 0.0 else self.deriv(0.0)
+        slope0 = 0.0 if self.breaks[0] > 0.0 else self.deriv(0.0)
         at0 = self.second(0.0) if slope0 == 0.0 else math.copysign(math.inf, slope0)
         values = np.concatenate((self.deriv(r) / r, [at0, 2.0 * self.coef[2, -1]]))
         return float(values.min()), float(values.max())
@@ -174,11 +198,12 @@ def _numpy_input(x):
 
 
 @dataclass(frozen=True, eq=False)
-class OneDim:
+class OneDim(_Profile):
     """General 1D potential given by callables U and U' (dimension 1 only)."""
 
     f: Callable[[np.ndarray], np.ndarray]
     fprime: Callable[[np.ndarray], np.ndarray]
+    radial, breaks = False, ()
 
     def value(self, x):
         return np.asarray(self.f(_numpy_input(x)), dtype=float)
@@ -217,13 +242,13 @@ class PotentialSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if isinstance(self.profile, OneDim) and self.dimension != 1:
+        if not self.profile.radial and self.dimension != 1:
             raise ValueError("general 1D potentials require dimension 1")
 
     # -- evaluation -------------------------------------------------------
     @property
     def is_radial(self) -> bool:
-        return not isinstance(self.profile, OneDim)
+        return self.profile.radial
 
     def value(self, x):
         """Profile value; radial profiles take a radius, 1D profiles a signed x."""
@@ -231,9 +256,6 @@ class PotentialSpec:
 
     def deriv(self, x):
         return self.profile.deriv(x)
-
-    def grad_norm(self, x):
-        return np.abs(self.profile.deriv(x))
 
     def second(self, x):
         return self.profile.second(x)
@@ -651,12 +673,9 @@ class TailTable:
 
 
 def _cached_table(U: PotentialSpec, key: tuple, f, p: float) -> TailTable:
-    table = U._memo.get(key)
-    if table is None:
-        # a tabulated profile is only C^1 at its nodes: panels end there
-        breaks = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else ()
-        table = U._memo[key] = TailTable(f, p, breaks)
-    return table
+    if key not in U._memo:
+        U._memo[key] = TailTable(f, p, U.profile.breaks)
+    return U._memo[key]
 
 
 def tail_table(U: PotentialSpec, p: float, n: int) -> TailTable:

@@ -19,8 +19,7 @@ import numpy as np
 from .bounds import _check_map_order, _check_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import param, theta_value_array
-from .potentials import (_EXTEND_CAP, PotentialSpec, RadialTabulated,
-                         _compensated_cumsum, tail_table)
+from .potentials import _EXTEND_CAP, PotentialSpec, _compensated_cumsum, tail_table
 from .potentials import TailTable  # noqa: F401  (re-exported)
 
 _TAIL_FLOOR = 1e-280
@@ -222,8 +221,7 @@ class _Line:
 
     def __init__(self, U: PotentialSpec, p: float):
         self._value, self._p, self._radial, self._sign = U.value, p, U.is_radial, 1.0
-        nodes = U.profile.r_nodes if isinstance(U.profile, RadialTabulated) else []
-        breaks = [np.negative(nodes), [0.0], nodes]
+        breaks = [np.negative(U.profile.breaks), [0.0], U.profile.breaks]
         self.mode = 0.0
         if not U.is_radial:
             probe = np.concatenate((-_MODE_PROBE[::-1], [0.0], _MODE_PROBE))
