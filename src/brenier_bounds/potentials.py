@@ -1,10 +1,13 @@
 """Potential functions (radial profiles and general 1D potentials).
 
-A :class:`PotentialSpec` bundles a profile with its dimension and the
-*declared* almost-everywhere Hessian eigenvalue bounds. The bounds are
-inputs, not computed quantities: quadratic profiles get them exactly, a
-tabulated profile's are checked against the exact range of its U'' on the
-whole half-line (a violation raises ValueError), and a general 1D
+Each profile class answers for its own facts (:class:`_Profile`): whether
+U is read at |x|, where it is only piecewise smooth, and its structural
+constants when they have closed forms; no other module asks which class a
+profile is. A :class:`PotentialSpec` bundles a profile with its dimension
+and the *declared* almost-everywhere Hessian eigenvalue bounds. The bounds
+are inputs, not computed quantities: quadratic profiles get them exactly,
+a tabulated profile's are checked against the exact range of its U'' on
+the whole half-line (a violation raises ValueError), and a general 1D
 potential relies on the caller.
 """
 
@@ -566,11 +569,14 @@ class TailTable:
 
     def _quadrature(self, a, b, at=()):
         """Gauss-Legendre integral of f over each [a, b] (equal-length arrays),
-        and f at the points ``at``, from one call of f."""
+        and f at the points ``at``, from one call of f. Each panel is summed by
+        einsum, whose rounding, unlike a BLAS product's, does not depend on how
+        many panels share the call."""
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
         values = self.f(np.append(pts.ravel(), at))
-        return half * (values[:pts.size].reshape(pts.shape) @ _GL_WEIGHTS), values[pts.size:]
+        sums = np.einsum("ij,j->i", values[:pts.size].reshape(pts.shape), _GL_WEIGHTS)
+        return half * sums, values[pts.size:]
 
     def _within(self, r, i, head, at=()):
         """head(r) where ``head``, else tail(r), for radii r inside their panels

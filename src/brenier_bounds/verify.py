@@ -177,8 +177,11 @@ def run_scenario(s: Scenario) -> VerifyReport:
     m = _try(rep, "map", lambda: radial_map(s.V, s.W, s.d, s.D, s.n, grid))
     if m is not None:
         rep.residual_max = float(np.max(np.abs(m.residuals)))
-        # the map stops where the source tail underflows; say how far it got
-        rep.map_range = {"requested_max": float(grid[-1]),
+        # the map starts where the source head mass, and stops where its
+        # tail mass, leaves the float range; say where it got to
+        rep.map_range = {"requested_min": float(grid[0]),
+                         "effective_min": float(m.r_grid[0]),
+                         "requested_max": float(grid[-1]),
                          "effective_max": float(m.r_grid[-1]),
                          "points": int(m.r_grid.size),
                          "requested_points": int(grid.size)}

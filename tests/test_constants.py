@@ -421,6 +421,32 @@ class TestEndpointConventions:
             structural(quad(1.0), INF, math.inf)
 
 
+class TestStructuralOrder:
+    """structural's steps, in order: the R check, the p = inf conventions, the
+    profile's own closed forms, the R = inf envelope, the ball scan."""
+
+    @pytest.mark.parametrize("p", [2.0, INF])
+    def test_the_radius_is_checked_first(self, p):
+        with pytest.raises(ValueError, match="R must be nonnegative"):
+            structural(PotentialSpec(2, Quadratic(3.0)), p, -1.0)
+
+    def test_closed_forms_need_no_declared_hessian_bounds(self):
+        s = structural(PotentialSpec(2, Quadratic(3.0)), 2.0, math.inf)
+        assert (s.c0, s.C0, s.C1) == (1.0, 3.0, 36.0)
+
+    def test_the_conventions_come_before_the_closed_forms(self):
+        U = PotentialSpec(2, Quadratic(3.0))
+        with pytest.raises(ConventionUndefined):
+            structural(U, INF, math.inf)
+        s = structural(U, INF, 4.0)
+        assert (s.c0, s.C0, s.C1) == (1.0, 1.0, 0.0)
+
+    def test_without_closed_forms_the_envelope_needs_declared_bounds(self):
+        r = np.linspace(0.0, 20.0, 201)
+        with pytest.raises(VoidBound):
+            structural(PotentialSpec.tabulated(r, r * r), 2.0, math.inf)
+
+
 class TestMonotonicity:
     @pytest.mark.parametrize("a", [0.5, 3.0])
     def test_in_radius(self, a):

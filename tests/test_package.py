@@ -1,6 +1,8 @@
 """The package surface: the export list, the README quick start, and what
-importing and running the CLI loads."""
+importing and running the CLI loads, and which modules know the profile
+classes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -15,6 +17,7 @@ import pytest
 import brenier_bounds
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "brenier_bounds"
 README = ROOT / "README.md"
 
 
@@ -93,3 +96,23 @@ def test_radial_and_onedim_cli_paths_never_load_scipy(tmp_path):
     assert result["oracle"] < 1e-12
     assert result["tabulated"] == pytest.approx(2.25, rel=1e-12)
     assert not result["scipy"]
+
+
+_PROFILE_CLASSES = {"_Profile", "Quadratic", "RadialTabulated", "OneDim"}
+
+
+def test_only_the_profiles_know_their_classes():
+    # a profile answers for itself (radial, breaks, ball_constants): the
+    # computing modules import no profile class, and no module tests which
+    # class a profile is
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    for name in ("constants", "transport", "bounds", "verify"):
+        imported = {alias.name for node in ast.walk(trees[name])
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not imported & _PROFILE_CLASSES, name
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance":
+                tested, kinds = map(ast.unparse, node.args)
+                assert not re.search(r"\bprofile\b", tested), (name, ast.unparse(node))
+                assert not set(re.findall(r"\w+", kinds)) & _PROFILE_CLASSES, (name, kinds)

@@ -14,9 +14,9 @@ from scipy.special import betainc, betaincc, betaln, erf, erfc, gammainc, gammai
 from brenier_bounds import (DivergentIntegral, DomainError, INF,
                             PotentialSpec, default_grid, growth_data, normalization,
                             radial_map, unit_ball_volume)
-from brenier_bounds.potentials import (RadialTabulated, TailTable, _radial_weight,
-                                       log_reference_integral, mass_table, tail_quadrature,
-                                       tail_table)
+from brenier_bounds.potentials import (OneDim, Quadratic, RadialTabulated, TailTable,
+                                       _radial_weight, log_reference_integral, mass_table,
+                                       tail_quadrature, tail_table)
 
 
 class TestProfiles:
@@ -34,6 +34,22 @@ class TestProfiles:
         assert float(U.value(3.0)) == 4.0
         assert float(U.deriv(0.0)) == -2.0
         assert not U.is_radial
+
+    def test_each_profile_answers_for_itself(self):
+        r = 0.25 * np.arange(9)
+        tab = RadialTabulated.from_samples(r, r * r)
+        one = OneDim(lambda x: x * x, lambda x: 2.0 * x)
+        assert [U.radial for U in (Quadratic(1.0), tab, one)] == [True, True, False]
+        assert Quadratic(1.0).breaks == () and one.breaks == ()
+        np.testing.assert_array_equal(tab.breaks, r)
+        assert tab.ball_constants(2.0, 3.0) is None and one.ball_constants(2.0, 3.0) is None
+        assert Quadratic(2.0).ball_constants(3.0, math.inf) == (1.0, 2.0, 16.0)
+
+    def test_a_one_dim_profile_is_read_in_dimension_one_only(self):
+        one = OneDim(lambda x: x * x, lambda x: 2.0 * x)
+        assert PotentialSpec(1, one).is_radial is False
+        with pytest.raises(ValueError, match="general 1D potentials require dimension 1"):
+            PotentialSpec(2, one)
 
     def test_tabulated_matches_quadratic(self):
         # r^2 at 201 nodes, with and without slopes: value, slope and U'' at
@@ -706,15 +722,14 @@ class TestTableWork:
         tw.f = recording(tw.f, calls)
         roots, masses = tw.invert(targets, head)
         assert 1 <= len(calls) <= 3
-        # the roots of the two one-sided solves; their masses to the rounding
-        # of the panel sums, which depends on how many rows a call has
+        # the roots and masses of the two one-sided solves
         for side in (head, ~head):
             one_side, mass = tw.invert(targets[side], head=side[0])
             np.testing.assert_array_equal(one_side, roots[side])
-            np.testing.assert_array_max_ulp(mass, masses[side], maxulp=2)
+            np.testing.assert_array_equal(mass, masses[side])
         # the masses are the table's at the returned roots
-        np.testing.assert_array_max_ulp(masses[head], tw.head(roots[head]), maxulp=2)
-        np.testing.assert_array_max_ulp(masses[~head], tw.tail(roots[~head]), maxulp=2)
+        np.testing.assert_array_equal(masses[head], tw.head(roots[head]))
+        np.testing.assert_array_equal(masses[~head], tw.tail(roots[~head]))
 
     def test_a_growth_radius_is_three_rounds(self):
         V, W = PotentialSpec.quadratic(1.0, 1), PotentialSpec.quadratic(0.25, 1)
@@ -725,7 +740,25 @@ class TestTableWork:
         assert 1 <= len(calls) <= 3
         radius, mass = table.invert(g.m_frak * table.total)
         assert 3.0 * radius == g.fathi_radius
-        np.testing.assert_array_max_ulp(mass, table.tail(radius), maxulp=2)
+        np.testing.assert_array_equal(mass, table.tail(radius))
+
+    @pytest.mark.parametrize("a,n,p", [(1.0, 1, 50.0), (1.0, 1, math.inf),
+                                       (0.25, 2, 3.0), (2.0, 3, 6.0)])
+    def test_a_batch_gives_each_radius_its_own_masses(self, a, n, p):
+        # a panel sum rounds the same however many panels share the call, so
+        # 400 radii at once get the masses and roots of 400 single calls
+        table = tail_table(PotentialSpec.quadratic(a, n), p, n)
+        r = default_grid(p)
+        table.tail(2.0 * r[-1])  # extends the table past every radius first
+        r = r[table.tail(r) > 1e-280 * table.total]
+        for side in (table.tail, table.head):
+            np.testing.assert_array_equal(side(r), [side(x) for x in r])
+        head = np.arange(r.size) % 2 == 0
+        targets = 0.5 * np.where(head, table.head(r), table.tail(r))
+        roots, masses = table.invert(targets, head)
+        single = [table.invert(t, h) for t, h in zip(targets, head)]
+        np.testing.assert_array_equal(roots, [x for x, _ in single])
+        np.testing.assert_array_equal(masses, [m for _, m in single])
 
     def test_panels_end_at_the_nodes_of_a_tabulated_profile(self):
         r = 0.25 * np.arange(81)
@@ -772,10 +805,10 @@ class TestInversionStart:
         head = k[table.head_cum[k] <= 0.5 * table.total]
         roots, masses = table.invert(table.cum[tail])
         np.testing.assert_allclose(roots, table.nodes[tail], rtol=1e-14, atol=0)
-        np.testing.assert_array_max_ulp(masses, table.tail(roots), maxulp=2)
+        np.testing.assert_array_equal(masses, table.tail(roots))
         roots, masses = table.invert(table.head_cum[head], head=True)
         np.testing.assert_allclose(roots, table.nodes[head], rtol=1e-14, atol=0)
-        np.testing.assert_array_max_ulp(masses, table.head(roots), maxulp=2)
+        np.testing.assert_array_equal(masses, table.head(roots))
         _, want = mass_fractions(n, 1.0, p, table.nodes[tail])
         np.testing.assert_allclose(table.cum[tail] / table.total, want, rtol=3e-13, atol=0)
 
@@ -792,7 +825,7 @@ class TestInversionStart:
         assert table.r_max > 1e27 > end
         # tail(r) = atan(1/r)
         assert root == pytest.approx(1.0 / math.tan(1e-27), rel=1e-14)
-        np.testing.assert_array_max_ulp(mass, table.tail(root), maxulp=2)
+        np.testing.assert_array_equal(mass, table.tail(root))
 
     def test_the_breaks_of_a_tabulated_profile(self):
         # the nodes of r^2 tabulated at r = 0.25 k are panel ends that the

@@ -156,6 +156,16 @@ def shifted_quad(a, s):
                                  hess_upper=2.0 * a, hess_lower=2.0 * a)
 
 
+class TestLineBreaks:
+    def test_a_tabulated_line_breaks_at_its_nodes_on_both_sides(self):
+        r = 0.5 * np.arange(1, 41)
+        line = _Line(PotentialSpec.tabulated(r, r * r), INF)
+        np.testing.assert_array_equal(line.breaks, np.concatenate((-r[::-1], [0.0], r)))
+
+    def test_a_quadratic_line_breaks_at_the_origin_only(self):
+        assert _Line(quad(1.0), INF).breaks.tolist() == [0.0]
+
+
 class TestQuantileOracleClosedForms:
     """quantile_map_1d against exact maps on the benchmark's grid."""
 

@@ -225,6 +225,17 @@ class TestRunScenario:
         assert r["effective_max"] == pytest.approx(24.7, abs=0.05)
         assert rep.to_dict()["map_range"] == r
 
+    def test_map_range_reports_where_the_map_starts(self):
+        # at n = 100 the source head mass underflows near the origin, so the
+        # map starts past the grid's lower end
+        rep = run_scenario(scenario(V=quad(1.0, 100), W=quad(0.5, 100), n=100,
+                                    d="inf", D="inf", R=5.0))
+        r = rep.map_range
+        assert r["requested_min"] == 0.001
+        assert r["effective_min"] == pytest.approx(0.0070459, rel=1e-5)
+        assert (r["points"], r["requested_points"]) == (308, 401)
+        assert r["effective_max"] == pytest.approx(28.29, abs=0.005)
+
     def test_report_serialization_schema(self):
         rep = run_scenario(scenario(R=1.0))
         doc = rep.to_dict()
