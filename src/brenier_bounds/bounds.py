@@ -85,6 +85,7 @@ class GrowthData:
 def growth_data(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                 R: float, n: int) -> GrowthData:
     """Growth data for the localized estimate (finite source parameter only)."""
+    _check_dimensions(V, W, n)
     d, D = param(d), param(D)
     if math.isinf(d):
         raise DomainError("growth data is defined for finite source parameter d only")
@@ -136,6 +137,7 @@ def _local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
 def local_factors(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
                   R: float, n: int) -> Tuple[float, float]:
     """(lambda, xi) of the localized estimate; requires the target's declared c(2) > 0."""
+    _check_dimensions(V, W, n)
     d, D = _check_order(n, d, D)
     c_W2 = _require_hess_lower(W)
     lf = _local_factors(V, W, d, D, R, n, c_W2)
@@ -193,6 +195,14 @@ def _check_map_order(n: int, d, D) -> Tuple[float, float]:
     return d, D
 
 
+def _check_dimensions(V: PotentialSpec, W: PotentialSpec, n: int) -> None:
+    """Raises ValueError unless V and W both live in dimension n: the
+    normalizations and tail tables read each potential's own dimension."""
+    if not V.dimension == W.dimension == n:
+        raise ValueError(f"potentials must have dimension n={n}, got V of dimension "
+                         f"{V.dimension} and W of dimension {W.dimension}")
+
+
 def _scenario_stub(n, d, D, R=None) -> dict:
     out = {"n": n, "d": repr(d), "D": repr(D)}
     if R is not None:
@@ -203,6 +213,7 @@ def _scenario_stub(n, d, D, R=None) -> dict:
 def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                 d: float, D: float, R: float) -> BoundReport:
     """Localized Hessian bound on the ball B_R (endpoint/Caffarelli branches included)."""
+    _check_dimensions(V, W, n)
     d, D = _check_order(n, d, D)
     if not R > 0.0:
         raise ValueError("local bound needs positive R")
@@ -238,6 +249,7 @@ def local_bound(V: PotentialSpec, W: PotentialSpec, n: int,
 def global_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                  d: float, D: float) -> BoundReport:
     """Parameter-uniform global Hessian bound (independent of d, D; only n enters)."""
+    _check_dimensions(V, W, n)
     d, D = _check_order(n, d, D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)
@@ -289,12 +301,14 @@ def _growth_chain(n: int, d, D, v, w):
 def finite_growth_constants(V: PotentialSpec, W: PotentialSpec, n: int,
                             d: float, D: float) -> Tuple[float, float]:
     """The linear-growth constants (K, M) of the finite-parameter growth estimate."""
+    _check_dimensions(V, W, n)
     return _global_constants(V, W, n, d, D)[2:]
 
 
 def finite_global_sharp_bound(V: PotentialSpec, W: PotentialSpec, n: int,
                               d: float, D: float) -> BoundReport:
     """Sharper finite-parameter global bound built on the (K, M) growth chain."""
+    _check_dimensions(V, W, n)
     d, D = param(d), param(D)
     C_V2 = _require_hess_upper(V)
     c_W2 = _require_hess_lower(W)

@@ -31,7 +31,8 @@ class VoidBound(BrenierBoundsError):
 
 
 class BracketFailure(BrenierBoundsError):
-    """A doubling search for a root bracket ran past the hard radius cap."""
+    """A mass inversion ran out of room: a tail table's extension reached its
+    radius cap (1e30), or the 1D oracle's bracket ladder reached 2^99."""
 
 
 class EmptyWindow(BrenierBoundsError):

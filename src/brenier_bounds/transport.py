@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import _check_map_order, _check_order
+from .bounds import _check_dimensions, _check_map_order, _check_order
 from .errors import BracketFailure, DivergentIntegral, EmptyWindow
 from .extparam import param, theta_value_array
 from .potentials import _EXTEND_CAP, PotentialSpec, _compensated_cumsum, tail_table
@@ -74,6 +74,7 @@ def radial_map(V: PotentialSpec, W: PotentialSpec, d: float, D: float,
     derivative comes from the differentiated balance in log space. The
     grid keeps the points whose head and tail fractions both exceed 1e-280.
     """
+    _check_dimensions(V, W, n)
     d, D = _check_map_order(n, d, D)
     if r_grid is None:
         r_grid = default_grid(d)
@@ -516,8 +517,10 @@ def second_variation_check(m: RadialMap, V: PotentialSpec, W: PotentialSpec,
     each epsilon. D = inf: the endpoint inequality (1 + V/d) W'' lam^2 <= V''
     (with V/d = 0 when d = inf as well). Report-only; the caller judges
     the slacks against its tolerance. Raises :class:`InvalidOrder` unless
-    n <= d <= D, as the bounds do.
+    n <= d <= D, as the bounds do, and ValueError unless V and W have the
+    map's dimension n.
     """
+    _check_dimensions(V, W, m.n)
     d, D = _check_order(m.n, d, D)
     est = lipschitz_empirical(m, R)
     x_bar, lam, comp = est.argmax_r, est.value, est.component

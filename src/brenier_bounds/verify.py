@@ -14,8 +14,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .bounds import (BoundReport, _as_dict, _check_order, finite_global_sharp_bound,
-                     global_bound, local_bound)
+from .bounds import (BoundReport, _as_dict, _check_dimensions, _check_order,
+                     finite_global_sharp_bound, global_bound, local_bound)
 from .errors import BrenierBoundsError, EmptyWindow, InvalidOrder
 from .extparam import finite_param, param
 from .potentials import PotentialSpec
@@ -279,6 +279,7 @@ def limit_sweep_D(V: PotentialSpec, W: PotentialSpec, n: int, d: float,
     to 1, xi vanishes once D >= 2d, and the local bound approaches the
     D = infinity endpoint bound.
     """
+    _check_dimensions(V, W, n)
     d = param(d)
     D_list = sorted(finite_param(x) for x in D_list)
     rows = []
@@ -326,6 +327,7 @@ class CaffarelliSweepReport:
 def limit_sweep_caffarelli(V: PotentialSpec, W: PotentialSpec, n: int,
                            d_list, R_list) -> CaffarelliSweepReport:
     """Sweep the D = infinity endpoint bound over (d, R) in the sharp limit order."""
+    _check_dimensions(V, W, n)
     d_list = sorted(finite_param(x) for x in d_list)
     R_list = sorted(float(x) for x in R_list)
     bound = {(R, d): local_bound(V, W, n, d, math.inf, R).bound

@@ -123,6 +123,31 @@ class TestGrowthData:
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+_MIXED = r"^potentials must have dimension n=3, got V of dimension 1 and W of dimension 3$"
+
+
+class TestDimensions:
+    """V, W and n must agree: the ball terms read n, the normalizations and
+    tail tables each potential's own dimension."""
+
+    def test_growth_data_refuses_mixed_dimensions(self):
+        with pytest.raises(ValueError, match=_MIXED):
+            growth_data(quad(1.0, 1), quad(1.0, 3), 3.0, 3.0, 1.0, 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda V, W: local_bound(V, W, 3, 3.0, 3.0, 1.0),
+        lambda V, W: local_factors(V, W, 3.0, 3.0, 1.0, 3),
+        lambda V, W: global_bound(V, W, 3, 3.0, 3.0),
+        lambda V, W: finite_global_sharp_bound(V, W, 3, 3.0, 3.0),
+        lambda V, W: finite_growth_constants(V, W, 3, 3.0, 3.0)])
+    def test_bounds_refuse_mixed_dimensions(self, call):
+        V, W = quad(1.0, 1), quad(1.0, 3)
+        with pytest.raises(ValueError, match=_MIXED):
+            call(V, W)
+        assert not V._memo and not W._memo
+        call(quad(1.0, 3), W)  # the same call in one dimension goes through
+
+
 class TestLocalBound:
     def test_caffarelli_regime_is_the_sharp_ratio(self, quad1, quad_quarter):
         rep = local_bound(quad1, quad_quarter, 1, INF, INF, 1.0)

@@ -173,6 +173,7 @@ def no_scan(monkeypatch):
     def fail(*args):
         raise AssertionError("scanned")
     monkeypatch.setattr(constants_mod, "_sups", fail)
+    monkeypatch.setattr(constants_mod, "_scan_grid", fail)
 
 
 _VOID = r"^global structural constants need far-field Hessian bounds 0 < lower <= upper < inf, "
@@ -232,7 +233,7 @@ class TestFarFieldEnvelope:
             structural(U, 2.0, math.inf)
 
     def test_void_where_the_lower_envelope_reaches_minus_p(self):
-        # (x - 10)^2 has U'' = 2 >= 0.01, but P_0.01 from U(1) = 81, U'(1) = -18
+        # (x - 10)^2 has U'' = 2 >= 0.01, but P_0.01 from U(0) = 100, U'(0) = -20
         # dips far below -p
         U = PotentialSpec.one_dim(lambda x: (x - 10.0) ** 2, lambda x: 2.0 * (x - 10.0),
                                   2.0, 0.01)
@@ -245,8 +246,62 @@ class TestFarFieldEnvelope:
                 structural(quad(1.0), 2.0, R)
 
 
+def log_cosh(s=0.0, c=1.0, k=3.0, u0=0.0):
+    """(x - s)^2 + c log cosh kx + u0, with its exact Hessian bounds [2, 2 + c k^2]."""
+    return PotentialSpec.one_dim(
+        lambda x: (x - s) ** 2 + c * (np.logaddexp(k * x, -k * x) - math.log(2.0)) + u0,
+        lambda x: 2.0 * (x - s) + c * k * np.tanh(k * x), 2.0 + c * k * k, 2.0)
+
+
+def origin_cases():
+    """A radial, an even and a shifted potential without closed forms."""
+    r = np.linspace(0.0, 20.0, 81)
+    return [pytest.param(PotentialSpec.tabulated(r, r ** 2 + 0.5, hess_upper=2.0, hess_lower=2.0),
+                         id="radial"),
+            pytest.param(log_cosh(), id="even"),
+            pytest.param(one_dim_shifted(1.5, -2.0), id="shifted")]
+
+
+class TestOriginEnvelope:
+    """The R = inf constants from U(0), U'(0) and the declared [lam, Lam]."""
+
+    @pytest.mark.parametrize("U", origin_cases())
+    def test_one_call_of_u_and_of_its_slope_at_the_origin(self, U, monkeypatch):
+        no_scan(monkeypatch)
+        calls = []
+        for name in ("value", "deriv"):
+            def record(self, x, name=name, orig=getattr(PotentialSpec, name)):
+                calls.append((name, float(x)))
+                return orig(self, x)
+            monkeypatch.setattr(PotentialSpec, name, record)
+        for q in (1.0, 2.0, 30.0):
+            calls.clear()
+            structural(U, q, math.inf)
+            assert sorted(calls) == [("deriv", 0.0), ("value", 0.0)]
+
+    @pytest.mark.parametrize("s", [-5.0, 0.5])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 30.0])
+    def test_never_low_off_even_where_the_curvature_varies(self, s, q):
+        # neither even nor of constant curvature: the loosest class, still valid
+        U = log_cosh(s)
+        got = structural(U, q, math.inf)
+        r = np.geomspace(1e-6, 1e6, 400_000)
+        x = np.concatenate((-r, [0.0], r))
+        up = (q + U.value(x)) / (q + x * x)
+        g2 = np.square(U.deriv(x) / (math.sqrt(q) + np.abs(x)))
+        assert got.c0 <= up.min() and got.C0 >= up.max() and got.C1 >= g2.max()
+
+    @pytest.mark.parametrize("c,k,u0", [(1.0, 3.0, 0.0), (0.2, 0.5, 0.7), (2.5, 1.3, -0.4)])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 30.0])
+    def test_even_potentials_take_the_value_at_the_origin_and_the_bounds(self, c, k, u0, q):
+        U = log_cosh(0.0, c, k, u0)
+        lam, Lam, up0 = U.hess_lower, U.hess_upper, (q + float(U.value(0.0))) / q
+        got = structural(U, q, math.inf)
+        assert (got.c0, got.C0, got.C1) == (min(up0, lam / 2.0), max(up0, Lam / 2.0), Lam * Lam)
+
+
 def window_radius(q):
-    """rho = max(1, sqrt(q)): the ball B_rho the R = inf constants scan."""
+    """rho = max(1, sqrt(q)): the radius of a ball B_rho to scan."""
     return max(1.0, math.sqrt(q))
 
 
@@ -285,28 +340,16 @@ def window_constants(U, q):
     return s.c0, s.C0, s.C1
 
 
-def outcome(fn):
-    try:
-        return tuple(fn())
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 class TestBlockWindowScan:
     @pytest.mark.parametrize("q,U,shift", global_cases())
     def test_bit_identical_to_the_sequential_scan(self, q, U, shift):
-        # the window B_rho of the R = inf constants, scanned as a block, is
-        # within 1e-15 relative of the one-objective-at-a-time scan; the R = inf
-        # constants contain it, or are void without far-field Hessian bounds
+        # the ball B_rho, scanned as a block, is within 1e-15 relative of the
+        # one-objective-at-a-time scan (the R = inf constants, which scan
+        # nothing, are checked against closed forms in TestFarFieldEnvelope)
         q = float(q)
         ball = structural(U, q, window_radius(q))
         got = ball.c0, ball.C0, ball.C1
         assert got == pytest.approx(sequential_scan(U, q, window_radius(q)), rel=1e-15, abs=0.0)
-        glob = outcome(lambda: window_constants(U, q))
-        if shift is None:
-            assert glob[0] is VoidBound
-        else:
-            assert glob[0] <= got[0] and glob[1] >= got[1] and glob[2] >= got[2]
 
 
 def counted(f, fprime, *hess):
@@ -321,11 +364,11 @@ def counted(f, fprime, *hess):
 
 class TestScanCost:
     def test_block_scan_makes_a_few_u_calls_per_window(self):
-        # one U call on the grid of B_rho, one per zoom round, and one at the
-        # window's edges for the far-field envelope
+        # one U call, at the origin, for the R = inf constants; one on the
+        # grid of a ball and one per zoom round for its scan
         U, calls = counted(lambda x: 1.5 * x ** 2, lambda x: 3.0 * x, 3.0, 3.0)
         assert_shifted_quadratic_constants(structural(U, 2.0, math.inf), 1.5, 0.0, 2.0, math.inf)
-        assert len(calls) <= constants_mod._ZOOM_ROUNDS + 2
+        assert len(calls) == 1
         calls.clear()
         ball = structural(U, 2.0, window_radius(2.0))
         assert len(calls) <= constants_mod._ZOOM_ROUNDS + 1
@@ -334,10 +377,10 @@ class TestScanCost:
 
 
 class TestWindowDomain:
-    """At R = inf U is evaluated on the window B_rho and at its edges only,
-    and the declared Hessian bounds stand for it past them: a violation,
-    failure or overflow inside the window surfaces, and nothing beyond its
-    reach is evaluated."""
+    """At R = inf U is evaluated at the origin only, so the reach of its
+    evaluations is 0, and the declared Hessian bounds stand for it
+    everywhere else: a violation, failure or overflow at the origin
+    surfaces, and one anywhere past it is never evaluated."""
     q = 2.0
 
     @staticmethod
@@ -349,11 +392,7 @@ class TestWindowDomain:
         return 3.0 * x
 
     def reach(self):
-        return window_radius(self.q)
-
-    def inside(self):
-        """A radius inside the window, past its grid's start."""
-        return 0.5 * self.reach()
+        return 0.0
 
     def want(self):
         U = PotentialSpec.one_dim(self.quadratic, self.slope, 3.0, 3.0)
@@ -387,16 +426,16 @@ class TestWindowDomain:
         assert self.window(f) == self.want()
 
     def test_violation_inside_the_reach_raises_the_scan_error(self):
-        near = self.inside()
+        near = self.reach()
         with pytest.raises(DomainError,
-                           match=r"^potential violates U > -p on the scan grid \(p=2.0\)$"):
-            self.window(lambda x: np.where(np.abs(x) > near, -10.0, self.quadratic(x)))
+                           match=r"^potential violates U > -p at the origin \(p=2.0\)$"):
+            self.window(lambda x: np.where(np.abs(x) <= near, -10.0, self.quadratic(x)))
 
     def test_failure_inside_the_reach_raises(self):
-        near = self.inside()
+        near = self.reach()
 
         def f(x):
-            if np.max(np.abs(x)) > near:
+            if np.min(np.abs(x)) <= near:
                 raise ValueError("evaluated inside the window")
             return self.quadratic(x)
         with pytest.raises(ValueError, match="evaluated inside the window"):
@@ -404,8 +443,8 @@ class TestWindowDomain:
 
     def test_overflow_inside_the_reach_warns_as_the_scan_does(self):
         # an overflowing U is infinite there, and so is the sup of up
-        near = self.inside()
-        f = lambda x: self.quadratic(x) + np.square(np.where(np.abs(x) > near, 1e200, 0.0))
+        near = self.reach()
+        f = lambda x: self.quadratic(x) + np.square(np.where(np.abs(x) <= near, 1e200, 0.0))
         with pytest.warns(RuntimeWarning, match="overflow encountered in square"):
             got = self.window(f)
         assert got[1] == math.inf

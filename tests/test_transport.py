@@ -410,6 +410,18 @@ class TestMapOrder:
         assert not V._memo
 
 
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1)])
+    def test_mixed_dimensions_are_refused_up_front(self, dims):
+        V, W = quad(1.0, dims[0]), quad(1.0, dims[1])
+        with pytest.raises(ValueError, match=r"^potentials must have dimension n=3, got V of "
+                                             rf"dimension {dims[0]} and W of dimension {dims[1]}$"):
+            radial_map(V, W, 3.0, 3.0, 3)
+        assert not V._memo and not W._memo
+        m = radial_map(quad(1.0, 3), quad(1.0, 3), 3.0, 3.0, 3)
+        with pytest.raises(ValueError, match=r"^potentials must have dimension n=3"):
+            second_variation_check(m, V, W, 3.0, 3.0, 5.0)
+
+
 class TestSlopes:
     @pytest.mark.parametrize("n,d,D,want", [(1, 2, 1, 3.0), (1, 3, 1, 5.0),
                                             (2, 4, 2, 3.0)])

@@ -135,14 +135,16 @@ class TestRunScenario:
         assert rep.passed, rep.reason
         assert abs(rep.margins["caffarelli"]) < 1e-11
 
-    def test_each_global_scan_runs_once_per_potential(self, ball_scans):
-        # the R = inf constants scan the ball of radius max(1, sqrt(p)) once
+    def test_global_constants_scan_nothing_and_each_ball_once(self, ball_scans):
+        # the R = inf constants read U at the origin only, and each finite
+        # ball is scanned once per potential
         scans = ball_scans
         V = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         W = PotentialSpec.one_dim(lambda x: x ** 2, lambda x: 2.0 * x, 2.0, 2.0)
         rep = run_scenario(scenario(V=V, W=W, R=5.0))
         assert rep.passed, rep.reason
-        assert scans[id(V), 2.0, math.sqrt(2.0)] == 1
+        assert scans[id(V), 2.0, math.sqrt(2.0)] == 0
+        assert scans[id(V), 2.0, 5.0] == 1
         assert set(scans.values()) == {1}
 
     def test_failed_global_scan_runs_once_per_potential(self, ball_scans):
@@ -285,6 +287,15 @@ class TestLimitSweeps:
         assert rep.sharp_value == 1.0
         assert rep.final_gap < 0.01
         assert rep.wrong_order_rows  # the reversed order is tabulated, not asserted
+
+    def test_sweeps_refuse_mixed_dimensions_before_any_bound(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "local_bound", None)  # never reached
+        V, W = quad(1.0, 3), quad(1.0, 2)
+        msg = r"^potentials must have dimension n=3, got V of dimension 3 and W of dimension 2$"
+        with pytest.raises(ValueError, match=msg):
+            limit_sweep_D(V, W, 3, 3.0, 1.0, [10, 100])
+        with pytest.raises(ValueError, match=msg):
+            limit_sweep_caffarelli(V, W, 3, [10, 100], [1.0])
 
     def test_caffarelli_sweep_evaluates_each_endpoint_bound_once(self, monkeypatch):
         calls = []
